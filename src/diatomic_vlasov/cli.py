@@ -214,7 +214,8 @@ def _cmd_certify(args) -> int:
     max_norm = 0.0
     if norm_file.exists():
         max_norm = float(json.loads(norm_file.read_text())["max_field_norm"])
-    control = StepControl(dt=float(manifest["config"].get("dt_macro", 1e-2)))
+    # The control the run used, event tolerances included.
+    control = RunConfig.from_dict(manifest["config"]).build_control()
     reports = []
     any_fail = False
     for pth in sorted(rundir.glob("seed_*_path.csv")):

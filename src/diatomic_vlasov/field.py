@@ -92,14 +92,6 @@ class Ensemble:
                              omega=float(self.omega[i]), eta=float(self.eta[i]),
                              w=float(self.w[i]))
 
-    @classmethod
-    def from_states(cls, states, time: float = 0.0) -> "Ensemble":
-        states = list(states)
-        return cls(
-            x=[s.x for s in states], v=[s.v for s in states],
-            omega=[s.omega for s in states], eta=[s.eta for s in states],
-            w=[s.w for s in states], time=time)
-
     def with_coords(self, x, v, omega, eta, time: float) -> "Ensemble":
         """New ensemble with moved coordinates; masses and values shared."""
         return Ensemble(x, v, omega, eta, self.w, f_values=self.f_values, time=time)

@@ -11,9 +11,7 @@ max are conserved exactly; the continuation monitor compares the running
 support box against the certificate's confinement box.
 
 Everything is deterministic for a fixed config: sampling has no
-randomness, reductions run in fixed order, and splitting tracked seeds
-across worker threads (env DIATOMIC_VLASOV_THREADS) cannot change results
-because seeds are independent and recombined in seed order.
+randomness and reductions run in fixed order.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -53,8 +49,6 @@ __all__ = [
     "check_continuation",
     "dump_diagnostics_csv",
 ]
-
-THREADS_ENV = "DIATOMIC_VLASOV_THREADS"
 
 
 class ContinuationStatus(enum.Enum):
@@ -277,30 +271,6 @@ def _tracked_seeds(box, n_boundary: int, n_interior: int) -> np.ndarray:
     return corners
 
 
-def _advance_tracked(z, snap, model, t0, t1, control):
-    """Advance tracked seeds one macro interval, recording fine samples.
-
-    Honors DIATOMIC_VLASOV_THREADS by chunking the batch; chunks are
-    independent and recombined in order, so the thread count cannot
-    change the output.
-    """
-    n_threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    prov = StaticField(snap)
-    if n_threads == 1 or z.shape[0] < 2 * n_threads:
-        return integrate_batch(z, prov, model, t0, t1, control, record=True)
-    chunks = np.array_split(np.arange(z.shape[0]), n_threads)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(
-            lambda idx: integrate_batch(z[idx], prov, model, t0, t1, control,
-                                        record=True),
-            chunks))
-    finals = np.vstack([p[0] for p in parts])
-    ts = parts[0][1]
-    samples = np.concatenate([p[2] for p in parts], axis=1)
-    fminus = np.concatenate([p[3] for p in parts], axis=1)
-    return finals, ts, samples, fminus
-
-
 def run(config: RunConfig):
     """Execute a self-consistent run; see RunResult for the outputs."""
     model = config.build_model()
@@ -367,9 +337,10 @@ def run(config: RunConfig):
         if k == n_steps:
             break
         target = config.T if k == n_steps - 1 else (k + 1) * config.T / n_steps
+        prov = StaticField(snap)
         if tracked is not None:
-            tracked, ts_k, smp_k, fm_k = _advance_tracked(
-                tracked, snap, model, t, target, control)
+            tracked, ts_k, smp_k, fm_k = integrate_batch(
+                tracked, prov, model, t, target, control, record=True)
             if track_t:
                 track_t.append(ts_k[1:])
                 track_s.append(smp_k[1:])
@@ -378,7 +349,7 @@ def run(config: RunConfig):
                 track_t.append(ts_k)
                 track_s.append(smp_k)
                 track_f.append(fm_k)
-        z = integrate_batch(z, StaticField(snap), model, t, target, control)
+        z = integrate_batch(z, prov, model, t, target, control)
         t = target
         ens = ens.with_coords(z[:, 0], z[:, 1], z[:, 2], z[:, 3], time=t)
 

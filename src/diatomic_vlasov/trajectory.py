@@ -209,14 +209,18 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
         d = dt / m
         e1 += 0.5 * d * fh
         om1 = om
+        # The tangent force of _force_scalar, with its constants hoisted.
+        tangent = model.kind is _hooke.HookeKind.TANGENT
+        c, mid, tan = math.pi / model.epsilon, 0.5 * model.epsilon, math.tan
+        ad, eta_scale, last = abs(d), control.eta_scale, m - 1
         for k in range(m):
             om1 += d * e1
             if not (lo < om1 < hi):
                 raise _Rejected
-            fh = _force_scalar(model, om1)
-            if abs(fh) * abs(d) > control.eta_scale:
+            fh = -tan(c * (om1 - mid)) if tangent else float(model.force_fn(om1))
+            if abs(fh) * ad > eta_scale:
                 raise _Rejected
-            e1 += (d if k < m - 1 else 0.5 * d) * fh
+            e1 += (d if k < last else 0.5 * d) * fh
         x1 = x + dt * v1
 
         fp2, fm2 = snap.pm(x1, om1)
@@ -330,9 +334,12 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
                     record: bool = False):
     """Advance an (n, 4) array of states [x, v, omega, eta] in lockstep.
 
-    Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch;
-    members whose step is rejected fall back to scalar halving for that
-    step only, so lockstep sampling is preserved.  With ``record=True``
+    Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch:
+    each step sub-cycles every member in one loop over prefixes of the
+    members ordered by substep count (see ``_advance_batch``), and a row
+    comes out bit-for-bit as it would alone.  Members whose step is
+    rejected fall back to scalar halving for that step only, so lockstep
+    sampling is preserved.  With ``record=True``
     returns (final, t_samples, samples, f_minus) where samples has shape
     (n_samples, n, 4); otherwise returns the final array.
     """
@@ -370,6 +377,18 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
 
 
 def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi):
+    """One kick-drift-kick step for every row of z.
+
+    Each row gets its own substep count m from the impulse bound and, for
+    the tangent law, the stiffest frequency the step can reach.  All rows
+    with m <= MAX_SUBSTEPS sub-cycle in a single loop: ordered by m,
+    descending, the rows still stepping at substep k are a prefix, so each
+    pass works on slices with a per-row substep d = dt/m, and the rows
+    whose last substep is k take the closing half kick.  The arithmetic
+    per row is that of a lone row, so batching changes no result.  Rows
+    past MAX_SUBSTEPS, and rows whose substeps leave the guard band or
+    break the impulse bound, are redone by scalar halving.
+    """
     x, v, om, et = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
     fp, fm = snap.pm(x, om)
     v1 = v + 0.5 * dt * fp
@@ -394,29 +413,54 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi)
         m = np.maximum(m, np.ceil(abs(dt) * freq / WALL_RESOLUTION))
     m = np.minimum(m, 2.0 * MAX_SUBSTEPS).astype(np.int64)
     bad = m > MAX_SUBSTEPS
+
+    idx = np.nonzero(~bad)[0]
+    idx = idx[np.argsort(-m[idx], kind="stable")]
+    ms = m[idx]
+    d = dt / ms
+    hd = 0.5 * d
+    ad = np.abs(d)
+    ee = e1[idx] + hd * fh[idx]
+    oo = om[idx]
+    # The guard-band and impulse tests run once, after the loop, on the
+    # extremes of omega and the largest |force| over the substeps.  They
+    # fail exactly the rows a test at every substep would: minimum and
+    # maximum carry a NaN omega through, fmax skips a NaN force as the
+    # comparison does, and rounding |force| * |d| is monotone in |force|.
+    om_lo, om_hi = np.full(idx.size, np.inf), np.full(idx.size, -np.inf)
+    f_top = np.zeros(idx.size)
+    steps = max(int(ms[0]), 0) if ms.size else 0
+    # live[k]: members with more than k substeps.
+    live = np.searchsorted(-ms, -np.arange(steps + 1), side="left").tolist()
+    mid = 0.5 * model.epsilon
+    custom = model.kind is not _hooke.HookeKind.TANGENT
+    n = -1
+    for k in range(steps):
+        if live[k] != n:
+            n = live[k]
+            o, dn, en = oo[:n], d[:n], ee[:n]
+            lo_n, hi_n, f_n = om_lo[:n], om_hi[:n], f_top[:n]
+        n1 = live[k + 1]
+        o += dn * en
+        np.minimum(lo_n, o, out=lo_n)
+        np.maximum(hi_n, o, out=hi_n)
+        if custom:
+            # A custom force may be undefined outside the band.
+            np.copyto(o, mid, where=~((o > lo) & (o < hi)))
+        fhk = _force_array(model, o)
+        np.fmax(f_n, np.abs(fhk), out=f_n)
+        if n1 == n:
+            en += dn * fhk
+        else:
+            ee[:n1] += d[:n1] * fhk[:n1]
+            # Members whose last substep is k close with a half kick.
+            ee[n1:n] += hd[n1:n] * fhk[n1:]
+    fail = ~((om_lo > lo) & (om_hi < hi)) | (f_top * ad > control.eta_scale)
+    keep = ~fail
     om1 = om.copy()
-    e1 = e1.copy()
-    for mval in np.unique(m[~bad]):
-        idx = np.nonzero((m == mval) & ~bad)[0]
-        d = dt / mval
-        ee = e1[idx] + 0.5 * d * fh[idx]
-        oo = om1[idx].copy()
-        ok = np.ones(idx.size, dtype=bool)
-        for k in range(mval):
-            oo = oo + d * ee
-            out = ~((oo > lo) & (oo < hi))
-            if np.any(out):
-                ok &= ~out
-                oo = np.where(out, 0.5 * model.epsilon, oo)  # placeholder; redone below
-            fhk = _force_array(model, oo)
-            over = np.abs(fhk) * abs(d) > control.eta_scale
-            if np.any(over & ok):
-                ok &= ~over
-            ee = ee + (d if k < mval - 1 else 0.5 * d) * fhk
-        om1[idx[ok]] = oo[ok]
-        e1[idx[ok]] = ee[ok]
-        if not np.all(ok):
-            bad[idx[~ok]] = True
+    om1[idx[keep]] = oo[keep]
+    e1[idx[keep]] = ee[keep]
+    bad[idx[fail]] = True
 
     x1 = x + dt * v1
     fp2, fm2 = snap.pm(x1, om1)

@@ -210,14 +210,3 @@ class TestContinuation:
         st, _ = check_continuation(
             self.diag((-0.1, 0.1, -0.1, 0.1, 0.5, 0.52, -0.1, 0.1)), None)
         assert st is ContinuationStatus.NA
-
-
-class TestThreadEnv:
-    def test_thread_count_does_not_change_tracked_paths(self, monkeypatch):
-        cfg = base_config(T=0.1)
-        res1 = run(cfg)
-        monkeypatch.setenv("DIATOMIC_VLASOV_THREADS", "4")
-        res2 = run(cfg)
-        for p1, p2 in zip(res1.tracked_paths, res2.tracked_paths):
-            np.testing.assert_array_equal(p1.omega, p2.omega)
-            np.testing.assert_array_equal(p1.x, p2.x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from diatomic_vlasov import trajectory
 from diatomic_vlasov import (
     ConstantField,
     DomainError,
@@ -319,6 +320,95 @@ class TestBatch:
             z0, zero_field(), tan1, 0.0, 1.0, ctl, record=True)
         assert ts.shape[0] == samples.shape[0] == fm.shape[0] == 11
         np.testing.assert_array_equal(samples[-1], final)
+
+
+class TestBatchIndependence:
+    """Batching changes no result: each row of a mixed batch comes out
+    bit-for-bit as it does when advanced alone."""
+
+    @pytest.fixture()
+    def fallback(self, monkeypatch):
+        """Omega of each row that _advance_batch hands to the scalar step."""
+        calls = []
+        scalar = trajectory._advance_scalar
+
+        def spy(*args):
+            if len(args) == 8:  # called by _advance_batch, not a halving
+                calls.append(args[2])
+            return scalar(*args)
+
+        monkeypatch.setattr(trajectory, "_advance_scalar", spy)
+        return calls
+
+    # [x, v, omega, eta]: m = 1 rows near the midpoint, stiff rows near
+    # both walls (hundreds to thousands of substeps) and rows past
+    # MAX_SUBSTEPS that go to the scalar halving fallback.
+    ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],
+        [0.2, -0.2, 1.0 - 1e-4, -0.5],
+        [-0.2, 0.0, 0.52, -0.05],
+        [0.05, 0.3, 2e-4, 1.0],
+        [0.3, 0.0, 1.0 - 1e-7, 0.0],
+        [0.1, -0.1, 0.48, 0.02],
+        [0.25, 0.05, 3e-4, -1.5],
+        [-0.1, 0.0, 1e-6, 0.0],
+    ])
+
+    @pytest.mark.parametrize("dt", [2.5e-3, -2.5e-3])
+    def test_rows_advance_as_if_alone(self, tan1, dt, fallback):
+        ens = Ensemble([-0.3, 0.1, 0.4], [0, 0, 0], [0.45, 0.5, 0.6], [0, 0, 0],
+                       [0.2, 0.3, 0.1])
+        snap = build_field(ens)
+        ctl = StepControl(dt=abs(dt))
+        lo, hi = tan1.guard, tan1.epsilon - tan1.guard
+        counts = []
+        for x, _, om, et in self.ROWS:
+            e1 = et + 0.5 * dt * snap.pm(x, om)[1]
+            counts.append(trajectory._substeps_scalar(tan1, om, e1, dt, ctl))
+        assert min(counts) == 1
+        assert any(100 <= m <= trajectory.MAX_SUBSTEPS for m in counts)
+        assert max(counts) > trajectory.MAX_SUBSTEPS
+
+        out = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        assert fallback
+        for i, row in enumerate(self.ROWS):
+            alone = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi)
+            np.testing.assert_array_equal(out[i], alone[0])
+            # The scalar step uses math.tan, which may differ from np.tan
+            # in the last bit, so it agrees to rounding only.
+            step = trajectory._advance_scalar(*row.tolist(), snap, tan1, dt, ctl)
+            np.testing.assert_allclose(out[i], step[:4], rtol=1e-12, atol=1e-15)
+
+    # Cubic bond law: np and scalar evaluation agree bitwise, so the batch
+    # step must equal the scalar step exactly, including which rows the
+    # in-loop guard-band and impulse tests send to the fallback.
+    CUBIC_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],     # m = 1
+        [0.0, -0.2, 0.2, -5.3],   # leaves the guard band forward
+        [0.0, 0.3, 0.88, 3.3],    # breaks the impulse bound forward
+        [0.0, 0.0, 0.95, 2.2],    # m = 3
+        [0.0, 0.2, 0.8, -4.9],    # leaves the guard band backward
+        [0.0, 0.0, 0.33, 5.1],    # breaks the impulse bound backward
+        [0.0, -0.1, 0.52, -0.3],
+    ])
+
+    @pytest.mark.parametrize("dt", [0.05, -0.05])
+    def test_custom_law_matches_scalar_step(self, dt, fallback):
+        def cubic(w):
+            u = np.asarray(w, dtype=float) - 0.5
+            return -1000.0 * u * u * u
+
+        model = custom_model(1.0, cubic)
+        snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
+        ctl = StepControl(dt=abs(dt), eta_scale=2.0)
+        lo, hi = model.guard, model.epsilon - model.guard
+        out = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
+        assert len(fallback) == 2
+        for i, row in enumerate(self.CUBIC_ROWS):
+            step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
+            np.testing.assert_array_equal(out[i], step[:4])
+            alone = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
+            np.testing.assert_array_equal(out[i], alone[0])
 
 
 class TestPathDumps:
