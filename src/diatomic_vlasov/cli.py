@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .errors import (
     NoConfinementError,
     StepUnderflowError,
 )
-from .field import ConstantField, ParticleState, zero_field
+from .field import ConstantField, ParticleState, write_table, zero_field
 from .hooke import validate_model
 from .picard import dump_iteration_log, iterate
 from .simulator import RunConfig, dump_diagnostics_csv, run
@@ -35,13 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
-
-_F = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _F % x
-
 
 def _load_config(path: str, overrides) -> RunConfig:
     try:
@@ -157,7 +151,7 @@ def _cmd_picard(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args.output_dir)
     dump_iteration_log(records, out / "iteration_log.csv")
     for r in records:
-        print(f"n={r.n} sup_delta={_fmt(r.sup_delta)} supF={_fmt(r.sup_F)}")
+        print(f"n={r.n} sup_delta={r.sup_delta:.17g} supF={r.sup_F:.17g}")
     return EXIT_OK
 
 
@@ -172,15 +166,16 @@ def _write_run_outputs(result, out: Path, seed_report: bool) -> None:
     result.final.dump_csv(out / "ensemble_final.csv")
     for k, snap, ens in result.snapshots_dumped:
         snap.dump_csv(out / f"field_{k:06d}.csv")
-        ens.dump_csv(out / f"ensemble_{k:06d}.csv")
+        if ens is result.final:  # same rows: copy the bytes already written
+            shutil.copyfile(out / "ensemble_final.csv", out / f"ensemble_{k:06d}.csv")
+        else:
+            ens.dump_csv(out / f"ensemble_{k:06d}.csv")
     if seed_report:
         for i, path in enumerate(result.tracked_paths):
             path.dump_csv(out / f"seed_{i:03d}_path.csv")
             path.dump_events_csv(out / f"seed_{i:03d}_events.csv")
-            np.savetxt(out / f"seed_{i:03d}_aux.csv",
-                       np.column_stack([path.t, path.f_minus]),
-                       delimiter=",", header="t,f_minus", comments="",
-                       fmt="%.17g")
+            write_table(out / f"seed_{i:03d}_aux.csv", ["t", "f_minus"],
+                        [path.t, path.f_minus], end="\n")
         reports = [r.to_dict() for r in result.cert_reports]
         (out / "cert_reports.json").write_text(json.dumps(reports, indent=2))
         (out / "max_field_norm.json").write_text(json.dumps(
@@ -194,7 +189,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     _write_run_outputs(result, out, seed_report=args.seed_report)
     n_fail = sum(1 for d in result.series
                  if d.status.value == "fail")
-    print(f"simulated T={_fmt(cfg.T)} with {len(result.final)} particles; "
+    print(f"simulated T={cfg.T:.17g} with {len(result.final)} particles; "
           f"{len(result.series)} diagnostic rows; "
           f"{sum(len(p.events) for p in result.tracked_paths)} events; "
           f"continuation failures: {n_fail}")

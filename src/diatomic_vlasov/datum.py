@@ -10,14 +10,16 @@ config reproduces the ensemble bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import qmc
 
 from .errors import ConfigError
 from .field import Ensemble
 
-__all__ = ["BumpDatum", "sample_datum"]
+__all__ = ["BumpDatum", "sample_datum", "sobol_box"]
 
 AXES = ("x", "v", "omega", "eta")
 
@@ -88,3 +90,15 @@ def sample_datum(datum: BumpDatum, box, shape, epsilon: float,
         x=gx.ravel()[keep], v=gv.ravel()[keep],
         omega=go.ravel()[keep], eta=ge.ravel()[keep],
         w=vals * cell, f_values=vals, time=time)
+
+
+def sobol_box(n: int, lo, hi, seed: int | None = None) -> np.ndarray:
+    """First n points of the 4d Sobol sequence (unscrambled unless seeded)
+    scaled into the box [lo, hi].  A degenerate axis (hi <= lo) is padded
+    to lo + 1e-300, or to the next float where that sum rounds back to lo.
+    """
+    sampler = qmc.Sobol(d=4, scramble=seed is not None, seed=seed)
+    pts = sampler.random_base2(max(1, math.ceil(math.log2(max(2, n)))))[:n]
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    pad = np.maximum(lo + 1e-300, np.nextafter(lo, np.inf))
+    return qmc.scale(pts, lo, np.where(hi > lo, hi, pad))

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
-from .datum import BumpDatum
+from .datum import BumpDatum, sobol_box
 from .errors import ConfigError, EmptyEnsembleError
 from .field import Ensemble, FieldHistory, StaticField, build_field
 from .hooke import HookeModel
@@ -129,13 +128,8 @@ def probe_grid_points(supp: SupportBounds, n: int, seed: int | None = None) -> n
     Unscrambled Sobol by default; a seed switches to scrambled points for
     probe-robustness studies.
     """
-    sampler = qmc.Sobol(d=4, scramble=seed is not None, seed=seed)
-    m = max(1, math.ceil(math.log2(max(2, n))))
-    pts = sampler.random_base2(m)[:n]
-    lo = np.array([-supp.Px, -supp.Pv, supp.Pomega_minus, -supp.Peta])
-    hi = np.array([supp.Px, supp.Pv, supp.Pomega_plus, supp.Peta])
-    hi = np.where(hi > lo, hi, lo + 1e-300)
-    return qmc.scale(pts, lo, hi)
+    return sobol_box(n, [-supp.Px, -supp.Pv, supp.Pomega_minus, -supp.Peta],
+                     [supp.Px, supp.Pv, supp.Pomega_plus, supp.Peta], seed=seed)
 
 
 def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,

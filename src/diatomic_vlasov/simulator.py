@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import hooke as _hooke
 from .bounds import BoundCertificate, BoundParameters, build_certificate, certify
-from .datum import BumpDatum, sample_datum
-from .errors import ConfigError, EmptyEnsembleError
+from .datum import BumpDatum, sample_datum, sobol_box
+from .errors import ConfigError
 from .field import Ensemble, FieldSnapshot, StaticField, build_field
 from .hooke import HookeModel, tangent_model, load_table_model
 from .trajectory import (
@@ -251,22 +251,10 @@ def check_continuation(diag: Diagnostics, cert: BoundCertificate | None,
 
 def _tracked_seeds(box, n_boundary: int, n_interior: int) -> np.ndarray:
     """Corner seeds (extremal for the certificate) plus interior Sobol."""
-    x_lo, x_hi, v_lo, v_hi, om_lo, om_hi, et_lo, et_hi = box
-    corners = []
-    for xs in (x_lo, x_hi):
-        for vs in (v_lo, v_hi):
-            for os_ in (om_lo, om_hi):
-                for es in (et_lo, et_hi):
-                    corners.append((xs, vs, os_, es))
-    corners = np.asarray(corners, dtype=float)[:n_boundary]
+    lo, hi = box[0::2], box[1::2]
+    corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=float)[:n_boundary]
     if n_interior > 0:
-        smp = qmc.Sobol(d=4, scramble=False)
-        m = max(1, math.ceil(math.log2(max(2, n_interior))))
-        pts = smp.random_base2(m)[:n_interior]
-        lo = np.array([x_lo, v_lo, om_lo, et_lo])
-        hi = np.array([x_hi, v_hi, om_hi, et_hi])
-        hi = np.where(hi > lo, hi, lo + 1e-300)
-        interior = qmc.scale(pts, lo, hi)
+        interior = sobol_box(n_interior, lo, hi)
         return np.vstack([corners, interior]) if corners.size else interior
     return corners
 

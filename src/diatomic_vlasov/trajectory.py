@@ -32,11 +32,10 @@ import numpy as np
 from . import hooke as _hooke
 from .errors import (
     DomainError,
-    FieldGapError,
     SegmentOutOfRangeError,
     StepUnderflowError,
 )
-from .field import ParticleState
+from .field import ParticleState, write_table
 from .hooke import BalancePoints, HookeModel
 
 __all__ = [
@@ -130,12 +129,8 @@ class TrajectoryPath:
                              omega=float(self.omega[i]), eta=float(self.eta[i]))
 
     def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "x", "v", "omega", "eta"])
-            for i in range(len(self)):
-                wr.writerow([f"{c:.17g}" for c in
-                             (self.t[i], self.x[i], self.v[i], self.omega[i], self.eta[i])])
+        write_table(path, ["t", "x", "v", "omega", "eta"],
+                    [self.t, self.x, self.v, self.omega, self.eta])
 
     def dump_events_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

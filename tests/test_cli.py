@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+
+from diatomic_vlasov import ParticleState, StepControl, integrate, tangent_model, zero_field
 from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_OK, dispatch
 
 
@@ -36,6 +39,10 @@ class TestSimulateCertify:
         assert len(replay) == len(in_run) == 24
         replay = [{k: v for k, v in rep.items() if k != "seed"} for rep in replay]
         assert json.dumps(replay, sort_keys=True) == json.dumps(in_run, sort_keys=True)
+        # Path files end lines with \r\n (csv.writer style), aux files with \n.
+        assert (out / "seed_000_path.csv").read_bytes().startswith(b"t,x,v,omega,eta\r\n")
+        aux = (out / "seed_000_aux.csv").read_bytes()
+        assert aux.startswith(b"t,f_minus\n") and b"\r" not in aux
 
 
 class TestExitCodes:
@@ -45,3 +52,65 @@ class TestExitCodes:
                          "--output-dir", str(tmp_path / "run")])
         assert code == EXIT_CONFIG
         assert "frobnicate" in capsys.readouterr().err
+
+
+class TestSubcommands:
+    def test_trajectory_path_reloads_exactly(self, tmp_path, capsys):
+        seed = {"x": 0.1, "v": -0.2, "omega": 0.3, "eta": 1.5}
+        cfg = write_config(tmp_path, trajectory={"seed": seed, "T": 0.5, "dt": 0.01})
+        out = tmp_path / "traj"
+        assert dispatch(["trajectory", "--config", str(cfg),
+                         "--output-dir", str(out)]) == EXIT_OK
+        ref = integrate(ParticleState(**seed), zero_field(), tangent_model(1.0),
+                        0.0, 0.5, StepControl(dt=0.01))
+        data = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert data.shape == (len(ref), 5)
+        for j, name in enumerate(("t", "x", "v", "omega", "eta")):
+            np.testing.assert_array_equal(data[:, j], getattr(ref, name))
+        assert (out / "events.csv").exists()
+
+    def test_bounds_writes_certificate(self, tmp_path, capsys):
+        out = tmp_path / "bounds"
+        assert dispatch(["bounds", "--config", str(write_config(tmp_path)),
+                         "--output-dir", str(out)]) == EXIT_OK
+        cert = json.loads((out / "certificate.json").read_text())
+        assert json.loads(capsys.readouterr().out) == cert
+
+    def test_validate_hooke_tangent(self, tmp_path, capsys):
+        assert dispatch(["validate-hooke", "--config", str(write_config(tmp_path)),
+                         "--grid", "256"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_picard_writes_iteration_log(self, tmp_path, capsys):
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, T=0.05, dt_macro=0.01,
+                           n_max=2, probe_grid=16)
+        out = tmp_path / "picard"
+        assert dispatch(["picard", "--config", str(cfg),
+                         "--output-dir", str(out)]) == EXIT_OK
+        rows = (out / "iteration_log.csv").read_text().splitlines()
+        assert len(rows) >= 2
+
+
+class TestSnapshotFiles:
+    def simulate(self, tmp_path, snapshot_every):
+        cfg = write_config(tmp_path, T=0.1, snapshot_every=snapshot_every,
+                           tracked_boundary=0, tracked_interior=0)
+        out = tmp_path / f"every{snapshot_every}"
+        assert dispatch(["simulate", "--config", str(cfg),
+                         "--output-dir", str(out)]) == EXIT_OK
+        return out, (out / "ensemble_final.csv").read_bytes()
+
+    def test_final_snapshot_equals_final_ensemble(self, tmp_path, capsys):
+        out, final = self.simulate(tmp_path, 5)  # 10 steps: snapshots 0, 5, 10
+        names = sorted(p.name for p in out.glob("ensemble_0*.csv"))
+        assert names == ["ensemble_000000.csv", "ensemble_000005.csv",
+                         "ensemble_000010.csv"]
+        assert (out / "ensemble_000010.csv").read_bytes() == final
+
+    def test_no_snapshot_copies_final_when_not_dividing(self, tmp_path, capsys):
+        out, final = self.simulate(tmp_path, 3)  # snapshots 0, 3, 6, 9
+        snaps = sorted(out.glob("ensemble_0*.csv"))
+        assert [p.name for p in snaps][-1] == "ensemble_000009.csv"
+        assert all(p.read_bytes() != final for p in snaps)

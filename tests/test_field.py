@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from diatomic_vlasov import (
     field_norms,
     field_pm,
 )
+from diatomic_vlasov.field import _BLOCK_ROWS, write_table
 
 
 def brute_force_field(x_pos, charges, queries):
@@ -209,3 +212,42 @@ class TestCsv:
         snap.dump_csv(p)
         header = p.read_text().splitlines()[0]
         assert header == "x_sorted,cum_mass"
+
+    # Values whose spelling the byte contract pins: nan, +-inf, -0, the
+    # smallest subnormal, a huge value and two inexact fractions.
+    HARD = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0]
+
+    def hard_columns(self, n, k):
+        return [np.resize(np.roll(self.HARD, j), n) for j in range(k)]
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_write_table_matches_csv_writer(self, tmp_path, n):
+        header = ["a", "b", "c"]
+        cols = self.hard_columns(n, 3)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(header)
+            for row in zip(*cols):
+                wr.writerow([f"{c:.17g}" for c in row])
+        write_table(tmp_path / "new.csv", header, cols)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_write_table_newline_matches_savetxt(self, tmp_path, n):
+        t, fm = self.hard_columns(n, 2)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack([t, fm]), delimiter=",",
+                   header="t,f_minus", comments="", fmt="%.17g")
+        write_table(tmp_path / "new.csv", ["t", "f_minus"], [t, fm], end="\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_load_csv_roundtrips_bits(self, tmp_path):
+        n = _BLOCK_ROWS + 1
+        x, v, om, et = self.hard_columns(n, 4)
+        w = np.resize([0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0], n)
+        ens = Ensemble(x, v, om, et, w)
+        p = tmp_path / "ens.csv"
+        ens.dump_csv(p)
+        back = Ensemble.load_csv(p)
+        for name in ("x", "v", "omega", "eta", "w"):
+            np.testing.assert_array_equal(getattr(back, name).view(np.uint64),
+                                          getattr(ens, name).view(np.uint64))

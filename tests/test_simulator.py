@@ -151,6 +151,19 @@ class TestRun:
         ks = [k for k, _, _ in res.snapshots_dumped]
         assert ks == [0, 10, 20, 30]
 
+    def test_single_cell_axis_seeds_tracked_points(self):
+        # One grid cell along omega: the support box has omega_lo ==
+        # omega_hi == 0.5, where adding 1e-300 rounds back to 0.5, so the
+        # interior seeds are padded to the next float instead.
+        datum = {"kind": "bumps",
+                 "centers": {"x": 0.0, "v": 0.0, "omega": 0.5, "eta": 0.0},
+                 "widths": {"x": 0.5, "v": 0.3, "omega": 0.08, "eta": 0.3},
+                 "amplitude": 4.0, "grid": [6, 6, 1, 6]}
+        res = run(base_config(datum=datum, T=0.05))
+        assert len(res.tracked_paths) == 24
+        omegas = np.array([p.omega[0] for p in res.tracked_paths])
+        assert np.all((omegas >= 0.5) & (omegas <= np.nextafter(0.5, 1.0)))
+
 
 class TestDiagnostics:
     def test_fields_filled(self, tan1):
