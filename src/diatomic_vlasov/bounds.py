@@ -506,7 +506,7 @@ def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
     np.maximum.accumulate(nz, out=nz)
     sign = sign[nz]
     seg_start = 0
-    boundaries = list(np.nonzero(sign[:-1] * sign[1:] < 0.0)[0] + 1) + [len(h)]
+    boundaries = (np.nonzero(sign[:-1] * sign[1:] < 0.0)[0] + 1).tolist() + [len(h)]
     for stop in boundaries:
         a, b = seg_start, stop - 1
         seg_start = stop

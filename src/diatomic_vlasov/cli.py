@@ -164,8 +164,8 @@ def _write_run_outputs(result, out: Path, seed_report: bool) -> None:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     result.final.dump_csv(out / "ensemble_final.csv")
-    for k, snap, ens in result.snapshots_dumped:
-        snap.dump_csv(out / f"field_{k:06d}.csv")
+    for k, ens in result.snapshots_dumped:
+        ens.dump_field_csv(out / f"field_{k:06d}.csv")
         if ens is result.final:  # same rows: copy the bytes already written
             shutil.copyfile(out / "ensemble_final.csv", out / f"ensemble_{k:06d}.csv")
         else:

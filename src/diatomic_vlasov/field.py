@@ -13,14 +13,19 @@ sitting exactly at the query point is split half-and-half between the two
 sides, which makes the field odd for symmetric data and removes any order
 dependence among coincident particles.
 
-Queries cost O(log N) after an O(N log N) build (stable sort + prefix
-sum).  Summation runs in ascending position order so results are
+The build is O(N log N): a stable sort, one ascending prefix sum of the
+charges, then a merge of each run of equal positions (``==``, so -0.0 and
+0.0 are one position).  The snapshot keeps only the U distinct positions
+and, for each, the field strictly left of it and the field at it, so a
+query is one binary search (O(log U)), one equality test and one gather.
+Summation runs in ascending position order so results are
 bit-reproducible; the brute-force O(N) check in the tests enforces the
 same order and matches exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -134,6 +139,12 @@ class Ensemble:
         write_table(path, ["x", "v", "omega", "eta", "w"],
                     [self.x, self.v, self.omega, self.eta, self.w])
 
+    def dump_field_csv(self, path) -> None:
+        """The charges behind this ensemble's field: positions in stable
+        sorted order and the running charge up to and including each."""
+        positions, prefix = _sorted_prefix(self.x, 2.0 * self.w)
+        write_table(path, ["x_sorted", "cum_mass"], [positions, prefix[1:]])
+
     @classmethod
     def load_csv(cls, path, time: float = 0.0) -> "Ensemble":
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
@@ -142,21 +153,56 @@ class Ensemble:
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], time=time)
 
 
-class FieldSnapshot:
-    """The frozen field of one ensemble: sorted charge positions with an
-    inclusive prefix-sum of charge.  Immutable after construction; safe to
-    share across threads."""
+def _sorted_prefix(positions, charges) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in stable sorted order and the ascending prefix sum of
+    their charges: prefix[k] is the charge strictly left of sorted
+    position k (ties in input order), prefix[-1] the total."""
+    order = np.argsort(positions, kind="stable")
+    charges = np.asarray(charges, dtype=float)[order]
+    return (np.asarray(positions, dtype=float)[order],
+            np.concatenate([[0.0], np.cumsum(charges)]))
 
-    __slots__ = ("positions", "prefix", "total", "time")
+
+class FieldSnapshot:
+    """The frozen field of one ensemble.  Immutable after construction;
+    safe to share across threads.
+
+    Coincident charges are merged at build time.  For the U distinct
+    sorted positions u_j, with P_j the charge strictly left of u_j and
+    P_U the total, the snapshot stores U + 1 rows (3(U + 1) floats in
+    place of one position and one prefix per particle):
+
+    - ``_keys``: u_0 < ... < u_{U-1}, then a +inf sentinel;
+    - ``_values[:, 0]``: the field strictly between u_{j-1} and u_j,
+      total/2 - P_j (row U: right of every charge);
+    - ``_values[:, 1]``: the field at u_j, total/2 - P_j - (P_{j+1} - P_j)/2
+      (row U: equal to its between value, so x = +inf reads -total/2).
+
+    The tie-splitting rule is unchanged: charge at the query point counts
+    half to each side.  These are the exact floating-point expressions of
+    a left/right pair of binary searches over the unmerged prefix sum, so
+    every value is bitwise equal to it.  Positions must not be NaN.
+    """
+
+    __slots__ = ("_keys", "_values", "total", "time")
 
     def __init__(self, positions: np.ndarray, charges: np.ndarray, time: float = 0.0):
-        order = np.argsort(positions, kind="stable")
-        self.positions = np.asarray(positions, dtype=float)[order]
-        charges = np.asarray(charges, dtype=float)[order]
-        # prefix[k] = charge strictly left of positions[k]; prefix[-1] = total
-        self.prefix = np.concatenate([[0.0], np.cumsum(charges)])
-        self.total = float(self.prefix[-1])
+        pos, prefix = _sorted_prefix(positions, charges)
+        if pos.size and np.isnan(pos[-1]):  # NaN sorts last
+            raise DomainError("field charge positions must not be NaN")
+        first = np.empty(pos.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(pos[1:], pos[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        p = prefix[np.append(starts, pos.size)]  # P_0 .. P_U
+        self.total = float(prefix[-1])
         self.time = float(time)
+        self._keys = np.append(pos[starts], math.inf)
+        self._values = np.empty((p.size, 2))
+        # Between positions the charge at x is 0 and "- 0.5 * 0.0" is exact.
+        self._values[:, 0] = 0.5 * self.total - p
+        self._values[:-1, 1] = self._values[:-1, 0] - 0.5 * np.diff(p)
+        self._values[-1, 1] = self._values[-1, 0]
 
     @classmethod
     def empty(cls, time: float = 0.0) -> "FieldSnapshot":
@@ -166,11 +212,10 @@ class FieldSnapshot:
         """Field value(s) at x: half of right mass minus left mass, charge
         at x split evenly between the sides."""
         xq = np.asarray(x, dtype=float)
-        il = np.searchsorted(self.positions, xq, side="left")
-        ir = np.searchsorted(self.positions, xq, side="right")
-        left = self.prefix[il]
-        at = self.prefix[ir] - self.prefix[il]
-        out = 0.5 * self.total - left - 0.5 * at
+        # Index U (past every position, or NaN) lands on the sentinel row.
+        idx = np.searchsorted(self._keys[:-1], xq, side="left")
+        hit = self._keys.take(idx) == xq
+        out = self._values.ravel().take(2 * idx + hit)
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -185,14 +230,12 @@ class FieldSnapshot:
         """Exact suprema (sup|F|, sup|F+-|) = (total/2, total)."""
         return 0.5 * self.total, self.total
 
-    def dump_csv(self, path) -> None:
-        write_table(path, ["x_sorted", "cum_mass"], [self.positions, self.prefix[1:]])
-
 
 def build_field(ensemble: Ensemble) -> FieldSnapshot:
     """Snapshot of the ensemble's self-consistent field.
 
-    O(N log N): stable sort by position plus one ascending prefix sum.
+    O(N log N): stable sort by position, one ascending prefix sum and a
+    merge of coincident positions.
     Each particle contributes charge 2w at its center.
     """
     if len(ensemble) == 0:
@@ -201,7 +244,8 @@ def build_field(ensemble: Ensemble) -> FieldSnapshot:
 
 
 def field_at(snapshot: FieldSnapshot, x):
-    """Point query of the step field; O(log N) per query."""
+    """Point query of the step field; O(log U) per query for U distinct
+    charge positions."""
     return snapshot.at(x)
 
 
@@ -309,6 +353,5 @@ class FieldHistory:
         if t < t0 - tol or t > self.t_end + tol:
             raise FieldGapError(
                 f"field history covers [{t0!r}, {self.t_end!r}], asked for {t!r}")
-        idx = int(np.searchsorted(self._times, t + tol, side="right")) - 1
-        idx = max(idx, 0)
+        idx = max(bisect.bisect_right(self._times, t + tol) - 1, 0)
         return self._snaps[idx]

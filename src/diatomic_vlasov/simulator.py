@@ -188,7 +188,7 @@ class RunResult:
     certificate: BoundCertificate | None
     cert_reports: list
     config: RunConfig
-    snapshots_dumped: list = dc_field(default_factory=list)
+    snapshots_dumped: list = dc_field(default_factory=list)  # (k, ensemble) pairs
 
 
 def _oscillatory_energy(ens: Ensemble, model: HookeModel) -> float:
@@ -321,7 +321,7 @@ def run(config: RunConfig):
         status, violated = check_continuation(d, cert, config.continuation_margin)
         series.append(replace(d, status=status, violated=violated))
         if config.snapshot_every > 0 and k % config.snapshot_every == 0:
-            snapshots_dumped.append((k, snap, ens))
+            snapshots_dumped.append((k, ens))
         if k == n_steps:
             break
         target = config.T if k == n_steps - 1 else (k + 1) * config.T / n_steps

@@ -383,3 +383,16 @@ class TestCertify:
         d = json.loads(certify(path, cert).to_json())
         assert d["passed"] is True
         assert len(d["checks"]) == 6
+
+    def test_failing_work_bound_report_json(self):
+        # Bound C*eps + slack = 0.02: the first eta-sign segment does
+        # about 0.011 of work and passes, the second about 0.032 and fails,
+        # so the violation index comes from a later segment's start.
+        path, cert = self.run_path(h0=-0.2)
+        rep = certify(path, cert, slack=0.02 - cert.C * cert.epsilon)
+        work = [c for c in rep.checks if c.name == "work_bound"][0]
+        assert not work.passed and work.first_violation > 0
+        d = json.loads(rep.to_json())
+        back = [c for c in d["checks"] if c["name"] == "work_bound"][0]
+        assert type(back["first_violation"]) is int
+        assert back["first_violation"] == work.first_violation

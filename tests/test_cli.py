@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from diatomic_vlasov import ParticleState, StepControl, integrate, tangent_model, zero_field
-from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_OK, dispatch
+from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, dispatch
 
 
 def write_config(tmp_path, **over):
@@ -52,6 +52,26 @@ class TestExitCodes:
                          "--output-dir", str(tmp_path / "run")])
         assert code == EXIT_CONFIG
         assert "frobnicate" in capsys.readouterr().err
+
+    def test_certify_violation(self, tmp_path, capsys):
+        # Wide bonds over T = 1.5 change eta sign, and with slack -0.8 some
+        # seeds pass the work bound on their first segment and fail it on
+        # a later one, so first_violation is a segment start past 0.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["widths"] = {"x": 0.5, "v": 0.3, "omega": 0.3, "eta": 1.5}
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, T=1.5, dt_macro=0.05)
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(cfg), "--seed-report",
+                         "--output-dir", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert dispatch(["certify", "--path", str(out), "--slack=-0.8"]) == EXIT_VIOLATION
+        reports = json.loads(capsys.readouterr().out)
+        work = [c["first_violation"] for r in reports for c in r["checks"]
+                if c["name"] == "work_bound"]
+        assert any(type(f) is int and f > 0 for f in work)
+        firsts = [c["first_violation"] for r in reports for c in r["checks"]]
+        assert all(f is None or type(f) is int for f in firsts)
 
 
 class TestSubcommands:

@@ -123,6 +123,77 @@ class TestFieldAt:
         assert snap.at(x) - snap.at(y) == between
 
 
+def two_search_field(positions, charges, queries):
+    """The unmerged formula: a left and a right binary search over the
+    stable-sorted positions and their ascending prefix sum."""
+    order = np.argsort(positions, kind="stable")
+    pos = np.asarray(positions, dtype=float)[order]
+    prefix = np.concatenate([[0.0], np.cumsum(np.asarray(charges, dtype=float)[order])])
+    total = float(prefix[-1])
+    xq = np.asarray(queries, dtype=float)
+    il = np.searchsorted(pos, xq, side="left")
+    ir = np.searchsorted(pos, xq, side="right")
+    return 0.5 * total - prefix[il] - 0.5 * (prefix[ir] - prefix[il])
+
+
+class TestMergedSnapshot:
+    """The merged tables reproduce the two-search formula bit for bit."""
+
+    def tie_heavy(self, rng, n=300):
+        pos = rng.integers(-4, 5, n).astype(float)
+        zeros = np.flatnonzero(pos == 0.0)
+        pos[zeros[::2]] = -0.0  # a mix of -0.0 and 0.0 charges
+        return pos, rng.uniform(0.0, 1.0, n)
+
+    def queries(self, pos):
+        u = np.unique(pos)
+        mid = 0.5 * (u[1:] + u[:-1]) if u.size > 1 else np.empty(0)
+        edges = [-1e300, 1e300, -np.inf, np.inf, np.nan, -0.0, 0.0]
+        if u.size:
+            edges += [np.nextafter(u[0], -np.inf), np.nextafter(u[-1], np.inf)]
+        return np.concatenate([pos, mid, edges])
+
+    def assert_bits(self, pos, charges):
+        snap = FieldSnapshot(pos, charges)
+        q = self.queries(pos)
+        want = two_search_field(pos, charges, q)
+        np.testing.assert_array_equal(snap.at(q).view(np.uint64), want.view(np.uint64))
+        for xi, wi in zip(q, want):
+            got = snap.at(float(xi))
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == wi.view(np.uint64)
+        return snap
+
+    def test_tie_heavy_positions(self, rng):
+        for _ in range(5):
+            pos, charges = self.tie_heavy(rng)
+            snap = self.assert_bits(pos, charges)
+            assert snap._keys.size == np.unique(pos).size + 1  # U + 1 rows
+
+    def test_infinite_positions(self, rng):
+        pos, charges = self.tie_heavy(rng, 40)
+        pos[:3] = [np.inf, -np.inf, np.inf]
+        self.assert_bits(pos, charges)
+
+    def test_empty_snapshot(self):
+        snap = self.assert_bits(np.empty(0), np.empty(0))
+        assert snap.at(np.inf) == 0.0 and snap.at(np.nan) == 0.0
+
+    def test_nan_position_rejected(self):
+        with pytest.raises(DomainError):
+            FieldSnapshot(np.array([0.0, np.nan]), np.ones(2))
+
+    def test_field_dump_matches_reference(self, tmp_path, rng):
+        pos, w = self.tie_heavy(rng, _BLOCK_ROWS + 1)
+        ens = Ensemble(pos, np.zeros(pos.size), np.full(pos.size, 0.5),
+                       np.zeros(pos.size), w)
+        order = np.argsort(pos, kind="stable")
+        write_table(tmp_path / "ref.csv", ["x_sorted", "cum_mass"],
+                    [pos[order], np.cumsum((2.0 * w)[order])])
+        ens.dump_field_csv(tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestFieldPm:
     def test_symmetric_snapshot_fplus_vanishes(self):
         ens = Ensemble([-1.0, 1.0], [0, 0], [0.5, 0.5], [0, 0], [0.5, 0.5])
@@ -207,9 +278,8 @@ class TestCsv:
         np.testing.assert_array_equal(back.w, ens.w)
 
     def test_snapshot_columns(self, tmp_path):
-        snap = build_field(single_molecule())
         p = tmp_path / "field.csv"
-        snap.dump_csv(p)
+        single_molecule().dump_field_csv(p)
         header = p.read_text().splitlines()[0]
         assert header == "x_sorted,cum_mass"
 

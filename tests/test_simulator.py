@@ -148,7 +148,7 @@ class TestRun:
 
     def test_snapshot_dumps(self):
         res = run(base_config(snapshot_every=10))
-        ks = [k for k, _, _ in res.snapshots_dumped]
+        ks = [k for k, _ in res.snapshots_dumped]
         assert ks == [0, 10, 20, 30]
 
     def test_single_cell_axis_seeds_tracked_points(self):
