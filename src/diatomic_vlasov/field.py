@@ -105,7 +105,7 @@ class Ensemble:
         for arr in (self.v, self.omega, self.eta, self.w):
             if arr.shape != (n,):
                 raise DomainError("ensemble arrays must be equal-length 1d")
-        if np.any(self.w < 0.0):
+        if not np.all(self.w >= 0.0):  # also rejects NaN
             raise DomainError("particle masses must be nonnegative")
         self.f_values = None if f_values is None else np.asarray(f_values, dtype=float)
         self.time = float(time)

@@ -20,7 +20,7 @@ import csv
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class RunConfig:
     """Validated run configuration; unknown keys are rejected on load."""
 
     hooke: dict
-    datum: dict
+    datum: dict = dc_field(default_factory=dict)
     T: float = 1.0
     dt_macro: float = 1e-2
     control: dict = dc_field(default_factory=dict)
@@ -125,7 +125,11 @@ class RunConfig:
         if "hooke" not in raw:
             raise ConfigError("config needs a 'hooke' section")
         cfg = cls(**{k: raw[k] for k in raw})
-        if cfg.T <= 0.0 or cfg.dt_macro <= 0.0:
+        for f in fields(cls):
+            val = getattr(cfg, f.name)
+            if f.type in ("float", "int") and not isinstance(val, (int, float)):
+                raise ConfigError(f"{f.name} must be a number, got {val!r}")
+        if not (cfg.T > 0.0 and cfg.dt_macro > 0.0):
             raise ConfigError("T and dt_macro must be positive")
         return cfg
 

@@ -235,15 +235,19 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
         return x, v, om, et, min(d1, d2)
 
 
+def _check_seed(state: ParticleState, model: HookeModel) -> None:
+    g = model.guard
+    if not (g < state.omega < model.epsilon - g):
+        raise DomainError(f"omega={state.omega!r} outside the guarded bond domain")
+
+
 def push(state: ParticleState, field, model: HookeModel, dt: float,
          control: StepControl | None = None) -> ParticleState:
     """Advance one state by a single step under a frozen field snapshot."""
     if not (dt > 0.0):
         raise DomainError("dt must be positive")
     control = control or StepControl(dt=dt)
-    g = model.guard
-    if not (g < state.omega < model.epsilon - g):
-        raise DomainError(f"omega={state.omega!r} outside the guarded bond domain")
+    _check_seed(state, model)
     x, v, om, et, _ = _advance_scalar(state.x, state.v, state.omega, state.eta,
                                       field, model, dt, control)
     return ParticleState(x=x, v=v, omega=om, eta=et, w=state.w)
@@ -278,10 +282,12 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     The path records the difference field at each sample and the largest
     field norm seen.  If ``balance`` is given, oscillation events are
     detected on the sampled path (sign-change location between samples).
-    Raises FieldGapError if the provider does not cover [t0, t1].
+    Raises DomainError for a seed outside the guarded bond domain and
+    FieldGapError if the provider does not cover [t0, t1].
     """
     if t1 <= t0:
         raise DomainError("t1 must exceed t0")
+    _check_seed(state, model)
     ts = [t0]
     xs = [state.x]
     vs = [state.v]
@@ -334,58 +340,74 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     members ordered by substep count (see ``_advance_batch``), and a row
     comes out bit-for-bit as it would alone.  Members whose step is
     rejected fall back to scalar halving for that step only, so lockstep
-    sampling is preserved.  With ``record=True``
+    sampling is preserved.  The field pair is queried once per segment:
+    a step's closing pair, taken at the states it returns, is the next
+    step's opening pair.  The state is held in an (n, 4) Fortran-order
+    array, so each of its columns is contiguous.  With ``record=True``
     returns (final, t_samples, samples, f_minus) where samples has shape
-    (n_samples, n, 4); otherwise returns the final array.
+    (n_samples, n, 4) and f_minus comes from the same pairs; otherwise
+    returns the final array.
     """
-    z = np.array(states, dtype=float)
+    z = np.array(states, dtype=float, order="F")
     if z.ndim != 2 or z.shape[1] != 4:
         raise DomainError("states must be an (n, 4) array")
     lo = model.guard
     hi = model.epsilon - model.guard
     ts = [t0]
-    recs = [z.copy()] if record else None
+    recs = [z] if record else None
     fmr = [] if record else None
+    snap = None  # t0 == t1 gives no segment
 
     for seg_lo, seg_hi in _segments(field_provider, t0, t1):
         snap = _snapshot_for(field_provider, seg_lo, seg_hi)
+        pair = snap.pm(z[:, 0], z[:, 2])
         if record:
-            fmr.append(snap.pm(z[:, 0], z[:, 2])[1])
+            fmr.append(pair[1])
         span = seg_hi - seg_lo
         n = max(1, math.ceil(abs(span) / control.dt - 1e-12))
         t = seg_lo
         for k in range(n):
             target = seg_hi if k == n - 1 else seg_lo + (k + 1) * span / n
             dt = target - t
-            z = _advance_batch(z, snap, model, dt, control, lo, hi)
+            z, pair = _advance_batch(z, snap, model, dt, control, lo, hi, pair)
             t = target
             ts.append(t)
             if record:
-                recs.append(z.copy())
+                recs.append(z)
                 if k < n - 1:
-                    fmr.append(snap.pm(z[:, 0], z[:, 2])[1])
+                    fmr.append(pair[1])
     if record:
-        fmr.append(_snapshot_for(field_provider, ts[-2] if len(ts) > 1 else t0, t1)
-                   .pm(z[:, 0], z[:, 2])[1])
+        # Difference field at the final sample, from the last governing snapshot.
+        last = _snapshot_for(field_provider, ts[-2] if len(ts) > 1 else t0, t1)
+        fmr.append(pair[1] if last is snap else last.pm(z[:, 0], z[:, 2])[1])
         return z, np.asarray(ts), np.stack(recs), np.stack(fmr)
     return z
 
 
-def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi):
+def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
+                   pair=None):
     """One kick-drift-kick step for every row of z.
 
+    ``pair`` is the opening field pair (fp, fm) at the rows of z, queried
+    here when None.  Returns (z_next, (fp2, fm2)): the advanced rows as an
+    (n, 4) Fortran-order array and the closing pair at them, which is the
+    next step's opening pair under the same snapshot.
+
     Each row gets its own substep count m from the impulse bound and, for
-    the tangent law, the stiffest frequency the step can reach.  All rows
-    with m <= MAX_SUBSTEPS sub-cycle in a single loop: ordered by m,
-    descending, the rows still stepping at substep k are a prefix, so each
-    pass works on slices with a per-row substep d = dt/m, and the rows
-    whose last substep is k take the closing half kick.  The arithmetic
-    per row is that of a lone row, so batching changes no result.  Rows
-    past MAX_SUBSTEPS, and rows whose substeps leave the guard band or
-    break the impulse bound, are redone by scalar halving.
+    the tangent law, the stiffest frequency the step can reach.  Substep
+    0 runs in place on every row; only rows with 1 < m <= MAX_SUBSTEPS
+    that pass it are gathered for the rest.  Ordered by m, descending,
+    the rows still stepping at substep k are a prefix, so each pass works
+    on slices with a per-row substep d = dt/m, and the rows whose last
+    substep is k take the closing half kick; their results are scattered
+    back.  The arithmetic per row is that of a lone row, so batching
+    changes no result.  Rows past MAX_SUBSTEPS, and rows whose substeps
+    leave the guard band or break the impulse bound, are redone by scalar
+    halving, and their closing pair is queried again at the states it
+    gives.
     """
     x, v, om, et = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-    fp, fm = snap.pm(x, om)
+    fp, fm = snap.pm(x, om) if pair is None else pair
     v1 = v + 0.5 * dt * fp
     e1 = et + 0.5 * dt * fm
 
@@ -408,68 +430,76 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi)
         m = np.maximum(m, np.ceil(abs(dt) * freq / WALL_RESOLUTION))
     m = np.minimum(m, 2.0 * MAX_SUBSTEPS).astype(np.int64)
     bad = m > MAX_SUBSTEPS
-
-    idx = np.nonzero(~bad)[0]
-    idx = idx[np.argsort(-m[idx], kind="stable")]
-    ms = m[idx]
-    d = dt / ms
+    d = dt / m
     hd = 0.5 * d
-    ad = np.abs(d)
-    ee = e1[idx] + hd * fh[idx]
-    oo = om[idx]
-    # The guard-band and impulse tests run once, after the loop, on the
-    # extremes of omega and the largest |force| over the substeps.  They
-    # fail exactly the rows a test at every substep would: minimum and
-    # maximum carry a NaN omega through, fmax skips a NaN force as the
-    # comparison does, and rounding |force| * |d| is monotone in |force|.
-    om_lo, om_hi = np.full(idx.size, np.inf), np.full(idx.size, -np.inf)
-    f_top = np.zeros(idx.size)
-    steps = max(int(ms[0]), 0) if ms.size else 0
-    # live[k]: members with more than k substeps.
-    live = np.searchsorted(-ms, -np.arange(steps + 1), side="left").tolist()
     mid = 0.5 * model.epsilon
     custom = model.kind is not _hooke.HookeKind.TANGENT
-    n = -1
-    for k in range(steps):
-        if live[k] != n:
-            n = live[k]
-            o, dn, en = oo[:n], d[:n], ee[:n]
-            lo_n, hi_n, f_n = om_lo[:n], om_hi[:n], f_top[:n]
-        n1 = live[k + 1]
-        o += dn * en
-        np.minimum(lo_n, o, out=lo_n)
-        np.maximum(hi_n, o, out=hi_n)
-        if custom:
-            # A custom force may be undefined outside the band.
-            np.copyto(o, mid, where=~((o > lo) & (o < hi)))
-        fhk = _force_array(model, o)
-        np.fmax(f_n, np.abs(fhk), out=f_n)
-        if n1 == n:
-            en += dn * fhk
-        else:
-            ee[:n1] += d[:n1] * fhk[:n1]
-            # Members whose last substep is k close with a half kick.
-            ee[n1:n] += hd[n1:n] * fhk[n1:]
-    fail = ~((om_lo > lo) & (om_hi < hi)) | (f_top * ad > control.eta_scale)
-    keep = ~fail
-    om1 = om.copy()
-    om1[idx[keep]] = oo[keep]
-    e1[idx[keep]] = ee[keep]
-    bad[idx[fail]] = True
 
-    x1 = x + dt * v1
-    fp2, fm2 = snap.pm(x1, om1)
-    v2 = v1 + 0.5 * dt * fp2
-    e2 = e1 + 0.5 * dt * fm2
-    out = np.stack([x1, v2, om1, e2], axis=1)
+    out = np.empty(z.shape, order="F")
+    # Substep 0 runs and is tested in place on every row; rows that fail
+    # it, like rows past MAX_SUBSTEPS, are redone below.
+    ee = e1 + hd * fh
+    o = np.add(om, d * ee, out=out[:, 2])
+    inside = (o > lo) & (o < hi)
+    if custom:
+        # A custom force may be undefined outside the band.
+        np.copyto(o, mid, where=~inside)
+    f0 = _force_array(model, o)
+    bad |= ~inside | (np.abs(f0) * np.abs(d) > control.eta_scale)
+    ee += np.where(m > 1, d, hd) * f0
 
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
+    idx = np.nonzero((m > 1) & ~bad)[0]
+    if idx.size:
+        idx = idx[np.argsort(-m[idx], kind="stable")]
+        ms, ds, hds = m[idx], d[idx], hd[idx]
+        oo, es = o[idx], ee[idx]
+        # The guard-band and impulse tests run once, after the loop, on
+        # the extremes of omega and the largest |force| over the
+        # substeps.  They fail exactly the rows a test at every substep
+        # would: minimum and maximum carry a NaN omega through, fmax
+        # skips a NaN force as the comparison does, and rounding
+        # |force| * |d| is monotone in |force|.
+        lo_s, hi_s, top_s = oo.copy(), oo.copy(), np.abs(f0[idx])
+        steps = int(ms[0])
+        # live[k]: members with more than k substeps.
+        live = np.searchsorted(-ms, -np.arange(steps + 1), side="left").tolist()
+        n = -1
+        for k in range(1, steps):
+            if live[k] != n:
+                n = live[k]
+                on, dn, en = oo[:n], ds[:n], es[:n]
+                lo_n, hi_n, f_n = lo_s[:n], hi_s[:n], top_s[:n]
+            n1 = live[k + 1]
+            on += dn * en
+            np.minimum(lo_n, on, out=lo_n)
+            np.maximum(hi_n, on, out=hi_n)
+            if custom:
+                np.copyto(on, mid, where=~((on > lo) & (on < hi)))
+            fhk = _force_array(model, on)
+            np.fmax(f_n, np.abs(fhk), out=f_n)
+            if n1 == n:
+                en += dn * fhk
+            else:
+                es[:n1] += ds[:n1] * fhk[:n1]
+                # Members whose last substep is k close with a half kick.
+                es[n1:n] += hds[n1:n] * fhk[n1:]
+        o[idx], ee[idx] = oo, es
+        bad[idx] = ~((lo_s > lo) & (hi_s < hi)) | (top_s * np.abs(ds) > control.eta_scale)
+
+    x1 = np.add(x, dt * v1, out=out[:, 0])
+    fp2, fm2 = snap.pm(x1, o)
+    np.add(v1, 0.5 * dt * fp2, out=out[:, 1])
+    np.add(ee, 0.5 * dt * fm2, out=out[:, 3])
+
+    rows = np.nonzero(bad)[0]
+    if rows.size:
+        for i in rows:
             xi, vi, oi, ei, _ = _advance_scalar(
                 float(x[i]), float(v[i]), float(om[i]), float(et[i]),
                 snap, model, dt, control)
             out[i] = (xi, vi, oi, ei)
-    return out
+        fp2[rows], fm2[rows] = snap.pm(out[rows, 0], out[rows, 2])
+    return out, (fp2, fm2)
 
 
 def _force_array(model: HookeModel, om: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from diatomic_vlasov import ParticleState, StepControl, integrate, tangent_model, zero_field
-from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, dispatch
+from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, dispatch
 
 
 def write_config(tmp_path, **over):
@@ -19,6 +20,8 @@ def write_config(tmp_path, **over):
         "tracked_boundary": 16, "tracked_interior": 8,
     }
     raw.update(over)
+    if raw["datum"] is None:
+        del raw["datum"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
@@ -53,6 +56,41 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_simulate_without_datum(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, datum=None)
+        code = dispatch(["simulate", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert "bump datum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, val", [("T", "abc"), ("dt_macro", "abc"), ("T", "NaN"),
+                                          ("snapshot_every", "abc"), ("c_safety", "abc")])
+    def test_bad_number_override(self, tmp_path, capsys, key, val):
+        code = dispatch(["simulate", "--config", str(write_config(tmp_path)),
+                         "--set", f"{key}={val}", "--output-dir", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", [1.5, 0.0, -0.2])
+    def test_trajectory_seed_outside_bond_domain(self, tmp_path, capsys, omega):
+        seed = {"x": 0.0, "v": 0.0, "omega": omega, "eta": 0.0}
+        cfg = write_config(tmp_path, trajectory={"seed": seed})
+        code = dispatch(["trajectory", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "traj")])
+        assert code == EXIT_CONFIG
+        assert "guarded bond domain" in capsys.readouterr().err
+
+    def test_trajectory_step_underflow(self, tmp_path, capsys):
+        # In the domain, but at eta = 1e6 even the step halved ten times
+        # needs about 4e5 substeps, past MAX_SUBSTEPS.
+        seed = {"x": 0.0, "v": 0.0, "omega": 0.5, "eta": 1e6}
+        cfg = write_config(tmp_path, trajectory={"seed": seed},
+                           T=0.05, dt_macro=0.01)
+        code = dispatch(["trajectory", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "traj")])
+        assert code == EXIT_NUMERICAL
+        assert "blow-up candidate" in capsys.readouterr().err
+
     def test_certify_violation(self, tmp_path, capsys):
         # Wide bonds over T = 1.5 change eta sign, and with slack -0.8 some
         # seeds pass the work bound on their first segment and fail it on
@@ -75,6 +113,14 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    def test_trajectory_needs_no_datum(self, tmp_path, capsys):
+        seed = {"x": 0.0, "v": 0.0, "omega": 0.6, "eta": 0.1}
+        cfg = write_config(tmp_path, datum=None, trajectory={"seed": seed, "T": 0.1})
+        out = tmp_path / "traj"
+        assert dispatch(["trajectory", "--config", str(cfg),
+                         "--output-dir", str(out)]) == EXIT_OK
+        assert (out / "path.csv").exists()
+
     def test_trajectory_path_reloads_exactly(self, tmp_path, capsys):
         seed = {"x": 0.1, "v": -0.2, "omega": 0.3, "eta": 1.5}
         cfg = write_config(tmp_path, trajectory={"seed": seed, "T": 0.5, "dt": 0.01})

@@ -64,6 +64,11 @@ class TestBuild:
         with pytest.raises(EmptyEnsembleError):
             build_field(Ensemble([], [], [], [], []))
 
+    @pytest.mark.parametrize("w", [-0.5, np.nan])
+    def test_bad_mass_rejected(self, w):
+        with pytest.raises(DomainError):
+            Ensemble([0.0, 0.1], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, w])
+
 
 class TestFieldAt:
     def test_step_values_around_single_molecule(self):
@@ -309,6 +314,12 @@ class TestCsv:
                    header="t,f_minus", comments="", fmt="%.17g")
         write_table(tmp_path / "new.csv", ["t", "f_minus"], [t, fm], end="\n")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_load_csv_rejects_nan_mass(self, tmp_path):
+        p = tmp_path / "ens.csv"
+        p.write_text("x,v,omega,eta,w\r\n0,0,0.5,0,0.5\r\n0.1,0,0.5,0,nan\r\n")
+        with pytest.raises(DomainError):
+            Ensemble.load_csv(p)
 
     def test_load_csv_roundtrips_bits(self, tmp_path):
         n = _BLOCK_ROWS + 1

@@ -13,6 +13,7 @@ from diatomic_vlasov import (
     FieldHistory,
     FieldSnapshot,
     ParticleState,
+    StaticField,
     StepControl,
     StepUnderflowError,
     balance_points,
@@ -321,6 +322,15 @@ class TestBatch:
         assert ts.shape[0] == samples.shape[0] == fm.shape[0] == 11
         np.testing.assert_array_equal(samples[-1], final)
 
+    def test_record_empty_span(self, tan1):
+        z0 = np.array([[0.0, 0.1, 0.5, 0.1]])
+        snap = build_field(Ensemble([0.45], [0.0], [0.5], [0.0], [0.3]))
+        final, ts, samples, fm = integrate_batch(
+            z0, StaticField(snap), tan1, 0.5, 0.5, StepControl(dt=0.1), record=True)
+        np.testing.assert_array_equal(final, z0)
+        assert ts.tolist() == [0.5] and samples.shape == (1, 1, 4)
+        np.testing.assert_array_equal(fm, [snap.pm(z0[:, 0], z0[:, 2])[1]])
+
 
 class TestBatchIndependence:
     """Batching changes no result: each row of a mixed batch comes out
@@ -369,15 +379,39 @@ class TestBatchIndependence:
         assert any(100 <= m <= trajectory.MAX_SUBSTEPS for m in counts)
         assert max(counts) > trajectory.MAX_SUBSTEPS
 
-        out = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        out, _ = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
         assert fallback
         for i, row in enumerate(self.ROWS):
-            alone = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi)
+            alone, _ = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi)
             np.testing.assert_array_equal(out[i], alone[0])
             # The scalar step uses math.tan, which may differ from np.tan
             # in the last bit, so it agrees to rounding only.
             step = trajectory._advance_scalar(*row.tolist(), snap, tan1, dt, ctl)
             np.testing.assert_allclose(out[i], step[:4], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_carried_pair(self, tan1, forward, fallback):
+        # Each step's closing field pair opens the next step, and the
+        # fallback rows' pair is taken again at their new states.  Charges
+        # every 1e-4 make the step field change wherever a row moves, so
+        # a pair taken at any other state than the sample reads wrong.
+        n = 30001
+        snap = build_field(Ensemble(np.linspace(-1.5, 1.5, n), np.zeros(n),
+                                    np.full(n, 0.5), np.zeros(n), np.full(n, 1e-5)))
+        prov = StaticField(snap)
+        ctl = StepControl(dt=2.5e-3)
+        t0, t1 = (0.0, 0.01) if forward else (0.01, 0.0)
+        final, ts, samples, fm = integrate_batch(self.ROWS, prov, tan1, t0, t1, ctl,
+                                                 record=True)
+        assert ts.size == 5 and fallback
+        np.testing.assert_array_equal(
+            integrate_batch(self.ROWS, prov, tan1, t0, t1, ctl), final)
+        z = self.ROWS
+        for k in range(4):
+            z = integrate_batch(z, prov, tan1, ts[k], ts[k + 1], ctl)
+            np.testing.assert_array_equal(z, samples[k + 1])
+        for zk, fk in zip(samples, fm):
+            np.testing.assert_array_equal(fk, snap.pm(zk[:, 0], zk[:, 2])[1])
 
     # Cubic bond law: np and scalar evaluation agree bitwise, so the batch
     # step must equal the scalar step exactly, including which rows the
@@ -402,13 +436,42 @@ class TestBatchIndependence:
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.guard, model.epsilon - model.guard
-        out = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
+        out, _ = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
         assert len(fallback) == 2
         for i, row in enumerate(self.CUBIC_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
             np.testing.assert_array_equal(out[i], step[:4])
-            alone = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
+            alone, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
             np.testing.assert_array_equal(out[i], alone[0])
+
+    # Rows with m = 2 or 3 that pass substep 0 and fail at substep 1, so
+    # the extremes the gathered rows carry must reach the tests.
+    LATE_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],     # m = 1
+        [0.0, 0.0, 0.85, 3.4],    # breaks the impulse bound forward
+        [0.0, 0.0, 0.15, 3.4],    # breaks the impulse bound backward
+        [0.0, 0.0, 0.06, -3.5],   # leaves the guard band low forward
+        [0.0, 0.0, 0.94, 3.5],    # leaves the guard band high forward
+        [0.0, 0.0, 0.06, 3.5],    # leaves the guard band low backward
+        [0.0, 0.0, 0.94, -3.5],   # leaves the guard band high backward
+        [0.0, 0.0, 0.85, 0.0],    # m = 2, passes both ways
+    ])
+
+    @pytest.mark.parametrize("dt", [0.05, -0.05])
+    def test_custom_law_late_failures(self, dt, fallback):
+        def cubic(w):
+            u = np.asarray(w, dtype=float) - 0.5
+            return -1000.0 * u * u * u
+
+        model = custom_model(1.0, cubic)
+        snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
+        ctl = StepControl(dt=abs(dt), eta_scale=2.0)
+        lo, hi = model.guard, model.epsilon - model.guard
+        out, _ = trajectory._advance_batch(self.LATE_ROWS, snap, model, dt, ctl, lo, hi)
+        assert fallback == ([0.85, 0.06, 0.94] if dt > 0 else [0.15, 0.06, 0.94])
+        for i, row in enumerate(self.LATE_ROWS):
+            step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
+            np.testing.assert_array_equal(out[i], step[:4])
 
 
 class TestPathDumps:
