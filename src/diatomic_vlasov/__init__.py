@@ -51,6 +51,7 @@ from .field import (
     field_at,
     field_norms,
     field_pm,
+    field_w1,
     zero_field,
 )
 from .trajectory import (

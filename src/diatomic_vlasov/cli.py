@@ -150,6 +150,9 @@ def _cmd_picard(cfg: RunConfig, args) -> int:
                       dt_macro=cfg.dt_macro, tol=cfg.picard_tol)
     out = _out_dir(cfg, args.output_dir)
     dump_iteration_log(records, out / "iteration_log.csv")
+    write_table(out / "iteration_distances.csv", ["n", "z_dist", "field_w1"],
+                [[r.n for r in records], [r.z_dist for r in records],
+                 [r.field_w1 for r in records]])
     for r in records:
         print(f"n={r.n} sup_delta={r.sup_delta:.17g} supF={r.sup_F:.17g}")
     return EXIT_OK
@@ -220,7 +223,6 @@ def _cmd_certify(args) -> int:
         path = TrajectoryPath(
             t=data[:, 0], x=data[:, 1], v=data[:, 2], omega=data[:, 3],
             eta=data[:, 4], f_minus=aux[:, 1],
-            min_dt=np.full(data.shape[0], np.nan),
             max_field_norm=max_norm, control=control)
         path.events = detect_events(path, cert.balance)
         rep = certify(path, cert, slack=args.slack)

@@ -41,6 +41,7 @@ __all__ = [
     "field_at",
     "field_pm",
     "field_norms",
+    "field_w1",
     "StaticField",
     "ConstantField",
     "FieldHistory",
@@ -229,6 +230,35 @@ class FieldSnapshot:
     def norms(self) -> tuple[float, float]:
         """Exact suprema (sup|F|, sup|F+-|) = (total/2, total)."""
         return 0.5 * self.total, self.total
+
+    def same_field(self, other) -> bool:
+        """True when ``other`` is a snapshot with equal total, keys and
+        values (``==``), so every query reads the same bits: keys enter
+        queries only through comparisons, and the values, built from
+        sums of nonnegative charges, are never -0.0."""
+        return (isinstance(other, FieldSnapshot) and self.total == other.total
+                and np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._values, other._values))
+
+
+def field_w1(a: FieldSnapshot, b: FieldSnapshot) -> float:
+    """Integral of |F_a - F_b| over the span of both snapshots' charges.
+
+    For two step fields of equal total charge this is the Wasserstein-1
+    distance between the charge measures.  Outside the span both fields
+    are +-total/2, so only a rounding difference of the totals remains
+    there, and it is left out.  No quadrature: on the merged sorted key
+    grid both fields are constant between consecutive points (each
+    field's between-value of its first key right of the left point), and
+    the terms |dF| * dx are summed in ascending position order.
+    """
+    grid = np.union1d(a._keys[:-1], b._keys[:-1])
+    if grid.size < 2:
+        return 0.0
+    left = grid[:-1]
+    fa = a._values[np.searchsorted(a._keys, left, side="right"), 0]
+    fb = b._values[np.searchsorted(b._keys, left, side="right"), 0]
+    return float(np.cumsum(np.abs(fa - fb) * np.diff(grid))[-1])
 
 
 def build_field(ensemble: Ensemble) -> FieldSnapshot:

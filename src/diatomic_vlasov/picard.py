@@ -5,9 +5,14 @@ the linear transport equation along characteristics (weights untouched:
 the flow is measure preserving), rebuilds the field history from the
 pushed particles, and measures the uniform distance between consecutive
 iterates on a deterministic low-discrepancy probe grid by evaluating both
-at the final time through backward characteristics.  On horizons below
-the certified confinement time the distances contract super-geometrically
-(factorial-decay signature).
+at the final time through backward characteristics.  Each round also
+logs two exact distances between consecutive iterates at the final time:
+the largest particle displacement and the L1 distance of the fields (the
+Wasserstein-1 distance of the charge measures).  On horizons below the
+certified confinement time the distances contract super-geometrically
+(factorial-decay signature), and the discrete map reaches an exact fixed
+point: once a round rebuilds the field history it was pushed under, the
+remaining records are filled in without recomputing them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .datum import BumpDatum, sobol_box
 from .errors import ConfigError, EmptyEnsembleError
-from .field import Ensemble, FieldHistory, StaticField, build_field
+from .field import Ensemble, FieldHistory, StaticField, build_field, field_w1
 from .hooke import HookeModel
 from .trajectory import StepControl, integrate_batch
 
@@ -57,13 +62,18 @@ class SupportBounds:
 class IterationRecord:
     """One fixed-point round: iterate index n, the probe-grid estimate of
     the uniform distance ||f_n - f_{n-1}|| at the horizon, the running
-    support bounds of f_n, and the norms of the fields that produced it."""
+    support bounds of f_n, the norms of the fields that produced it, and
+    two exact distances at the horizon: ``z_dist``, the largest sup-norm
+    displacement max_i |z_i^n - z_i^{n-1}| between the pushed particles,
+    and ``field_w1``, the integral of |F_n - F_{n-1}| (see ``field_w1``)."""
 
     n: int
     sup_delta: float
     support: SupportBounds
     sup_F: float
     sup_F_pm: float
+    z_dist: float
+    field_w1: float
 
 
 def support_bounds(ensemble: Ensemble) -> SupportBounds:
@@ -85,7 +95,7 @@ def _push_collect(ens: Ensemble, provider, model: HookeModel, T: float,
     hist = FieldHistory()
     supp = support_bounds(ens)
     n_steps = max(1, math.ceil(T / dt_macro - 1e-12))
-    z = np.stack([ens.x, ens.v, ens.omega, ens.eta], axis=1)
+    z = _coords(ens)
     t = 0.0
     hist.append(0.0, build_field(ens))
     for k in range(n_steps):
@@ -97,6 +107,10 @@ def _push_collect(ens: Ensemble, provider, model: HookeModel, T: float,
         supp = supp.union(support_bounds(moved))
     hist.close(T)
     return moved, hist, supp
+
+
+def _coords(ens: Ensemble) -> np.ndarray:
+    return np.stack([ens.x, ens.v, ens.omega, ens.eta], axis=1)
 
 
 def solve_linear(f0: Ensemble, frozen_fields, model: HookeModel, T: float,
@@ -115,9 +129,8 @@ def solve_linear(f0: Ensemble, frozen_fields, model: HookeModel, T: float,
     def evaluate(z: np.ndarray) -> np.ndarray:
         if datum is None:
             raise ConfigError("pointwise evaluation needs the datum")
-        back = integrate_batch(np.asarray(z, dtype=float), frozen_fields,
-                               model, T, 0.0, control)
-        return datum.value(back[:, 0], back[:, 1], back[:, 2], back[:, 3])
+        return _backward_values(datum, np.asarray(z, dtype=float), frozen_fields,
+                                model, T, control)
 
     return moved, evaluate
 
@@ -146,6 +159,23 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     characteristics under their respective histories.  Stops after
     ``n_max`` rounds or once the estimate drops below ``tol``.
 
+    Two rules skip work whose result is already known bit for bit; every
+    round is deterministic, so both are exact:
+
+    - Fixed point.  When round n's history hist_n equals the history
+      hist_{n-1} it was pushed under (``_same_history``), round n+1 would
+      push the same particles under the same field and rebuild hist_n,
+      the same support and the same probes; both of its backward pushes
+      would then repeat round n's, so its delta is max|vals_n - vals_n|
+      (0.0, or NaN where round n's values are NaN) and its exact
+      distances are 0.0.  By induction every later record is the same,
+      so they are filled in without pushing.
+    - Equal probes.  Round n evaluates f_{n-1} under hist_{n-2}, which
+      round n-1 already did at its own probes.  When the probes are
+      equal, round n-1's values are reused.  (``==`` misses only the
+      sign of a zero coordinate, and no step of the backward push or of
+      the datum turns that sign into a nonzero difference.)
+
     ``t0_limit``, when given, guards the precondition T <= t0 (the
     certified confinement horizon).
     """
@@ -164,30 +194,63 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     if n_max <= 0:
         sup_f, sup_pm = hist_prev.snapshot.norms()
         return [IterationRecord(n=0, sup_delta=0.0, support=supp0,
-                                sup_F=sup_f, sup_F_pm=sup_pm)]
+                                sup_F=sup_f, sup_F_pm=sup_pm,
+                                z_dist=0.0, field_w1=0.0)]
 
+    # f_0 at time T: the datum's particles and its static field.
+    z_prev, snap_prev = _coords(ens0), hist_prev.snapshot
+    probes = vals_n = None
+    fixed = False
     for n in range(1, n_max + 1):
-        _, hist_n, supp_n = _push_collect(ens0, hist_prev, model, T, dt_macro, control)
-        probes = probe_grid_points(supp_n, probe_grid, seed=probe_seed)
-
-        back_n = integrate_batch(probes, hist_prev, model, T, 0.0, control)
-        vals_n = datum.value(back_n[:, 0], back_n[:, 1], back_n[:, 2], back_n[:, 3])
-        if hist_prev2 is None and n == 1:
-            vals_prev = datum.value(probes[:, 0], probes[:, 1], probes[:, 2], probes[:, 3])
+        if fixed:
+            vals_prev = vals_n
+            z_dist = w1 = 0.0
         else:
-            back_prev = integrate_batch(probes, hist_prev2, model, T, 0.0, control)
-            vals_prev = datum.value(back_prev[:, 0], back_prev[:, 1],
-                                    back_prev[:, 2], back_prev[:, 3])
+            moved, hist_n, supp_n = _push_collect(ens0, hist_prev, model, T,
+                                                  dt_macro, control)
+            probes_last, vals_last = probes, vals_n
+            probes = probe_grid_points(supp_n, probe_grid, seed=probe_seed)
+            vals_n = _backward_values(datum, probes, hist_prev, model, T, control)
+            if n == 1:
+                vals_prev = datum.value(*probes.T)
+            elif np.array_equal(probes, probes_last):
+                vals_prev = vals_last
+            else:
+                vals_prev = _backward_values(datum, probes, hist_prev2, model, T,
+                                             control)
+            z_n, snap_n = _coords(moved), hist_n.snapshot_at(T)
+            z_dist = float(np.max(np.abs(z_n - z_prev)))
+            w1 = field_w1(snap_n, snap_prev)
+            z_prev, snap_prev = z_n, snap_n
+            fixed = _same_history(hist_n, hist_prev)
         delta = float(np.max(np.abs(vals_n - vals_prev)))
 
         sup_f, sup_pm = _history_norms(hist_prev)
         records.append(IterationRecord(n=n, sup_delta=delta, support=supp_n,
-                                       sup_F=sup_f, sup_F_pm=sup_pm))
+                                       sup_F=sup_f, sup_F_pm=sup_pm,
+                                       z_dist=z_dist, field_w1=w1))
         hist_prev2 = hist_prev
         hist_prev = hist_n
         if delta < tol:
             break
     return records
+
+
+def _backward_values(datum: BumpDatum, probes: np.ndarray, provider,
+                     model: HookeModel, T: float, control: StepControl) -> np.ndarray:
+    """Values at time T, at the probes, of the iterate transported under
+    ``provider``: the datum at the probes' backward characteristics."""
+    return datum.value(*integrate_batch(probes, provider, model, T, 0.0, control).T)
+
+
+def _same_history(a, b) -> bool:
+    """True when two pushed field histories serve the same field at every
+    time: equal times, horizon and snapshots (``FieldSnapshot.same_field``)."""
+    if not (isinstance(a, FieldHistory) and isinstance(b, FieldHistory)):
+        return False
+    if not (np.array_equal(a.breakpoints, b.breakpoints) and a.t_end == b.t_end):
+        return False
+    return all(p.same_field(q) for p, q in zip(a.snapshots(), b.snapshots()))
 
 
 def _history_norms(provider) -> tuple[float, float]:

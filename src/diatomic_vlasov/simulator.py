@@ -357,8 +357,7 @@ def run(config: RunConfig):
             path = TrajectoryPath(
                 t=t_all, x=s_all[:, i, 0], v=s_all[:, i, 1],
                 omega=s_all[:, i, 2], eta=s_all[:, i, 3],
-                f_minus=fm_all[:, i], min_dt=np.full(t_all.shape, math.nan),
-                max_field_norm=max_norm, control=control)
+                f_minus=fm_all[:, i], max_field_norm=max_norm, control=control)
             if cert is not None:
                 path.events = detect_events(path, cert.balance)
                 cert_reports.append(certify(path, cert))

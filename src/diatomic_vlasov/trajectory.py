@@ -105,8 +105,7 @@ class OscillationEvent:
 class TrajectoryPath:
     """Sampled characteristic with per-sample force log and events.
 
-    ``f_minus`` holds the difference field at each sample, ``min_dt`` the
-    smallest sub-step accepted inside the preceding interval, and
+    ``f_minus`` holds the difference field at each sample and
     ``max_field_norm`` the largest sup|F+-| among the snapshots used.
     """
 
@@ -116,7 +115,6 @@ class TrajectoryPath:
     omega: np.ndarray
     eta: np.ndarray
     f_minus: np.ndarray
-    min_dt: np.ndarray
     max_field_norm: float
     control: StepControl
     events: list = dc_field(default_factory=list)
@@ -158,7 +156,7 @@ def _substeps_scalar(model: HookeModel, om: float, et: float, dt: float,
     leave the domain)."""
     fh = abs(_force_scalar(model, om))
     m = max(1, math.ceil(fh * abs(dt) / control.eta_scale))
-    if model.kind is _hooke.HookeKind.TANGENT and et != 0.0:
+    if model.kind is _hooke.HookeKind.TANGENT:
         eps = model.epsilon
         energy = 0.5 * et * et + float(_tangent_potential_scalar(model, om))
         clearance = (eps / math.pi) * math.asin(min(1.0, math.exp(-math.pi * energy / eps)))
@@ -188,7 +186,7 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
                     depth: int = 0):
     """One kick-drift-kick step; recursive halving on guard-band exits.
 
-    Returns (x, v, omega, eta, smallest dt accepted).
+    Returns (x, v, omega, eta).
     """
     lo = model.guard
     hi = model.epsilon - model.guard
@@ -221,7 +219,7 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
         fp2, fm2 = snap.pm(x1, om1)
         v2 = v1 + 0.5 * dt * fp2
         e2 = e1 + 0.5 * dt * fm2
-        return x1, v2, om1, e2, dt
+        return x1, v2, om1, e2
     except _Rejected:
         if depth >= MAX_HALVINGS:
             raise StepUnderflowError(
@@ -230,9 +228,8 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
                 "discretization artifact)",
                 state=ParticleState(x=x, v=v, omega=om, eta=et))
         half = 0.5 * dt
-        x, v, om, et, d1 = _advance_scalar(x, v, om, et, snap, model, half, control, depth + 1)
-        x, v, om, et, d2 = _advance_scalar(x, v, om, et, snap, model, half, control, depth + 1)
-        return x, v, om, et, min(d1, d2)
+        x, v, om, et = _advance_scalar(x, v, om, et, snap, model, half, control, depth + 1)
+        return _advance_scalar(x, v, om, et, snap, model, half, control, depth + 1)
 
 
 def _check_seed(state: ParticleState, model: HookeModel) -> None:
@@ -248,8 +245,8 @@ def push(state: ParticleState, field, model: HookeModel, dt: float,
         raise DomainError("dt must be positive")
     control = control or StepControl(dt=dt)
     _check_seed(state, model)
-    x, v, om, et, _ = _advance_scalar(state.x, state.v, state.omega, state.eta,
-                                      field, model, dt, control)
+    x, v, om, et = _advance_scalar(state.x, state.v, state.omega, state.eta,
+                                   field, model, dt, control)
     return ParticleState(x=x, v=v, omega=om, eta=et, w=state.w)
 
 
@@ -294,7 +291,6 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     oms = [state.omega]
     ets = [state.eta]
     fms = []
-    mds = [math.nan]
     max_norm = 0.0
 
     x, v, om, et = state.x, state.v, state.omega, state.eta
@@ -307,14 +303,13 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
         for k in range(n):
             target = hi if k == n - 1 else lo + (k + 1) * (hi - lo) / n
             dt = target - t
-            x, v, om, et, mind = _advance_scalar(x, v, om, et, snap, model, dt, control)
+            x, v, om, et = _advance_scalar(x, v, om, et, snap, model, dt, control)
             t = target
             ts.append(t)
             xs.append(x)
             vs.append(v)
             oms.append(om)
             ets.append(et)
-            mds.append(mind)
             if k < n - 1:
                 fms.append(snap.pm(x, om)[1])
     # Difference field at the final sample, from the last governing snapshot.
@@ -323,8 +318,7 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     path = TrajectoryPath(
         t=np.asarray(ts), x=np.asarray(xs), v=np.asarray(vs),
         omega=np.asarray(oms), eta=np.asarray(ets),
-        f_minus=np.asarray(fms), min_dt=np.asarray(mds),
-        max_field_norm=max_norm, control=control)
+        f_minus=np.asarray(fms), max_field_norm=max_norm, control=control)
     if balance is not None:
         path.events = detect_events(path, balance)
     return path
@@ -494,10 +488,8 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     rows = np.nonzero(bad)[0]
     if rows.size:
         for i in rows:
-            xi, vi, oi, ei, _ = _advance_scalar(
-                float(x[i]), float(v[i]), float(om[i]), float(et[i]),
-                snap, model, dt, control)
-            out[i] = (xi, vi, oi, ei)
+            out[i] = _advance_scalar(float(x[i]), float(v[i]), float(om[i]),
+                                     float(et[i]), snap, model, dt, control)
         fp2[rows], fm2[rows] = snap.pm(out[rows, 0], out[rows, 2])
     return out, (fp2, fm2)
 

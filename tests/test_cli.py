@@ -159,6 +159,40 @@ class TestSubcommands:
         assert len(rows) >= 2
 
 
+    def test_picard_distances_and_fixed_point_stop(self, tmp_path, capsys, monkeypatch):
+        from diatomic_vlasov import picard
+
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, T=0.025, dt_macro=0.0025,
+                           control={"dt": 0.0025}, n_max=5, probe_grid=64)
+        pushes = []
+        push = picard._push_collect
+        monkeypatch.setattr(picard, "_push_collect",
+                            lambda *a, **k: pushes.append(1) or push(*a, **k))
+
+        def picard_run(name):
+            out = tmp_path / name
+            assert dispatch(["picard", "--config", str(cfg),
+                             "--output-dir", str(out)]) == EXIT_OK
+            return out, capsys.readouterr().out
+
+        fast, fast_stdout = picard_run("fast")
+        n_fast = len(pushes)
+        assert 0 < n_fast < 5  # the stop fired
+        rows = (fast / "iteration_distances.csv").read_text().splitlines()
+        assert rows[0] == "n,z_dist,field_w1"
+        assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
+        assert rows[-1] == "5,0,0"
+
+        monkeypatch.setattr(picard, "_same_history", lambda a, b: False)
+        full, full_stdout = picard_run("full")
+        assert len(pushes) - n_fast == 5
+        for name in ("iteration_log.csv", "iteration_distances.csv"):
+            assert (fast / name).read_bytes() == (full / name).read_bytes()
+        assert fast_stdout == full_stdout
+
+
 class TestSnapshotFiles:
     def simulate(self, tmp_path, snapshot_every):
         cfg = write_config(tmp_path, T=0.1, snapshot_every=snapshot_every,

@@ -16,6 +16,7 @@ from diatomic_vlasov import (
     field_at,
     field_norms,
     field_pm,
+    field_w1,
 )
 from diatomic_vlasov.field import _BLOCK_ROWS, write_table
 
@@ -247,6 +248,35 @@ class TestNorms:
         assert sup_f == snap.at(-1e6)
         fp, _ = field_pm(snap, -1e6, 0.1)
         assert sup_pm == fp
+
+
+class TestFieldW1:
+    # Charges on a 1/8 lattice, with a tie at 0.25 and charges at -0.0
+    # and 0.0, so the midpoints of a 1/1024 grid never sit on a key and
+    # the brute-force sum has the step field's exact value per cell.
+    A = Ensemble([-0.5, -0.0, 0.25, 0.25, 0.75], [0] * 5, [0.5] * 5, [0] * 5,
+                 [0.25, 0.125, 0.0625, 0.0625, 0.5])
+    B = Ensemble([-0.25, 0.0, 0.0, 0.5, 1.0], [0] * 5, [0.5] * 5, [0] * 5,
+                 [0.25, 0.0625, 0.0625, 0.5, 0.125])
+
+    def test_matches_fine_grid_integral(self):
+        a, b = build_field(self.A), build_field(self.B)
+        h = 1.0 / 1024
+        mids = -0.5 + h * (np.arange(1536) + 0.5)  # cells covering [-0.5, 1.0]
+        brute = float(np.sum(np.abs(a.at(mids) - b.at(mids)))) * h
+        assert field_w1(a, b) == pytest.approx(brute, rel=1e-12)
+        assert field_w1(b, a) == field_w1(a, b)
+
+    def test_zero_for_identical_snapshots(self):
+        a = build_field(self.A)
+        assert field_w1(a, a) == 0.0
+        assert field_w1(a, build_field(self.A)) == 0.0
+
+    def test_single_charge_shift(self):
+        # Moving charge q = 2w by s flips F by q over a span of length s.
+        a = build_field(Ensemble([0.0], [0.0], [0.5], [0.0], [0.5]))
+        b = build_field(Ensemble([0.25], [0.0], [0.5], [0.0], [0.5]))
+        assert field_w1(a, b) == 0.25
 
 
 class TestProviders:

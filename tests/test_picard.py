@@ -19,6 +19,8 @@ from diatomic_vlasov import (
     tangent_model,
     zero_field,
 )
+from diatomic_vlasov import picard
+from diatomic_vlasov.field import FieldHistory
 from diatomic_vlasov.picard import iterate, probe_grid_points
 
 
@@ -179,6 +181,127 @@ class TestIterate:
         ens = sample_datum(d, BOX, (8, 8, 8, 8), epsilon=1.0)
         for r in recs:
             assert r.sup_F_pm <= 2.0 * ens.total_mass + 1e-12
+
+
+class _NoArrayEqual:
+    """numpy for ``picard`` with ``array_equal`` always False: neither the
+    fixed-point stop nor the probe reuse can fire, so every round is
+    computed in full."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array_equal(a, b):
+        return False
+
+
+def full_rounds(monkeypatch):
+    monkeypatch.setattr(picard, "np", _NoArrayEqual())
+
+
+class TestSkippedWork:
+    """The fixed-point stop and the probe reuse change no record."""
+
+    KW = dict(T=0.02, n_max=6, probe_grid=512, control=StepControl(dt=0.004),
+              dt_macro=0.004)
+
+    def run(self, **over):
+        return iterate(small_datum(), BOX, (8, 8, 8, 8), tangent_model(1.0),
+                       **{**self.KW, **over})
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        """Forward pushes and backward probe pushes made by iterate."""
+        calls = {"forward": 0, "backward": 0}
+        push, batch = picard._push_collect, picard.integrate_batch
+
+        def count_push(*args, **kw):
+            calls["forward"] += 1
+            return push(*args, **kw)
+
+        def count_batch(z, prov, model, t0, t1, *args, **kw):
+            if t1 < t0:
+                calls["backward"] += 1
+            return batch(z, prov, model, t0, t1, *args, **kw)
+
+        monkeypatch.setattr(picard, "_push_collect", count_push)
+        monkeypatch.setattr(picard, "integrate_batch", count_batch)
+        return calls
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-20, 1e-3])
+    @pytest.mark.parametrize("probe_seed", [None, 7])
+    def test_records_equal_full_run(self, monkeypatch, tol, probe_seed):
+        fast = self.run(tol=tol, probe_seed=probe_seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(picard, "_same_history", lambda a, b: False)
+            no_stop = self.run(tol=tol, probe_seed=probe_seed)
+        full_rounds(monkeypatch)
+        full = self.run(tol=tol, probe_seed=probe_seed)
+        assert repr(fast) == repr(full) == repr(no_stop)
+        # Round 3, the first filled-in record, is the first with delta 0.
+        assert len(full) == {0.0: 6, 1e-20: 3, 1e-3: 2}[tol]
+
+    def test_stop_fires(self, counts):
+        recs = self.run()
+        assert counts == {"forward": 2, "backward": 2}
+        assert [r.n for r in recs] == [1, 2, 3, 4, 5, 6]
+
+    def test_probe_reuse_fires(self, monkeypatch, counts):
+        monkeypatch.setattr(picard, "_same_history", lambda a, b: False)
+        self.run()
+        # Round 1 needs one backward push; every later round reuses the
+        # previous round's values at its (equal) probes.
+        assert counts == {"forward": 6, "backward": 6}
+        full_rounds(monkeypatch)
+        counts.update(forward=0, backward=0)
+        self.run()
+        assert counts == {"forward": 6, "backward": 11}
+
+    def test_exact_distances_vanish_from_the_stop(self, monkeypatch):
+        stops = []
+        same = picard._same_history
+
+        def spy(a, b):
+            stops.append(same(a, b))
+            return stops[-1]
+
+        monkeypatch.setattr(picard, "_same_history", spy)
+        recs = self.run()
+        first = stops.index(True)  # the round whose history repeats
+        assert recs[0].z_dist > 0.0 and recs[0].field_w1 > 0.0
+        for r in recs[first:]:
+            assert r.z_dist == 0.0 and r.field_w1 == 0.0
+        full_rounds(monkeypatch)
+        assert repr(self.run()) == repr(recs)
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_short_runs_unchanged(self, monkeypatch, counts, n_max):
+        fast = self.run(n_max=n_max)
+        assert counts == {"forward": n_max, "backward": n_max}
+        full_rounds(monkeypatch)
+        assert repr(self.run(n_max=n_max)) == repr(fast)
+        assert len(fast) == 1
+
+    def test_same_history(self):
+        ens = sample_datum(small_datum(), BOX, (4, 4, 4, 4), epsilon=1.0)
+
+        def history(t_end=0.02, bump=False):
+            h = FieldHistory()
+            for t in (0.0, 0.01):
+                snap = build_field(ens)
+                if bump and t > 0.0:
+                    snap._values[1, 0] = np.nextafter(snap._values[1, 0], np.inf)
+                h.append(t, snap)
+            h.close(t_end)
+            return h
+
+        assert picard._same_history(history(), history())
+        assert not picard._same_history(history(), StaticField(build_field(ens)))
+        assert not picard._same_history(StaticField(build_field(ens)),
+                                        StaticField(build_field(ens)))
+        assert not picard._same_history(history(), history(bump=True))
+        assert not picard._same_history(history(), history(t_end=0.03))
 
 
 class TestProbeGrid:

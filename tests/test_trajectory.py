@@ -332,6 +332,25 @@ class TestBatch:
         np.testing.assert_array_equal(fm, [snap.pm(z0[:, 0], z0[:, 2])[1]])
 
 
+class TestAtRest:
+    """A bond at rest near a wall gets the substeps its reachable
+    stiffness asks for, on the scalar path as in the batch."""
+
+    def test_substep_count(self, tan1):
+        # ceil(0.01 * freq(0.02) / WALL_RESOLUTION) with freq(0.02) ~ 28.2
+        assert trajectory._substeps_scalar(tan1, 0.02, 0.0, 0.01, StepControl(dt=0.01)) == 6
+
+    @pytest.mark.parametrize("omega", [0.02, 0.1, 0.5])
+    def test_integrate_equals_one_row_batch(self, tan1, omega):
+        ctl = StepControl(dt=0.01)
+        path = integrate(ParticleState(0.0, 0.0, omega, 0.0), zero_field(), tan1,
+                         0.0, 0.05, ctl)
+        out = integrate_batch(np.array([[0.0, 0.0, omega, 0.0]]), zero_field(), tan1,
+                              0.0, 0.05, ctl)
+        np.testing.assert_array_equal(
+            [path.x[-1], path.v[-1], path.omega[-1], path.eta[-1]], out[0])
+
+
 class TestBatchIndependence:
     """Batching changes no result: each row of a mixed batch comes out
     bit-for-bit as it does when advanced alone."""
