@@ -447,28 +447,21 @@ def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
                               first_violation=first_bad, worst_margin=worst))
 
     # Excursions: pair each exit with the next return at the same boundary.
-    first_bad = None
-    worst = math.inf
-    n_pairs = 0
+    spans = []
     open_exits: dict[str, object] = {}
     for ev in sorted(events, key=lambda e: e.time):
         if ev.kind is EventKind.EXIT_CHAOTIC and ev.boundary is not None:
             open_exits.setdefault(ev.boundary, ev)
         elif ev.kind is EventKind.RETURN_TIME and ev.boundary in open_exits:
-            ex = open_exits.pop(ev.boundary)
-            n_pairs += 1
-            env = math.sqrt(ex.state.eta ** 2 + 4.0 * cert.epsilon * cert.C)
-            sel = (t >= ex.time) & (t <= ev.time)
-            margin = env + slack - np.abs(h[sel])
-            if margin.size:
-                worst = min(worst, float(margin.min()))
-                bad = np.nonzero(margin < 0.0)[0]
-                if bad.size and first_bad is None:
-                    first_bad = int(np.nonzero(sel)[0][bad[0]])
+            spans.append((open_exits.pop(ev.boundary), ev.time))
+    n_pairs = len(spans)
     # An excursion still open at the end of the path is checked to the end.
-    for ex in open_exits.values():
+    spans += [(ex, math.inf) for ex in open_exits.values()]
+    first_bad = None
+    worst = math.inf
+    for ex, end in spans:
         env = math.sqrt(ex.state.eta ** 2 + 4.0 * cert.epsilon * cert.C)
-        sel = t >= ex.time
+        sel = (t >= ex.time) & (t <= end)
         margin = env + slack - np.abs(h[sel])
         if margin.size:
             worst = min(worst, float(margin.min()))

@@ -18,15 +18,15 @@ remaining records are filled in without recomputing them.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datum import BumpDatum, sobol_box
+from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError, EmptyEnsembleError
 from .field import Ensemble, FieldHistory, StaticField, build_field, field_w1
 from .hooke import HookeModel
+from .simulator import _coords, _march
 from .trajectory import StepControl, integrate_batch
 
 __all__ = [
@@ -90,27 +90,21 @@ def support_bounds(ensemble: Ensemble) -> SupportBounds:
 
 def _push_collect(ens: Ensemble, provider, model: HookeModel, T: float,
                   dt_macro: float, control: StepControl):
-    """Push an ensemble from 0 to T, building the pushed iterate's field
-    history at the macro grid and unioning support bounds along the way."""
+    """Push an ensemble from 0 to T under ``provider`` over the macro grid
+    (``simulator._march``), building the pushed iterate's field history at
+    each macro time and unioning support bounds along the way."""
     hist = FieldHistory()
     supp = support_bounds(ens)
-    n_steps = max(1, math.ceil(T / dt_macro - 1e-12))
-    z = _coords(ens)
-    t = 0.0
-    hist.append(0.0, build_field(ens))
-    for k in range(n_steps):
-        target = T if k == n_steps - 1 else (k + 1) * T / n_steps
-        z = integrate_batch(z, provider, model, t, target, control)
-        t = target
-        moved = ens.with_coords(z[:, 0], z[:, 1], z[:, 2], z[:, 3], time=t)
-        hist.append(t, build_field(moved))
-        supp = supp.union(support_bounds(moved))
+
+    def visit(k: int, ens_k: Ensemble):
+        nonlocal supp
+        hist.append(ens_k.time, build_field(ens_k))
+        supp = supp.union(support_bounds(ens_k))
+        return provider
+
+    moved, _ = _march(ens, T, dt_macro, model, control, visit)
     hist.close(T)
     return moved, hist, supp
-
-
-def _coords(ens: Ensemble) -> np.ndarray:
-    return np.stack([ens.x, ens.v, ens.omega, ens.eta], axis=1)
 
 
 def solve_linear(f0: Ensemble, frozen_fields, model: HookeModel, T: float,
@@ -124,7 +118,7 @@ def solve_linear(f0: Ensemble, frozen_fields, model: HookeModel, T: float,
     untouched: values are transported, never rescaled.
     """
     dt_macro = control.dt if dt_macro is None else dt_macro
-    moved, _, _ = _push_collect(f0, frozen_fields, model, T, dt_macro, control)
+    moved, _ = _march(f0, T, dt_macro, model, control, lambda k, ens: frozen_fields)
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         if datum is None:
@@ -184,7 +178,6 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     control = control or StepControl(dt=min(T / 8.0, 1e-2))
     dt_macro = dt_macro or control.dt
 
-    from .datum import sample_datum  # local import to avoid cycle at module load
     ens0 = sample_datum(datum, box, shape, model.epsilon)
     hist_prev = StaticField(build_field(ens0))  # fields of f_0 (time-frozen datum)
     hist_prev2 = None

@@ -4,11 +4,12 @@ The loop alternates field rebuilds and particle pushes on a macro step:
 build the step field from the current particles, record diagnostics,
 push every particle one macro step under that frozen field.  Tracked
 seeds (the sixteen corners of the initial support box plus interior
-low-discrepancy points) advance inside each macro interval at the fine
-step and keep full sampled paths for event detection and certificate
-replay.  Weights never change, so the particle-carried L1 and transported
-max are conserved exactly; the continuation monitor compares the running
-support box against the certificate's confinement box.
+low-discrepancy points) ride in the same batch, which moves no particle,
+and keep full sampled paths for event detection and certificate replay.
+Weights never change, so the particle-carried L1 and transported max are
+conserved exactly; the continuation monitor compares the running support
+box against the certificate's confinement box.  ``picard`` walks the
+macro grid through the same loop, ``_march``.
 
 Everything is deterministic for a fixed config: sampling has no
 randomness and reductions run in fixed order.
@@ -129,6 +130,9 @@ class RunConfig:
             val = getattr(cfg, f.name)
             if f.type in ("float", "int") and not isinstance(val, (int, float)):
                 raise ConfigError(f"{f.name} must be a number, got {val!r}")
+            least = 1 if f.name == "probe_grid" else 0
+            if f.type == "int" and (type(val) is not int or val < least):
+                raise ConfigError(f"{f.name} must be an integer >= {least}, got {val!r}")
         if not (cfg.T > 0.0 and cfg.dt_macro > 0.0):
             raise ConfigError("T and dt_macro must be positive")
         return cfg
@@ -304,55 +308,33 @@ def run(config: RunConfig):
     tracked = _tracked_seeds(support0, config.tracked_boundary,
                              config.tracked_interior) if n_tracked > 0 else None
 
-    n_steps = max(1, math.ceil(config.T / config.dt_macro - 1e-12))
     series: list[Diagnostics] = []
     snapshots_dumped = []
-    z = np.stack([ens.x, ens.v, ens.omega, ens.eta], axis=1)
-    t = 0.0
-    track_t: list[np.ndarray] = []
-    track_s: list[np.ndarray] = []
-    track_f: list[np.ndarray] = []
     max_norm = 0.0
     detj = math.nan
 
-    for k in range(n_steps + 1):
-        snap = build_field(ens)
+    def visit(k: int, ens_k: Ensemble) -> StaticField:
+        nonlocal max_norm, detj
+        snap = build_field(ens_k)
+        provider = StaticField(snap)
         max_norm = max(max_norm, snap.norms()[1])
         if config.detj_every > 0 and config.detj_seeds > 0 and \
                 k % config.detj_every == 0:
-            detj = _detj_probe(ens, snap, model, control, config.detj_seeds)
-        d = diagnostics(ens, snap, model, detj_err=detj)
+            detj = _detj_probe(ens_k, provider, model, control, config.detj_seeds)
+        d = diagnostics(ens_k, snap, model, detj_err=detj)
         status, violated = check_continuation(d, cert, config.continuation_margin)
         series.append(replace(d, status=status, violated=violated))
         if config.snapshot_every > 0 and k % config.snapshot_every == 0:
-            snapshots_dumped.append((k, ens))
-        if k == n_steps:
-            break
-        target = config.T if k == n_steps - 1 else (k + 1) * config.T / n_steps
-        prov = StaticField(snap)
-        if tracked is not None:
-            tracked, ts_k, smp_k, fm_k = integrate_batch(
-                tracked, prov, model, t, target, control, record=True)
-            if track_t:
-                track_t.append(ts_k[1:])
-                track_s.append(smp_k[1:])
-                track_f.append(fm_k)  # boundary value replaced by new snapshot
-            else:
-                track_t.append(ts_k)
-                track_s.append(smp_k)
-                track_f.append(fm_k)
-        z = integrate_batch(z, prov, model, t, target, control)
-        t = target
-        ens = ens.with_coords(z[:, 0], z[:, 1], z[:, 2], z[:, 3], time=t)
+            snapshots_dumped.append((k, ens_k))
+        return provider
+
+    ens, record = _march(ens, config.T, config.dt_macro, model, control, visit,
+                         tracked)
 
     tracked_paths: list[TrajectoryPath] = []
     cert_reports = []
-    if tracked is not None and track_t:
-        # Stitch per-interval records: at interval boundaries keep the new
-        # snapshot's force value (piecewise-constant-left convention).
-        fm_all = _stitch_forces(track_f)
-        t_all = np.concatenate(track_t)
-        s_all = np.concatenate(track_s, axis=0)
+    if record is not None:
+        t_all, s_all, fm_all = record
         for i in range(s_all.shape[1]):
             path = TrajectoryPath(
                 t=t_all, x=s_all[:, i, 0], v=s_all[:, i, 1],
@@ -370,12 +352,46 @@ def run(config: RunConfig):
                      snapshots_dumped=snapshots_dumped)
 
 
-def _stitch_forces(track_f: list[np.ndarray]) -> np.ndarray:
-    # Interval k's record carries rows for samples [t_k ... t_{k+1}]; the
-    # row at t_{k+1} is superseded by interval k+1's first row (built from
-    # the rebuilt snapshot), except at the final time.
-    parts = [p[:-1] for p in track_f[:-1]] + [track_f[-1]]
-    return np.concatenate(parts, axis=0)
+def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
+           control: StepControl, visit, tracked: np.ndarray | None = None):
+    """Advance an ensemble over the macro grid of [0, T], one
+    ``integrate_batch`` call per macro step.
+
+    At each macro time t_k, ``visit(k, ens_k)`` returns the field provider
+    of the step from t_k (unused at T).  ``tracked`` seeds, an (m, 4)
+    array, ride stacked under the particles, and only their rows are
+    recorded.  Returns (ens_T, None), or with seeds (ens_T, (t, samples,
+    f_minus)) over [0, T], samples of shape (s, m, 4).
+    """
+    n = len(ens)
+    n_steps = max(1, math.ceil(T / dt_macro - 1e-12))
+    z = _coords(ens)
+    if tracked is not None:
+        z = np.vstack([z, tracked])
+        parts = ([], [], [])  # t, samples, f_minus
+    t = 0.0
+    for k in range(n_steps):
+        provider = visit(k, ens)
+        target = T if k == n_steps - 1 else (k + 1) * T / n_steps
+        if tracked is None:
+            z = integrate_batch(z, provider, model, t, target, control)
+        else:
+            z, *rec = integrate_batch(z, provider, model, t, target, control,
+                                      record=slice(n, None))
+            # Keep [t_k, t_{k+1}): the next step opens at t_{k+1}, and its
+            # f_minus there comes from the next provider (constant-left).
+            for acc, a in zip(parts, rec):
+                acc.append(a[:-1])
+        t = target
+        ens = ens.with_coords(z[:n, 0], z[:n, 1], z[:n, 2], z[:n, 3], time=t)
+    visit(n_steps, ens)
+    if tracked is None:
+        return ens, None
+    return ens, tuple(np.concatenate(acc + [a[-1:]]) for acc, a in zip(parts, rec))
+
+
+def _coords(ens: Ensemble) -> np.ndarray:
+    return np.stack([ens.x, ens.v, ens.omega, ens.eta], axis=1)
 
 
 def _cumulative_event_counts(series, paths) -> list[int]:
@@ -386,10 +402,9 @@ def _cumulative_event_counts(series, paths) -> list[int]:
     return out
 
 
-def _detj_probe(ens: Ensemble, snap, model, control, n_seeds: int) -> float:
+def _detj_probe(ens: Ensemble, provider, model, control, n_seeds: int) -> float:
     box = ens.support_box()
     seeds = _tracked_seeds(box, 0, n_seeds)
-    provider = StaticField(snap)
     worst = 0.0
     for row in seeds:
         st = ParticleState(x=row[0], v=row[1], omega=row[2], eta=row[3])

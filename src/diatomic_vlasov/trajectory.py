@@ -257,12 +257,9 @@ def _segments(provider, t0: float, t1: float):
     cuts = brk[(brk > a) & (brk < b)]
     pts = np.concatenate([[a], cuts, [b]])
     pts = np.unique(pts)
-    if t1 >= t0:
-        pairs = list(zip(pts[:-1], pts[1:]))
-    else:
+    if t1 < t0:
         pts = pts[::-1]
-        pairs = list(zip(pts[:-1], pts[1:]))
-    return pairs
+    return list(zip(pts[:-1], pts[1:]))
 
 
 def _snapshot_for(provider, lo: float, hi: float):
@@ -326,7 +323,7 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
 
 def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
                     t0: float, t1: float, control: StepControl,
-                    record: bool = False):
+                    record: bool | slice = False):
     """Advance an (n, 4) array of states [x, v, omega, eta] in lockstep.
 
     Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch:
@@ -339,16 +336,17 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     step's opening pair.  The state is held in an (n, 4) Fortran-order
     array, so each of its columns is contiguous.  With ``record=True``
     returns (final, t_samples, samples, f_minus) where samples has shape
-    (n_samples, n, 4) and f_minus comes from the same pairs; otherwise
-    returns the final array.
+    (n_samples, n, 4) and f_minus from the same pairs; a slice ``record=rows``
+    records copies of ``states[rows]`` only.  Otherwise returns the final array.
     """
     z = np.array(states, dtype=float, order="F")
     if z.ndim != 2 or z.shape[1] != 4:
         raise DomainError("states must be an (n, 4) array")
     lo = model.guard
     hi = model.epsilon - model.guard
+    rows = np.arange(*record.indices(len(z))) if isinstance(record, slice) else slice(None)
     ts = [t0]
-    recs = [z] if record else None
+    recs = [z[rows]] if record else None
     fmr = [] if record else None
     snap = None  # t0 == t1 gives no segment
 
@@ -356,7 +354,7 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
         snap = _snapshot_for(field_provider, seg_lo, seg_hi)
         pair = snap.pm(z[:, 0], z[:, 2])
         if record:
-            fmr.append(pair[1])
+            fmr.append(pair[1][rows])
         span = seg_hi - seg_lo
         n = max(1, math.ceil(abs(span) / control.dt - 1e-12))
         t = seg_lo
@@ -367,13 +365,13 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
             t = target
             ts.append(t)
             if record:
-                recs.append(z)
+                recs.append(z[rows])
                 if k < n - 1:
-                    fmr.append(pair[1])
+                    fmr.append(pair[1][rows])
     if record:
         # Difference field at the final sample, from the last governing snapshot.
         last = _snapshot_for(field_provider, ts[-2] if len(ts) > 1 else t0, t1)
-        fmr.append(pair[1] if last is snap else last.pm(z[:, 0], z[:, 2])[1])
+        fmr.append(pair[1][rows] if last is snap else last.pm(z[rows, 0], z[rows, 2])[1])
         return z, np.asarray(ts), np.stack(recs), np.stack(fmr)
     return z
 

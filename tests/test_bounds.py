@@ -9,7 +9,9 @@ from diatomic_vlasov import (
     BoundCertificate,
     BoundParameters,
     ConstantField,
+    EventKind,
     InvalidCError,
+    OscillationEvent,
     ParticleState,
     RangeError,
     StepControl,
@@ -359,6 +361,36 @@ class TestCertify:
         report = certify(path, cert)
         conf = next(c for c in report.checks if c.name == "omega_confinement")
         assert not conf.passed and conf.first_violation == 5
+
+    def test_excursion_spans_pairs_then_open_exits(self):
+        # The exit at omega_m (t = 0.1) stays open to the end; the exit at
+        # omega_M (t = 0.2) returns at t = 0.5.  Spans are checked pairs
+        # first, then open exits, so first_violation is the first bad
+        # sample of the first span that has one, not the earliest overall.
+        path, cert = self.run_path()
+
+        def event(kind, t, eta, boundary):
+            return OscillationEvent(kind=kind, time=t, boundary=boundary,
+                                    state=ParticleState(0.0, 0.0, 0.5, eta))
+
+        events = [event(EventKind.EXIT_CHAOTIC, 0.1, -0.1, "omega_m"),
+                  event(EventKind.EXIT_CHAOTIC, 0.2, 0.1, "omega_M"),
+                  event(EventKind.RETURN_TIME, 0.5, -0.1, "omega_M")]
+        k_open, k_pair, k_late = (int(np.searchsorted(path.t, tq))
+                                  for tq in (0.15, 0.3, 1.8))
+
+        def excursion(*bad):
+            for k in bad:
+                path.eta[k] = 10.0
+            rep = certify(path, cert, events=events)
+            return next(c for c in rep.checks if c.name == "excursion_envelope")
+
+        late = excursion(k_late)  # only the open exit reaches t = 1.8
+        assert not late.passed and late.first_violation == k_late
+        assert late.note == "1 exit/return pairs"
+        both = excursion(k_open, k_pair)
+        assert both.first_violation == k_pair
+        assert both.worst_margin == late.worst_margin < 0.0
 
     def test_field_norm_precondition(self):
         path, cert = self.run_path()

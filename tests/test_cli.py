@@ -64,7 +64,13 @@ class TestExitCodes:
         assert "bump datum" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, val", [("T", "abc"), ("dt_macro", "abc"), ("T", "NaN"),
-                                          ("snapshot_every", "abc"), ("c_safety", "abc")])
+                                          ("snapshot_every", "abc"), ("c_safety", "abc"),
+                                          ("tracked_boundary", "2.5"), ("n_max", "2.5"),
+                                          ("probe_grid", "-4"), ("probe_grid", "0"),
+                                          ("tracked_boundary", "-3"),
+                                          ("tracked_interior", "-5"),
+                                          ("snapshot_every", "-1"), ("detj_seeds", "true"),
+                                          ("detj_every", "1.0")])
     def test_bad_number_override(self, tmp_path, capsys, key, val):
         code = dispatch(["simulate", "--config", str(write_config(tmp_path)),
                          "--set", f"{key}={val}", "--output-dir", str(tmp_path / "run")])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from diatomic_vlasov import (
     ContinuationStatus,
     Diagnostics,
     RunConfig,
+    StaticField,
     build_field,
     check_continuation,
     diagnostics,
+    integrate_batch,
     run,
     tangent_model,
 )
 from diatomic_vlasov.field import Ensemble
-from diatomic_vlasov.simulator import dump_diagnostics_csv
+from diatomic_vlasov.simulator import _tracked_seeds, dump_diagnostics_csv
 
 
 def base_config(**over):
@@ -163,6 +166,44 @@ class TestRun:
         assert len(res.tracked_paths) == 24
         omegas = np.array([p.omega[0] for p in res.tracked_paths])
         assert np.all((omegas >= 0.5) & (omegas <= np.nextafter(0.5, 1.0)))
+
+
+class TestMergedPush:
+    """Tracked seeds ride in the particles' batch without moving them."""
+
+    def test_seeds_move_no_particle_and_follow_the_step_fields(self):
+        res = run(base_config(T=0.1, snapshot_every=1))
+        alone = run(base_config(T=0.1, snapshot_every=1,
+                                tracked_boundary=0, tracked_interior=0))
+        for a in ("x", "v", "omega", "eta"):
+            np.testing.assert_array_equal(getattr(res.final, a), getattr(alone.final, a))
+        assert [repr(replace(d, event_count=0)) for d in res.series] == \
+            [repr(replace(d, event_count=0)) for d in alone.series]
+
+        # Reference: the seeds pushed alone, one macro step at a time,
+        # under the field of the ensemble at the start of each step.
+        cfg = res.config
+        model, control = cfg.build_model(), cfg.build_control()
+        ensembles = [e for _, e in res.snapshots_dumped]
+        z = _tracked_seeds(ensembles[0].support_box(), 16, 8)
+        ts, samples, fms = [], [], []
+        for k, (ens_k, ens_next) in enumerate(zip(ensembles, ensembles[1:])):
+            z, ts_k, smp_k, fm_k = integrate_batch(
+                z, StaticField(build_field(ens_k)), model, ens_k.time, ens_next.time,
+                control, record=True)
+            first = 0 if k == 0 else 1
+            ts.append(ts_k[first:])
+            samples.append(smp_k[first:])
+            if fms:  # the boundary force is taken again under the new field
+                fms[-1] = fms[-1][:-1]
+            fms.append(fm_k)
+        ts, samples, fms = np.concatenate(ts), np.concatenate(samples), np.concatenate(fms)
+        assert len(res.tracked_paths) == samples.shape[1] == 24
+        for i, path in enumerate(res.tracked_paths):
+            np.testing.assert_array_equal(path.t, ts)
+            for j, a in enumerate(("x", "v", "omega", "eta")):
+                np.testing.assert_array_equal(getattr(path, a), samples[:, i, j])
+            np.testing.assert_array_equal(path.f_minus, fms[:, i])
 
 
 class TestDiagnostics:

@@ -431,6 +431,12 @@ class TestBatchIndependence:
             np.testing.assert_array_equal(z, samples[k + 1])
         for zk, fk in zip(samples, fm):
             np.testing.assert_array_equal(fk, snap.pm(zk[:, 0], zk[:, 2])[1])
+        # A slice records its rows only (row 4 takes the fallback), and
+        # every row still advances as with record=True.
+        assert self.ROWS[4, 2] in fallback
+        sub = integrate_batch(self.ROWS, prov, tan1, t0, t1, ctl, record=slice(2, 5))
+        for got, want in zip(sub, (final, ts, samples[:, 2:5], fm[:, 2:5]), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     # Cubic bond law: np and scalar evaluation agree bitwise, so the batch
     # step must equal the scalar step exactly, including which rows the
