@@ -48,9 +48,6 @@ from .field import (
     ParticleState,
     StaticField,
     build_field,
-    field_at,
-    field_norms,
-    field_pm,
     field_w1,
     zero_field,
 )
@@ -64,13 +61,13 @@ from .trajectory import (
     integrate,
     integrate_batch,
     jacobian_estimate,
-    push,
 )
 from .bounds import (
     BoundCertificate,
     BoundParameters,
     CertReport,
     build_certificate,
+    certificate_parameters,
     certify,
     chaotic_bound,
     confinement_time,

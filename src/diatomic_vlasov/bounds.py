@@ -50,6 +50,7 @@ __all__ = [
     "chaotic_bound",
     "global_envelope",
     "omega_confinement",
+    "certificate_parameters",
     "build_certificate",
     "certify",
 ]
@@ -322,6 +323,29 @@ class BoundCertificate:
                    omega_hi=d["omega_confinement"][1],
                    x_bound=d["x_bound"], v_bound=d["v_bound"],
                    support_box=tuple(d.get("support_box", ())))
+
+
+def certificate_parameters(model: HookeModel, box, mass: float | None = None,
+                           c_safety: float = 1.5, **given) -> BoundParameters:
+    """Parameters of the certificate for an initial support ``box``
+    (ordered as in ``build_certificate``) carrying total mass ``mass``.
+
+    epsilon0 is the box's clearance from the walls, R its largest |v| or
+    |eta|, C_minus = 2*mass the field bound and C = c_safety * max(2*mass,
+    edge force): C must dominate both the field bound and the bond-force
+    level at the support edges (else the support is not strictly between
+    the balance points and the excursion analysis cannot anchor there).
+    Values in ``given`` replace the derived ones; without a mass, C_minus
+    and C must be given.
+    """
+    eps = model.epsilon
+    p = {"epsilon0": min(box[4], eps - box[5], 0.49999 * eps),
+         "R": max(abs(box[2]), abs(box[3]), abs(box[6]), abs(box[7]), 1e-9)}
+    if mass is not None:
+        edge = max(_hooke.force(model, box[4]), -_hooke.force(model, box[5]), 0.0)
+        p.update(C_minus=2.0 * mass, C=c_safety * max(2.0 * mass, edge))
+    p.update(given)
+    return BoundParameters(epsilon=eps, model=model, **p)
 
 
 def build_certificate(p: BoundParameters, support_box, T: float) -> BoundCertificate:

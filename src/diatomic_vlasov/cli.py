@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundCertificate, BoundParameters, build_certificate, certify
+from .bounds import (BoundCertificate, BoundParameters, build_certificate,
+                     certificate_parameters, certify)
+from .datum import sample_datum
 from .errors import (
     ConfigError,
     DiatomicVlasovError,
@@ -27,7 +29,7 @@ from .errors import (
     StepUnderflowError,
 )
 from .field import ConstantField, ParticleState, write_table, zero_field
-from .hooke import validate_model
+from .hooke import balance_points, validate_model
 from .picard import dump_iteration_log, iterate
 from .simulator import RunConfig, dump_diagnostics_csv, run
 from .trajectory import StepControl, TrajectoryPath, detect_events, integrate
@@ -53,6 +55,12 @@ def _load_config(path: str, overrides) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+def _number(val, name: str) -> float:
+    if not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    return float(val)
+
+
 def _out_dir(cfg: RunConfig, arg: str | None) -> Path:
     out = Path(arg or cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -73,24 +81,24 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     model = cfg.build_model()
     spec = cfg.trajectory
     seed = spec.get("seed")
-    if not seed:
-        raise ConfigError("trajectory runs need a trajectory.seed object")
-    state = ParticleState(x=float(seed.get("x", 0.0)), v=float(seed.get("v", 0.0)),
-                          omega=float(seed["omega"]), eta=float(seed.get("eta", 0.0)))
-    T = float(spec.get("T", cfg.T))
-    control = StepControl(dt=float(spec.get("dt", cfg.dt_macro)))
-    fld = spec.get("field", {"kind": "zero"})
-    if fld.get("kind", "zero") == "zero":
+    if not isinstance(seed, dict) or "omega" not in seed:
+        raise ConfigError("trajectory runs need a trajectory.seed object with omega")
+    state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}")
+                            for k in ("x", "v", "omega", "eta")))
+    T = _number(spec.get("T", cfg.T), "trajectory.T")
+    control = StepControl(dt=_number(spec.get("dt", cfg.dt_macro), "trajectory.dt"))
+    fld = spec.get("field", {})
+    kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
+    if kind == "zero":
         provider = zero_field()
-    elif fld["kind"] == "constant":
-        provider = ConstantField(float(fld.get("f_plus", 0.0)),
-                                 float(fld.get("f_minus", 0.0)))
+    elif kind == "constant":
+        provider = ConstantField(*(_number(fld.get(k, 0.0), f"trajectory.field.{k}")
+                                   for k in ("f_plus", "f_minus")))
     else:
-        raise ConfigError(f"unknown trajectory field kind {fld['kind']!r}")
+        raise ConfigError(f"trajectory.field needs kind zero or constant, got {fld!r}")
     balance = None
     if "balance_level" in spec:
-        from .hooke import balance_points
-        balance = balance_points(model, float(spec["balance_level"]))
+        balance = balance_points(model, _number(spec["balance_level"], "trajectory.balance_level"))
     path = integrate(state, provider, model, 0.0, T, control, balance=balance)
     out = _out_dir(cfg, args.output_dir)
     path.dump_csv(out / "path.csv")
@@ -101,31 +109,19 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
 
 
 def _bound_parameters(cfg: RunConfig, model) -> tuple[BoundParameters, tuple, float]:
-    spec = cfg.bounds
-    if spec.get("support_box"):
-        box = tuple(float(c) for c in spec["support_box"])
-    else:
-        built = cfg.build_datum()
-        if isinstance(built, tuple):
-            from .datum import sample_datum
-            datum, dbox, grid = built
-            ens = sample_datum(datum, dbox, grid, model.epsilon)
-        else:
-            ens = built
-        box = ens.support_box()
-        spec = dict(spec)
-        from .hooke import force as _force
-        edge = max(_force(model, box[4]), -_force(model, box[5]), 0.0)
-        spec.setdefault("C_minus", 2.0 * ens.total_mass)
-        spec.setdefault("C", cfg.c_safety * max(2.0 * ens.total_mass, edge))
-    eps = model.epsilon
-    eps0 = float(spec.get("epsilon0", min(box[4], eps - box[5], 0.49999 * eps)))
-    R = float(spec.get("R", max(abs(box[2]), abs(box[3]),
-                                abs(box[6]), abs(box[7]), 1e-9)))
-    p = BoundParameters(epsilon=eps, epsilon0=eps0, R=R,
-                        C_minus=float(spec["C_minus"]), C=float(spec["C"]),
-                        model=model)
-    return p, box, float(spec.get("T", cfg.T))
+    spec = dict(cfg.bounds)
+    box = spec.pop("support_box", None)
+    T = _number(spec.pop("T", cfg.T), "bounds.T")
+    given = {k: _number(val, f"bounds.{k}") for k, val in spec.items()}
+    if box:
+        if not isinstance(box, list) or len(box) != 8 or not {"C_minus", "C"} <= set(given):
+            raise ConfigError("bounds.support_box needs 8 numbers, bounds.C_minus and bounds.C")
+        box = tuple(_number(c, "bounds.support_box") for c in box)
+        return certificate_parameters(model, box, **given), box, T
+    built = cfg.build_datum()
+    ens = sample_datum(*built, model.epsilon) if isinstance(built, tuple) else built
+    box = ens.support_box()
+    return certificate_parameters(model, box, ens.total_mass, cfg.c_safety, **given), box, T
 
 
 def _cmd_bounds(cfg: RunConfig, args) -> int:

@@ -38,9 +38,6 @@ __all__ = [
     "Ensemble",
     "FieldSnapshot",
     "build_field",
-    "field_at",
-    "field_pm",
-    "field_norms",
     "field_w1",
     "StaticField",
     "ConstantField",
@@ -271,25 +268,6 @@ def build_field(ensemble: Ensemble) -> FieldSnapshot:
     if len(ensemble) == 0:
         raise EmptyEnsembleError("cannot build a field from an empty ensemble")
     return FieldSnapshot(ensemble.x, 2.0 * ensemble.w, time=ensemble.time)
-
-
-def field_at(snapshot: FieldSnapshot, x):
-    """Point query of the step field; O(log U) per query for U distinct
-    charge positions."""
-    return snapshot.at(x)
-
-
-def field_pm(snapshot: FieldSnapshot, x, omega):
-    """Sum/difference field pair at offsets +-omega around x."""
-    om = np.asarray(omega, dtype=float)
-    if np.any(om <= 0.0):
-        raise DomainError("omega offsets must be positive")
-    return snapshot.pm(x, omega)
-
-
-def field_norms(snapshot: FieldSnapshot) -> tuple[float, float]:
-    """(sup|F|, sup|F+-|); exact for the step field."""
-    return snapshot.norms()
 
 
 class StaticField:

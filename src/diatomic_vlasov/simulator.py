@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import hooke as _hooke
-from .bounds import BoundCertificate, BoundParameters, build_certificate, certify
+from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError
 from .field import Ensemble, FieldSnapshot, StaticField, build_field
@@ -34,6 +34,7 @@ from .hooke import HookeModel, tangent_model, load_table_model
 from .trajectory import (
     StepControl,
     TrajectoryPath,
+    _time_grid,
     detect_events,
     integrate_batch,
     jacobian_estimate,
@@ -79,6 +80,8 @@ class Diagnostics:
 _DATUM_KEYS = {"kind", "centers", "widths", "amplitude", "box", "grid", "path"}
 _HOOKE_KEYS = {"kind", "epsilon", "table_path"}
 _CONTROL_KEYS = {"dt", "eta_scale", "event_time_tol_factor", "event_eta_tol"}
+_TRAJECTORY_KEYS = {"seed", "T", "dt", "field", "balance_level"}
+_BOUNDS_KEYS = {"support_box", "epsilon0", "R", "C_minus", "C", "T"}
 _TOP_KEYS = {
     "hooke", "datum", "T", "dt_macro", "control", "tracked_boundary",
     "tracked_interior", "c_safety", "snapshot_every", "output_dir",
@@ -116,7 +119,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, allowed in (("hooke", _HOOKE_KEYS), ("datum", _DATUM_KEYS),
-                             ("control", _CONTROL_KEYS)):
+                             ("control", _CONTROL_KEYS), ("trajectory", _TRAJECTORY_KEYS),
+                             ("bounds", _BOUNDS_KEYS)):
             sub = raw.get(key, {})
             if not isinstance(sub, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
@@ -287,21 +291,9 @@ def run(config: RunConfig):
             f"(0, {model.epsilon!r}); got [{om_lo!r}, {om_hi!r}]")
 
     support0 = ens.support_box()
-    L1 = ens.total_mass
     cert = None
-    if L1 > 0.0:
-        eps = model.epsilon
-        eps0 = min(om_lo, eps - om_hi, 0.49999 * eps)
-        R = max(abs(support0[2]), abs(support0[3]),
-                abs(support0[6]), abs(support0[7]), 1e-9)
-        # C must dominate both the field bound 2*L1 and the bond-force level
-        # at the support edges (else the support is not strictly between the
-        # balance points and the excursion analysis cannot anchor there).
-        edge = max(_hooke.force(model, om_lo), -_hooke.force(model, om_hi), 0.0)
-        p = BoundParameters(epsilon=eps, epsilon0=eps0, R=R,
-                            C_minus=2.0 * L1,
-                            C=config.c_safety * max(2.0 * L1, edge),
-                            model=model)
+    if ens.total_mass > 0.0:
+        p = certificate_parameters(model, support0, ens.total_mass, config.c_safety)
         cert = build_certificate(p, support0, config.T)
 
     n_tracked = config.tracked_boundary + config.tracked_interior
@@ -364,15 +356,14 @@ def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
     f_minus)) over [0, T], samples of shape (s, m, 4).
     """
     n = len(ens)
-    n_steps = max(1, math.ceil(T / dt_macro - 1e-12))
+    targets = _time_grid(0.0, T, dt_macro)
     z = _coords(ens)
     if tracked is not None:
         z = np.vstack([z, tracked])
         parts = ([], [], [])  # t, samples, f_minus
     t = 0.0
-    for k in range(n_steps):
+    for k, target in enumerate(targets):
         provider = visit(k, ens)
-        target = T if k == n_steps - 1 else (k + 1) * T / n_steps
         if tracked is None:
             z = integrate_batch(z, provider, model, t, target, control)
         else:
@@ -384,7 +375,7 @@ def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
                 acc.append(a[:-1])
         t = target
         ens = ens.with_coords(z[:n, 0], z[:n, 1], z[:n, 2], z[:n, 3], time=t)
-    visit(n_steps, ens)
+    visit(len(targets), ens)
     if tracked is None:
         return ens, None
     return ens, tuple(np.concatenate(acc + [a[-1:]]) for acc, a in zip(parts, rec))

@@ -77,6 +77,21 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, spec, needle", [
+        ("trajectory", {"seed": {"x": 0.0, "eta": 0.1}}, "omega"),
+        ("trajectory", {"seed": {"omega": 0.6}, "T": "abc"}, "trajectory.T"),
+        ("trajectory", {"seed": {"omega": 0.6, "eta": "fast"}}, "trajectory.seed.eta"),
+        ("trajectory", {"seed": {"omega": 0.6}, "TT": 0.5}, "TT"),
+        ("trajectory", {"seed": {"omega": 0.6}, "field": "zero"}, "trajectory.field"),
+        ("bounds", {"support_box": [-1, 1, -1, 1, 0.4, 0.6, -1, 1], "C": 3.0}, "C_minus"),
+        ("bounds", {"C": "abc"}, "bounds.C"),
+    ])
+    def test_bad_section(self, tmp_path, capsys, section, spec, needle):
+        cfg = write_config(tmp_path, **{section: spec})
+        code = dispatch([section, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert needle in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", [1.5, 0.0, -0.2])
     def test_trajectory_seed_outside_bond_domain(self, tmp_path, capsys, omega):
         seed = {"x": 0.0, "v": 0.0, "omega": omega, "eta": 0.0}
@@ -147,6 +162,17 @@ class TestSubcommands:
                          "--output-dir", str(out)]) == EXIT_OK
         cert = json.loads((out / "certificate.json").read_text())
         assert json.loads(capsys.readouterr().out) == cert
+
+    @pytest.mark.parametrize("over", [{}, {"c_safety": 40.0}])
+    def test_bounds_equals_simulate_certificate(self, tmp_path, capsys, over):
+        # The same parameters from the same support box, whichever
+        # subcommand derives them.
+        cfg = write_config(tmp_path, T=0.05, tracked_boundary=0, tracked_interior=0, **over)
+        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(cfg), "--output-dir", str(out)]) == EXIT_OK
+        assert printed == json.loads((out / "manifest.json").read_text())["certificate"]
 
     def test_validate_hooke_tangent(self, tmp_path, capsys):
         assert dispatch(["validate-hooke", "--config", str(write_config(tmp_path)),

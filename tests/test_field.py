@@ -13,9 +13,6 @@ from diatomic_vlasov import (
     FieldGapError,
     FieldSnapshot,
     build_field,
-    field_at,
-    field_norms,
-    field_pm,
     field_w1,
 )
 from diatomic_vlasov.field import _BLOCK_ROWS, write_table
@@ -74,20 +71,20 @@ class TestBuild:
 class TestFieldAt:
     def test_step_values_around_single_molecule(self):
         snap = build_field(single_molecule(w=0.5))
-        assert field_at(snap, -0.1) == 0.5
-        assert field_at(snap, +0.1) == -0.5
+        assert snap.at(-0.1) == 0.5
+        assert snap.at(+0.1) == -0.5
 
     def test_midpoint_convention_at_particle(self):
         snap = build_field(single_molecule(w=0.5))
-        assert field_at(snap, 0.0) == 0.0
+        assert snap.at(0.0) == 0.0
 
     def test_midpoint_convention_with_coincident_particles(self):
         ens = Ensemble([0.0, 0.0, 1.0], [0] * 3, [0.5] * 3, [0] * 3,
                        [0.25, 0.25, 0.5])
         snap = build_field(ens)
         # at x=0: left 0, at 1.0, right 1.0 -> (1 + .5) - ... = 0.5*2 - 0 - 0.5
-        assert field_at(snap, 0.0) == 0.5
-        assert field_at(snap, 1.0) == -0.5
+        assert snap.at(0.0) == 0.5
+        assert snap.at(1.0) == -0.5
 
     def test_matches_brute_force_exactly(self, rng):
         for _ in range(20):
@@ -205,48 +202,43 @@ class TestFieldPm:
         ens = Ensemble([-1.0, 1.0], [0, 0], [0.5, 0.5], [0, 0], [0.5, 0.5])
         snap = build_field(ens)
         for om in (0.1, 0.4, 2.0):
-            fp, _ = field_pm(snap, 0.0, om)
+            fp, _ = snap.pm(0.0, om)
             assert fp == 0.0
 
     def test_single_molecule_self_difference(self):
         snap = build_field(single_molecule(w=0.5))
-        fp, fm = field_pm(snap, 0.0, 0.2)
+        fp, fm = snap.pm(0.0, 0.2)
         assert fp == 0.0
         assert fm == -1.0
 
     def test_far_field_sum(self):
         snap = build_field(single_molecule(w=0.5))
-        fp, fm = field_pm(snap, -1e8, 0.3)
+        fp, fm = snap.pm(-1e8, 0.3)
         assert fp == snap.total
         assert fm == 0.0
-
-    def test_domain_check(self):
-        snap = build_field(single_molecule())
-        with pytest.raises(DomainError):
-            field_pm(snap, 0.0, 0.0)
 
 
 class TestNorms:
     def test_values(self):
         ens = Ensemble([0.0, 1.0], [0, 0], [0.5, 0.5], [0, 0], [0.5, 0.5])
-        assert field_norms(build_field(ens)) == (1.0, 2.0)
+        assert build_field(ens).norms() == (1.0, 2.0)
 
     def test_zero_mass(self):
         ens = Ensemble([0.0], [0.0], [0.5], [0.0], [0.0])
-        assert field_norms(build_field(ens)) == (0.0, 0.0)
+        assert build_field(ens).norms() == (0.0, 0.0)
 
     def test_linear_in_mass(self):
         ens = Ensemble([0.0, 1.0], [0, 0], [0.5, 0.5], [0, 0], [1.0, 1.0])
-        assert field_norms(build_field(ens)) == (2.0, 4.0)
+        assert build_field(ens).norms() == (2.0, 4.0)
 
     @given(total=st.floats(min_value=1e-6, max_value=1e3))
     @settings(max_examples=50, deadline=None)
     def test_sup_bound_attained(self, total):
         ens = Ensemble([0.3], [0.0], [0.5], [0.0], [total / 2.0])
         snap = build_field(ens)
-        sup_f, sup_pm = field_norms(snap)
+        sup_f, sup_pm = snap.norms()
         assert sup_f == snap.at(-1e6)
-        fp, _ = field_pm(snap, -1e6, 0.1)
+        fp, _ = snap.pm(-1e6, 0.1)
         assert sup_pm == fp
 
 

@@ -26,7 +26,6 @@ from diatomic_vlasov import (
     integrate_batch,
     jacobian_estimate,
     potential_to_midpoint,
-    push,
     zero_field,
 )
 
@@ -42,41 +41,43 @@ def reference_bond_orbit(model_eps, omega0, eta0, t_eval, f_minus=0.0):
     return sol.y
 
 
+def push(st, provider, model, dt):
+    """One step: the final state of ``integrate`` over [0, dt]."""
+    path = integrate(st, provider, model, 0.0, dt, StepControl(dt=dt))
+    assert len(path) == 2
+    return path.state_at(1)
+
+
 class TestPush:
-    def test_fixed_point(self, tan1, control):
+    def test_fixed_point(self, tan1):
         st = ParticleState(0.0, 0.0, 0.5, 0.0)
-        out = push(st, FieldSnapshot.empty(), tan1, 1e-3, control)
+        out = push(st, zero_field(), tan1, 1e-3)
         assert (out.x, out.v, out.omega, out.eta) == (0.0, 0.0, 0.5, 0.0)
 
-    def test_weight_carried(self, tan1, control):
-        st = ParticleState(0.0, 0.0, 0.5, 0.0, w=0.37)
-        out = push(st, FieldSnapshot.empty(), tan1, 1e-3, control)
-        assert out.w == 0.37
-
-    def test_constant_fplus_ballistic(self, control):
+    def test_constant_fplus_ballistic(self):
         # bond force off: splitting is exact for a constant push
         model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
-        snap = ConstantField(f_plus=0.3, f_minus=0.0).snapshot_at(0.0)
+        prov = ConstantField(f_plus=0.3, f_minus=0.0)
         st = ParticleState(x=1.0, v=0.2, omega=0.5, eta=0.0)
         dt = 0.05
         for k in range(1, 11):
-            st = push(st, snap, model, dt, control)
+            st = push(st, prov, model, dt)
             t = k * dt
             assert st.v == pytest.approx(0.2 + 0.3 * t, rel=1e-14)
             assert st.x == pytest.approx(1.0 + 0.2 * t + 0.15 * t * t, rel=1e-13)
 
-    def test_domain_guard_on_input(self, tan1, control):
+    def test_domain_guard_on_input(self, tan1):
         with pytest.raises(DomainError):
-            push(ParticleState(0, 0, 1.0 - 1e-12, 0), FieldSnapshot.empty(),
-                 tan1, 1e-3, control)
+            push(ParticleState(0, 0, 1.0 - 1e-12, 0), zero_field(), tan1, 1e-3)
 
-    def test_underflow_when_drift_must_exit(self, control):
+    def test_underflow_when_drift_must_exit(self):
         # force-free custom model: nothing stops the drift, so halving
         # bottoms out and the step reports a blow-up candidate
         model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
         st = ParticleState(0.0, 0.0, 0.95, 1.0)
-        with pytest.raises(StepUnderflowError):
-            push(st, FieldSnapshot.empty(), model, 0.1, control)
+        msg = r"at dt=9\.765625e-05: omega=0\.99990234375 "  # plain floats
+        with pytest.raises(StepUnderflowError, match=msg):
+            push(st, zero_field(), model, 0.1)
 
 
 class TestIntegrateAccuracy:
@@ -334,21 +335,74 @@ class TestBatch:
 
 class TestAtRest:
     """A bond at rest near a wall gets the substeps its reachable
-    stiffness asks for, on the scalar path as in the batch."""
+    stiffness asks for, on the scalar path as in the batch; moving bonds
+    follow the batch path too."""
 
     def test_substep_count(self, tan1):
         # ceil(0.01 * freq(0.02) / WALL_RESOLUTION) with freq(0.02) ~ 28.2
         assert trajectory._substeps_scalar(tan1, 0.02, 0.0, 0.01, StepControl(dt=0.01)) == 6
 
-    @pytest.mark.parametrize("omega", [0.02, 0.1, 0.5])
-    def test_integrate_equals_one_row_batch(self, tan1, omega):
+    # At rest (exact) and moving: toward a wall, and hot enough that
+    # steps near the wall are halved.
+    @pytest.mark.parametrize("omega, eta", [
+        pytest.param(0.02, 0.0, id="0.02"), pytest.param(0.1, 0.0, id="0.1"),
+        pytest.param(0.5, 0.0, id="0.5"), pytest.param(0.3, 0.5, id="moving-0.3"),
+        pytest.param(0.05, -0.9, id="moving-0.05"), pytest.param(0.5, 3.0, id="moving-hot")])
+    def test_integrate_equals_one_row_batch(self, tan1, omega, eta):
         ctl = StepControl(dt=0.01)
-        path = integrate(ParticleState(0.0, 0.0, omega, 0.0), zero_field(), tan1,
-                         0.0, 0.05, ctl)
-        out = integrate_batch(np.array([[0.0, 0.0, omega, 0.0]]), zero_field(), tan1,
-                              0.0, 0.05, ctl)
-        np.testing.assert_array_equal(
-            [path.x[-1], path.v[-1], path.omega[-1], path.eta[-1]], out[0])
+        path = integrate(ParticleState(0.0, 0.1, omega, eta), zero_field(), tan1,
+                         0.0, 0.2, ctl)
+        _, ts, samples, fm = integrate_batch(np.array([[0.0, 0.1, omega, eta]]),
+                                             zero_field(), tan1, 0.0, 0.2, ctl, record=True)
+        got = np.column_stack([path.x, path.v, path.omega, path.eta])
+        np.testing.assert_array_equal(path.t, ts)
+        np.testing.assert_array_equal(path.f_minus, fm[:, 0])
+        if eta == 0.0:
+            np.testing.assert_array_equal(got, samples[:, 0])
+        else:
+            np.testing.assert_allclose(got, samples[:, 0], rtol=1e-12, atol=1e-12)
+
+
+class TestStepContract:
+    """Both steppers take the opening field pair and return the closing
+    one, so ``integrate`` queries the pair once per segment and once per
+    step, and each f_minus is the governing snapshot's value at its
+    sample."""
+
+    # [x, v, omega, eta]: a calm seed, a hot seed whose steps are halved
+    # (down to depth 6) and a seed moving near the lower wall.
+    SEEDS = [(0.0, 0.1, 0.6, 0.2), (0.05, -0.2, 0.5, 3.0), (0.1, 0.3, 0.02, -0.5)]
+
+    @staticmethod
+    def history():
+        # Three snapshots on [0, 0.3]; charges every 1e-4 make the step
+        # field change wherever a bond moves.
+        h = FieldHistory()
+        n = 30001
+        for k in range(3):
+            x = np.linspace(-1.5, 1.5, n) + 0.37e-4 * k
+            h.append(0.1 * k, build_field(Ensemble(x, np.zeros(n), np.full(n, 0.5),
+                                                   np.zeros(n), np.full(n, 1e-5 * (k + 1)))))
+        h.close(0.3)
+        return h
+
+    def test_pm_calls(self, tan1, monkeypatch):
+        h = self.history()
+        calls = []
+        pm = FieldSnapshot.pm
+        monkeypatch.setattr(FieldSnapshot, "pm",
+                            lambda snap, x, om: calls.append(1) or pm(snap, x, om))
+        path = integrate(ParticleState(*self.SEEDS[0]), h, tan1, 0.0, 0.3, StepControl(dt=0.01))
+        assert len(path) == 31
+        assert len(calls) == 3 + 30  # segments + fine steps
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_f_minus_from_governing_snapshot(self, tan1, seed):
+        h = self.history()
+        path = integrate(ParticleState(*seed), h, tan1, 0.0, 0.3, StepControl(dt=0.01))
+        for i in range(len(path)):
+            want = h.snapshot_at(path.t[i]).pm(path.x[i], path.omega[i])[1]
+            assert path.f_minus[i] == want
 
 
 class TestBatchIndependence:
@@ -362,7 +416,7 @@ class TestBatchIndependence:
         scalar = trajectory._advance_scalar
 
         def spy(*args):
-            if len(args) == 8:  # called by _advance_batch, not a halving
+            if len(args) == 9:  # called by _advance_batch, not a halving
                 calls.append(args[2])
             return scalar(*args)
 
@@ -406,7 +460,7 @@ class TestBatchIndependence:
             # The scalar step uses math.tan, which may differ from np.tan
             # in the last bit, so it agrees to rounding only.
             step = trajectory._advance_scalar(*row.tolist(), snap, tan1, dt, ctl)
-            np.testing.assert_allclose(out[i], step[:4], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(out[i], step[0], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_carried_pair(self, tan1, forward, fallback):
@@ -465,7 +519,7 @@ class TestBatchIndependence:
         assert len(fallback) == 2
         for i, row in enumerate(self.CUBIC_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
-            np.testing.assert_array_equal(out[i], step[:4])
+            np.testing.assert_array_equal(out[i], step[0])
             alone, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
             np.testing.assert_array_equal(out[i], alone[0])
 
@@ -496,7 +550,7 @@ class TestBatchIndependence:
         assert fallback == ([0.85, 0.06, 0.94] if dt > 0 else [0.15, 0.06, 0.94])
         for i, row in enumerate(self.LATE_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
-            np.testing.assert_array_equal(out[i], step[:4])
+            np.testing.assert_array_equal(out[i], step[0])
 
 
 class TestPathDumps:
