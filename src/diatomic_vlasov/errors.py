@@ -27,12 +27,18 @@ class EmptyEnsembleError(DiatomicVlasovError):
 
 class StepUnderflowError(DiatomicVlasovError):
     """Step halving reached dt_min with the bond length still leaving the
-    guard band.  Carries the offending state for post-mortem inspection."""
+    guard band.  Carries the offending state and the start time of the
+    failing step, once known, for post-mortem inspection; the message
+    names that time."""
 
     def __init__(self, message, state=None, time=None):
         super().__init__(message)
         self.state = state
         self.time = time
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.time is None else f"{text}; in the step from t={self.time!r}"
 
 
 class FieldGapError(DiatomicVlasovError):

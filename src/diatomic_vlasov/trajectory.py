@@ -11,7 +11,10 @@ the drift advances x linearly and the (omega, eta) pair under the bond
 force alone.  Because the bond force diverges at the walls, the inner
 (omega, eta) advance is sub-cycled: if |Fh|*dt exceeds the configured eta
 scale, the pair takes m uniform velocity-Verlet substeps sized so each
-substep respects the same bound.  A step whose drift would leave the
+substep respects the same bound, and under the tangent law as many as it
+takes to resolve the stiffest local frequency the step can reach.  Rows
+provably far enough from the walls skip that frequency count, because
+their m is the impulse count alone.  A step whose drift would leave the
 guarded bond domain is rejected and retried at dt/2, down to dt/2**10;
 past that the step reports a blow-up candidate instead of emitting an
 out-of-domain state.
@@ -56,6 +59,9 @@ MAX_HALVINGS = 10
 MAX_SUBSTEPS = 4096
 # Fraction of the stiffest reachable local period one inner substep may span.
 WALL_RESOLUTION = 0.05
+# Relative head-room of the one-substep screen's travel bound (see
+# _wall_substeps).
+SCREEN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -268,8 +274,10 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     The path records the difference field at each sample and the largest
     field norm seen.  If ``balance`` is given, oscillation events are
     detected on the sampled path (sign-change location between samples).
-    Raises DomainError for a seed outside the guarded bond domain and
-    FieldGapError if the provider does not cover [t0, t1].
+    Raises DomainError for a seed outside the guarded bond domain,
+    FieldGapError if the provider does not cover [t0, t1] and
+    StepUnderflowError, with ``time`` the start of the failing step, if a
+    step cannot be taken even after halving.
 
     The step contract and the time grid are those of ``integrate_batch``,
     and so are the results, bit for bit where the bond law evaluates alike
@@ -293,7 +301,11 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
         fms.append(pair[1])
         targets = _time_grid(lo, hi, control.dt)
         for k, target in enumerate(targets, 1):
-            z, pair = _advance_scalar(*z, snap, model, target - ts[-1], control, pair)
+            try:
+                z, pair = _advance_scalar(*z, snap, model, target - ts[-1], control, pair)
+            except StepUnderflowError as exc:
+                exc.time = float(ts[-1])
+                raise
             ts.append(target)
             zs.append(z)
             if k < len(targets):
@@ -328,6 +340,7 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     returns (final, t_samples, samples, f_minus) where samples has shape
     (n_samples, n, 4) and f_minus from the same pairs; a slice ``record=rows``
     records copies of ``states[rows]`` only.  Otherwise returns the final array.
+    A StepUnderflowError carries the start time of the failing step.
     """
     z = np.array(states, dtype=float, order="F")
     if z.ndim != 2 or z.shape[1] != 4:
@@ -347,7 +360,11 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
             fmr.append(pair[1][rows])
         targets = _time_grid(seg_lo, seg_hi, control.dt)
         for k, target in enumerate(targets, 1):
-            z, pair = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi, pair)
+            try:
+                z, pair = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi, pair)
+            except StepUnderflowError as exc:
+                exc.time = float(ts[-1])
+                raise
             ts.append(target)
             if record:
                 recs.append(z[rows])
@@ -371,17 +388,23 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     next step's opening pair under the same snapshot.
 
     Each row gets its own substep count m from the impulse bound and, for
-    the tangent law, the stiffest frequency the step can reach.  Substep
-    0 runs in place on every row; only rows with 1 < m <= MAX_SUBSTEPS
-    that pass it are gathered for the rest.  Ordered by m, descending,
-    the rows still stepping at substep k are a prefix, so each pass works
-    on slices with a per-row substep d = dt/m, and the rows whose last
-    substep is k take the closing half kick; their results are scattered
-    back.  The arithmetic per row is that of a lone row, so batching
-    changes no result.  Rows past MAX_SUBSTEPS, and rows whose substeps
-    leave the guard band or break the impulse bound, are redone by
-    ``_advance_scalar`` (same contract, with halving) from their opening
-    pair, and its closing pair replaces theirs.
+    the tangent law, the stiffest frequency the step can reach
+    (``_substeps_batch``).  That second count is evaluated only on the
+    rows a cheap screen cannot clear: a row far enough from both walls for
+    its step's reach is proved to need one substep for it (the proof is
+    in ``_wall_substeps``), so the impulse bound alone sets its m, bit for
+    bit as the full count would.  Bonds near the midpoint all clear.
+
+    Substep 0 runs in place on every row; only rows with
+    1 < m <= MAX_SUBSTEPS that pass it are gathered for the rest.
+    Ordered by m, descending, the rows still stepping at substep k are a
+    prefix, so each pass works on slices with a per-row substep d = dt/m,
+    and the rows whose last substep is k take the closing half kick; their
+    results are scattered back.  The arithmetic per row is that of a lone
+    row, so batching changes no result.  Rows past MAX_SUBSTEPS, and rows
+    whose substeps leave the guard band or break the impulse bound, are
+    redone by ``_advance_scalar`` (same contract, with halving) from their
+    opening pair, and its closing pair replaces theirs.
     """
     x, v, om, et = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
     fp, fm = snap.pm(x, om) if pair is None else pair
@@ -389,24 +412,8 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     e1 = et + 0.5 * dt * fm
 
     fh = _force_array(model, om)
-    m = np.maximum(1, np.ceil(np.abs(fh) * abs(dt) / control.eta_scale))
-    if model.kind is _hooke.HookeKind.TANGENT:
-        eps = model.epsilon
-        # Equal bit for bit to the potential's where(om >= eps/2, eps - om,
-        # om), at eps/2, at +-0.0 and at NaN too.
-        u_now = np.minimum(om, eps - om)
-        energy = 0.5 * e1 * e1 - (eps / np.pi) * np.log(np.sin(np.pi * u_now / eps))
-        clearance = (eps / np.pi) * np.arcsin(np.minimum(1.0, np.exp(-np.pi * energy / eps)))
-        clearance = np.maximum(clearance, 0.25 * model.guard)
-        travel = abs(dt) * np.sqrt(2.0 * energy)
-        outward = (e1 > 0.0) if dt > 0.0 else (e1 < 0.0)
-        ahead = np.where(outward, eps - om, om)
-        u_min = np.minimum(
-            np.maximum(clearance, np.minimum(u_now, ahead - travel)), 0.5 * eps)
-        f_max = 1.0 / np.tan(np.pi * u_min / eps)
-        freq = np.sqrt((np.pi / eps) * (1.0 + f_max * f_max))
-        m = np.maximum(m, np.ceil(abs(dt) * freq / WALL_RESOLUTION))
-    m = np.minimum(m, 2.0 * MAX_SUBSTEPS).astype(np.int64)
+    m = np.minimum(_substeps_batch(model, om, e1, fh, dt, control),
+                   2.0 * MAX_SUBSTEPS).astype(np.int64)
     bad = m > MAX_SUBSTEPS
     d = dt / m
     hd = 0.5 * d
@@ -474,6 +481,104 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
             float(x[i]), float(v[i]), float(om[i]), float(et[i]), snap, model, dt,
             control, (float(fp[i]), float(fm[i])))
     return out, (fp2, fm2)
+
+
+def _substeps_batch(model: HookeModel, om: np.ndarray, e1: np.ndarray, fh: np.ndarray,
+                    dt, control: StepControl) -> np.ndarray:
+    """``_substeps_scalar`` for arrays of rows, as float ceilings; fh is
+    the bond force at om.
+
+    The wall term (``_wall_substeps``) is evaluated only on the rows the
+    one-substep screen cannot clear; its docstring proves that the screen
+    changes no count.
+    """
+    m = np.maximum(1, np.ceil(np.abs(fh) * abs(dt) / control.eta_scale))
+    if model.kind is not _hooke.HookeKind.TANGENT:
+        return m
+    eps = model.epsilon
+    screen = _one_substep_threshold(eps, dt)
+    if screen is None:
+        rest = np.arange(om.size)
+    else:
+        u_star, pot = screen
+        # |dt| * sqrt((e1**2 + 2 U(u*)) * (1 + SCREEN_MARGIN)), the travel
+        # bound of _wall_substeps' proof.
+        reach = e1 * e1
+        reach += 2.0 * pot
+        np.sqrt(reach, out=reach)
+        reach *= abs(dt) * math.sqrt(1.0 + SCREEN_MARGIN)
+        # Not (>=) rather than (<): a NaN row fails the screen.
+        rest = np.nonzero(~(np.minimum(om, eps - om) - u_star >= reach))[0]
+    if rest.size:
+        m[rest] = np.maximum(m[rest], _wall_substeps(model, om[rest], e1[rest], dt))
+    return m
+
+
+def _one_substep_threshold(eps: float, dt: float):
+    """(u*, U(u*)) of the one-substep screen for a step of dt, or None when
+    the screen is off.
+
+    u* is the smallest wall distance at which a substep of |dt| spans at
+    most half of WALL_RESOLUTION of the local period: with
+    s = sqrt(pi/(eps*K)), K = (WALL_RESOLUTION/(2|dt|))**2, it is
+    (eps/pi)*asin(s), and U(u*) = -(eps/pi)*log(s) is the bond potential
+    there (sin(pi*u*/eps) = s).  For s >= 1 (or dt zero or not finite) no
+    wall distance qualifies and every row takes the full count.
+    """
+    s = 2.0 * abs(dt) / WALL_RESOLUTION * math.sqrt(math.pi / eps)
+    if not 0.0 < s < 1.0:
+        return None
+    return (eps / math.pi) * math.asin(s), -(eps / math.pi) * math.log(s)
+
+
+def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.ndarray:
+    """Substeps that resolve the stiffest tangent-law frequency a step of
+    dt can reach from (om, e1): the wall term of ``_substeps_scalar``'s
+    count, as float ceilings.
+
+    ``_substeps_batch`` evaluates it only on the rows its screen cannot
+    clear.  A row is cleared when, with (u*, U*) from
+    ``_one_substep_threshold`` and delta = SCREEN_MARGIN,
+
+        u_now - u* >= |dt| * sqrt((e1**2 + 2 U*) * (1 + delta)),
+
+    that is, u_now >= u* and (u_now - u*)**2 >= dt**2 (e1**2 + 2 U*)
+    (1 + delta).  This count is then at most 1, so the impulse count
+    (always >= 1) alone sets m and skipping it changes no bit.  Why:
+
+    - u_min >= min(u_now - travel, eps/2): the max with ``clearance``
+      only raises it, and ``ahead`` >= u_now, so min(u_now, ahead - travel)
+      >= u_now - travel.
+    - U(u) = -(eps/pi)*log(sin(pi*u/eps)) falls on (0, eps/2], so
+      U(u_now) <= U* and travel = |dt|*sqrt(e1**2 + 2 U(u_now)) is at most
+      |dt|*sqrt(e1**2 + 2 U*) <= u_now - u*.  Hence u_min >= u*, as
+      u* <= eps/2.
+    - freq = sqrt(pi/eps)/sin(pi*u_min/eps) falls as u_min grows, so
+      |dt|*freq/WALL_RESOLUTION <= 1/2 at u_min.
+    - Rounding: the two energy terms are both >= 0, so energy, travel and
+      u* carry a few ulps of relative error.  ahead - travel may cancel,
+      but delta keeps u_now - travel about delta/2 * travel above u*, far
+      more than that rounding error.  The factor 1/2 then leaves the
+      ceiling at 1 for any error in freq below a factor of 2.
+
+    A NaN or infinite row fails the screen's comparison and is counted
+    here.
+    """
+    eps = model.epsilon
+    # Equal bit for bit to the potential's where(om >= eps/2, eps - om,
+    # om), at eps/2, at +-0.0 and at NaN too.
+    u_now = np.minimum(om, eps - om)
+    energy = 0.5 * e1 * e1 - (eps / np.pi) * np.log(np.sin(np.pi * u_now / eps))
+    clearance = (eps / np.pi) * np.arcsin(np.minimum(1.0, np.exp(-np.pi * energy / eps)))
+    clearance = np.maximum(clearance, 0.25 * model.guard)
+    travel = abs(dt) * np.sqrt(2.0 * energy)
+    outward = (e1 > 0.0) if dt > 0.0 else (e1 < 0.0)
+    ahead = np.where(outward, eps - om, om)
+    u_min = np.minimum(
+        np.maximum(clearance, np.minimum(u_now, ahead - travel)), 0.5 * eps)
+    f_max = 1.0 / np.tan(np.pi * u_min / eps)
+    freq = np.sqrt((np.pi / eps) * (1.0 + f_max * f_max))
+    return np.ceil(abs(dt) * freq / WALL_RESOLUTION)
 
 
 def _force_array(model: HookeModel, om: np.ndarray) -> np.ndarray:

@@ -110,7 +110,9 @@ class TestExitCodes:
         code = dispatch(["trajectory", "--config", str(cfg),
                          "--output-dir", str(tmp_path / "traj")])
         assert code == EXIT_NUMERICAL
-        assert "blow-up candidate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "blow-up candidate" in err
+        assert err.rstrip().endswith("; in the step from t=0.0")
 
     def test_certify_violation(self, tmp_path, capsys):
         # Wide bonds over T = 1.5 change eta sign, and with slack -0.8 some
@@ -223,6 +225,54 @@ class TestSubcommands:
         for name in ("iteration_log.csv", "iteration_distances.csv"):
             assert (fast / name).read_bytes() == (full / name).read_bytes()
         assert fast_stdout == full_stdout
+
+    def test_one_substep_screen_changes_no_output(self, tmp_path, capsys, monkeypatch):
+        # A 3^4 seed-report run whose bonds reach the walls (the screen
+        # clears some rows and leaves the others to the full wall count)
+        # and a 3^4 picard run near the midpoint (every row clears) write
+        # the same bytes with the screen switched off.
+        from diatomic_vlasov import trajectory
+
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        wide = dict(datum, widths={"x": 0.5, "v": 0.3, "omega": 0.49, "eta": 2.5})
+        runs = {"simulate": (dict(datum=wide, T=0.5), ["--seed-report"]),
+                "picard": (dict(datum=datum, T=0.05, n_max=3, probe_grid=64), [])}
+        rows = {"all": 0, "counted": 0}
+        batch, wall = trajectory._substeps_batch, trajectory._wall_substeps
+
+        def substeps(model, om, *args):
+            rows["all"] += om.size
+            return batch(model, om, *args)
+
+        def counted(model, om, *args):
+            rows["counted"] += om.size
+            return wall(model, om, *args)
+
+        for command, (over, flags) in runs.items():
+            (tmp_path / command).mkdir()
+            cfg = write_config(tmp_path / command, **over)
+            outputs = []
+            for screen in (True, False):
+                monkeypatch.setattr(trajectory, "_substeps_batch", substeps)
+                monkeypatch.setattr(trajectory, "_wall_substeps", counted)
+                if not screen:
+                    monkeypatch.setattr(trajectory, "_one_substep_threshold",
+                                        lambda eps, dt: None)
+                out = tmp_path / command / f"screen_{screen}"
+                assert dispatch([command, "--config", str(cfg), *flags,
+                                 "--output-dir", str(out)]) == EXIT_OK
+                monkeypatch.undo()
+                files = {p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+                outputs.append((files, capsys.readouterr().out))
+                if screen:
+                    cleared = rows["all"] - rows["counted"]
+                    assert 0 < cleared <= rows["all"]
+                    assert (cleared < rows["all"]) == (command == "simulate")
+                rows.update(all=0, counted=0)
+            assert outputs[0][0] and outputs[0][1]
+            assert outputs[0] == outputs[1]
 
 
 class TestSnapshotFiles:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import solve_ivp
 
 from diatomic_vlasov import trajectory
@@ -26,6 +28,7 @@ from diatomic_vlasov import (
     integrate_batch,
     jacobian_estimate,
     potential_to_midpoint,
+    tangent_model,
     zero_field,
 )
 
@@ -75,9 +78,23 @@ class TestPush:
         # bottoms out and the step reports a blow-up candidate
         model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
         st = ParticleState(0.0, 0.0, 0.95, 1.0)
-        msg = r"at dt=9\.765625e-05: omega=0\.99990234375 "  # plain floats
-        with pytest.raises(StepUnderflowError, match=msg):
+        msg = r"at dt=9\.765625e-05: omega=0\.99990234375 .*; in the step from t=0\.0$"
+        with pytest.raises(StepUnderflowError, match=msg) as exc:
             push(st, zero_field(), model, 0.1)
+        assert exc.value.time == 0.0
+        # The drift (omega' = 1) leaves the band in the step from t = 0.04,
+        # the third of dt = 0.02; backward (omega' = -1 from t = 0.1), in
+        # the step from t = 0.06.  Each loop sets the failing step's start.
+        ctl = StepControl(dt=0.02)
+        with pytest.raises(StepUnderflowError) as exc:
+            integrate(st, zero_field(), model, 0.0, 0.1, ctl)
+        assert exc.value.time == pytest.approx(0.04, rel=1e-12)
+        for t0, t1, eta in ((0.0, 0.1, 1.0), (0.1, 0.0, -1.0)):
+            with pytest.raises(StepUnderflowError) as exc:
+                integrate_batch(np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.95, eta]]),
+                                zero_field(), model, t0, t1, ctl)
+            assert exc.value.time == pytest.approx(0.04 if t1 > t0 else 0.06, rel=1e-12)
+            assert f"from t={exc.value.time!r}" in str(exc.value)
 
 
 class TestIntegrateAccuracy:
@@ -492,6 +509,26 @@ class TestBatchIndependence:
         for got, want in zip(sub, (final, ts, samples[:, 2:5], fm[:, 2:5]), strict=True):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dt", [2.5e-3, -2.5e-3])
+    def test_screen_changes_no_bit(self, tan1, dt, monkeypatch):
+        # The one-substep screen clears the three midpoint rows and leaves
+        # the five wall rows to the full wall count; switched off, every
+        # row takes it, and the step comes out the same.
+        snap = build_field(Ensemble([-0.3, 0.1, 0.4], [0, 0, 0], [0.45, 0.5, 0.6], [0, 0, 0],
+                                    [0.2, 0.3, 0.1]))
+        ctl = StepControl(dt=abs(dt))
+        lo, hi = tan1.guard, tan1.epsilon - tan1.guard
+        counted = []
+        wall = trajectory._wall_substeps
+        monkeypatch.setattr(trajectory, "_wall_substeps",
+                            lambda *a: counted.append(a[1].size) or wall(*a))
+        on = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        monkeypatch.setattr(trajectory, "_one_substep_threshold", lambda eps, dt: None)
+        off = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        assert counted == [5, 8]
+        for got, want in zip((on[0], *on[1]), (off[0], *off[1]), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     # Cubic bond law: np and scalar evaluation agree bitwise, so the batch
     # step must equal the scalar step exactly, including which rows the
     # in-loop guard-band and impulse tests send to the fallback.
@@ -551,6 +588,72 @@ class TestBatchIndependence:
         for i, row in enumerate(self.LATE_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
             np.testing.assert_array_equal(out[i], step[0])
+
+
+class TestOneSubstepScreen:
+    """Where the screen clears a row, the wall term it skips is at most 1,
+    so ``_substeps_batch`` equals the full count on every row."""
+
+    @staticmethod
+    def full_counts(model, om, e1, dt, ctl):
+        fh = trajectory._force_array(model, om)
+        m = np.maximum(1, np.ceil(np.abs(fh) * abs(dt) / ctl.eta_scale))
+        return np.maximum(m, trajectory._wall_substeps(model, om, e1, dt))
+
+    @given(eps=hs.floats(1e-3, 50.0), log_dt=hs.floats(-12.0, -1.0), backward=hs.booleans(),
+           fracs=hs.lists(hs.floats(0.0, 1.0), min_size=1, max_size=20),
+           etas=hs.lists(hs.one_of(hs.floats(-20.0, 20.0), hs.floats()), min_size=1,
+                         max_size=20),
+           ulps=hs.integers(-4, 4))
+    @example(eps=1.0, log_dt=-1.5, backward=False, fracs=[0.5], etas=[0.0], ulps=0)
+    @example(eps=1.0, log_dt=-12.0, backward=True, fracs=[0.3], etas=[1.0], ulps=1)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_screened_counts_equal_full_counts(self, eps, log_dt, backward, fracs, etas,
+                                               ulps):
+        model = tangent_model(eps)
+        dt = -(10.0 ** log_dt) if backward else 10.0 ** log_dt
+        ctl = StepControl(dt=abs(dt))
+        # Random rows, NaN and infinite rows.
+        om = [f * eps for f in fracs] + [0.5 * eps] * 3 + [math.nan]
+        e1 = [etas[i % len(etas)] for i in range(len(fracs))] + [math.nan, math.inf,
+                                                                  -math.inf, 0.0]
+        screen = trajectory._one_substep_threshold(eps, dt)
+        if screen is not None:
+            u_star, pot = screen
+            # Rows a few ulps either side of u*, at both walls.
+            u = [u_star + k * math.ulp(u_star) for k in range(ulps - 3, ulps + 4)]
+            om += u + [eps - w for w in u]
+            e1 += [etas[i % len(etas)] for i in range(2 * len(u))]
+            # Rows on the screen's boundary, (u_now - u*) equal to the
+            # travel bound, nudged by a few ulps of eta.
+            c = abs(dt) * math.sqrt(1.0 + trajectory.SCREEN_MARGIN)
+            for f in fracs:
+                un = u_star + f * (0.5 * eps - u_star)
+                e = math.sqrt(max(((un - u_star) / c) ** 2 - 2.0 * pot, 0.0))
+                e *= 1.0 + ulps * 2.0 ** -52
+                om += [un, eps - un]
+                e1 += [e, -e]
+        om, e1 = np.array(om), np.array(e1)
+        with np.errstate(all="ignore"):
+            fh = trajectory._force_array(model, om)
+            got = trajectory._substeps_batch(model, om, e1, fh, dt, ctl)
+            want = self.full_counts(model, om, e1, dt, ctl)
+        np.testing.assert_array_equal(got, want)
+
+    def test_threshold(self):
+        # |dt| * freq(u*) / WALL_RESOLUTION is 1/2, and U(u*) is the bond
+        # potential at u*; past |dt| = 0.025 * sqrt(eps / pi) the screen
+        # is off.
+        for eps, dt in ((1.0, 2.5e-3), (0.01, -1e-5), (50.0, 1e-7)):
+            u_star, pot = trajectory._one_substep_threshold(eps, dt)
+            freq = math.sqrt(math.pi / eps) / math.sin(math.pi * u_star / eps)
+            assert abs(dt) * freq / trajectory.WALL_RESOLUTION == pytest.approx(0.5, rel=1e-12)
+            assert pot == pytest.approx(
+                potential_to_midpoint(tangent_model(eps), u_star), rel=1e-12)
+        edge = 0.025 * math.sqrt(1.0 / math.pi)
+        assert trajectory._one_substep_threshold(1.0, 0.999 * edge) is not None
+        for dt in (1.001 * edge, -1.001 * edge, 0.0, math.nan, math.inf):
+            assert trajectory._one_substep_threshold(1.0, dt) is None
 
 
 class TestPathDumps:
