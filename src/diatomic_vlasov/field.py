@@ -219,10 +219,21 @@ class FieldSnapshot:
         return out
 
     def pm(self, x, omega):
-        """(F(x+omega)+F(x-omega), F(x+omega)-F(x-omega))."""
-        fp_r = self.at(np.asarray(x, dtype=float) + omega)
-        fp_l = self.at(np.asarray(x, dtype=float) - omega)
-        return fp_r + fp_l, fp_r - fp_l
+        """(F(x+omega)+F(x-omega), F(x+omega)-F(x-omega)).
+
+        Both sides are looked up as one stacked query, the lookup of
+        ``at``, so each call pays numpy's per-call overhead once."""
+        x = np.asarray(x, dtype=float)
+        q = np.array((x + omega, x - omega))
+        idx = np.searchsorted(self._keys[:-1], q, side="left")
+        hit = self._keys.take(idx) == q
+        idx *= 2
+        idx += hit
+        f = self._values.ravel().take(idx)
+        if q.ndim == 1:
+            r, l = f.tolist()
+            return r + l, r - l
+        return f[0] + f[1], f[0] - f[1]
 
     def norms(self) -> tuple[float, float]:
         """Exact suprema (sup|F|, sup|F+-|) = (total/2, total)."""

@@ -14,10 +14,14 @@ scale, the pair takes m uniform velocity-Verlet substeps sized so each
 substep respects the same bound, and under the tangent law as many as it
 takes to resolve the stiffest local frequency the step can reach.  Rows
 provably far enough from the walls skip that frequency count, because
-their m is the impulse count alone.  A step whose drift would leave the
-guarded bond domain is rejected and retried at dt/2, down to dt/2**10;
-past that the step reports a blow-up candidate instead of emitting an
-out-of-domain state.
+their m is the impulse count alone.  A batch sub-cycles in numpy passes
+over its rows while more than TAIL_ROWS of them still step, then
+finishes each remaining row alone in the scalar step's substep loop;
+both loops do a lone row's arithmetic with the same bond-force bits, so
+where the switch falls changes no result.  A step whose drift would
+leave the guarded bond domain is rejected and retried at dt/2, down to
+dt/2**10; past that the step reports a blow-up candidate instead of
+emitting an out-of-domain state.
 
 Between stored field snapshots the field is held piecewise constant
 (left snapshot), matching the operator-split update order.
@@ -62,6 +66,12 @@ WALL_RESOLUTION = 0.05
 # Relative head-room of the one-substep screen's travel bound (see
 # _wall_substeps).
 SCREEN_MARGIN = 1e-6
+# Members of a sub-cycle that _advance_batch finishes one by one in
+# _substep_loop rather than in numpy passes over them.  A pass costs about
+# 11 us of numpy call overhead at any width, an interpreted substep of one
+# row about 0.5 us, so they break even near 20 rows; 16 leaves room for
+# each row's entry into the loop (2-core VM, Python 3.11, numpy 2.4).
+TAIL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -158,23 +168,60 @@ def _substeps_scalar(model: HookeModel, om: float, et: float, dt: float,
     reachable wall distance is the current one minus the shell-bounded
     travel, floored at the turning clearance of the energy shell (a fast
     bond turns within a thin layer near the wall; jumping over it would
-    leave the domain)."""
+    leave the domain).
+
+    The frequency term is skipped where ``_substeps_batch``'s
+    one-substep screen clears the row, which changes no count (see
+    ``_wall_substeps``)."""
     fh = abs(_force_scalar(model, om))
     m = max(1, math.ceil(fh * abs(dt) / control.eta_scale))
-    if model.kind is _hooke.HookeKind.TANGENT:
-        eps = model.epsilon
-        u_now = min(om, eps - om)
-        energy = 0.5 * et * et - (eps / math.pi) * math.log(math.sin(math.pi * u_now / eps))
-        clearance = (eps / math.pi) * math.asin(min(1.0, math.exp(-math.pi * energy / eps)))
-        clearance = max(clearance, 0.25 * model.guard)
-        travel = abs(dt) * math.sqrt(2.0 * energy)
-        outward = et > 0.0 if dt > 0.0 else et < 0.0
-        ahead = (eps - om) if outward else om
-        u_min = min(max(clearance, min(u_now, ahead - travel)), 0.5 * eps)
-        f_max = 1.0 / math.tan(math.pi * u_min / eps)
-        freq = math.sqrt((math.pi / eps) * (1.0 + f_max * f_max))
-        m = max(m, math.ceil(abs(dt) * freq / WALL_RESOLUTION))
-    return int(m)
+    if model.kind is not _hooke.HookeKind.TANGENT:
+        return int(m)
+    eps = model.epsilon
+    u_now = min(om, eps - om)
+    screen = _one_substep_threshold(eps, dt)
+    if screen is not None:
+        u_star, pot = screen
+        # The travel bound of _substeps_batch, bit for bit.
+        reach = math.sqrt(et * et + 2.0 * pot) * (abs(dt) * math.sqrt(1.0 + SCREEN_MARGIN))
+        if u_now - u_star >= reach:
+            return int(m)
+    energy = 0.5 * et * et - (eps / math.pi) * math.log(math.sin(math.pi * u_now / eps))
+    clearance = (eps / math.pi) * math.asin(min(1.0, math.exp(-math.pi * energy / eps)))
+    clearance = max(clearance, 0.25 * model.guard)
+    travel = abs(dt) * math.sqrt(2.0 * energy)
+    outward = et > 0.0 if dt > 0.0 else et < 0.0
+    ahead = (eps - om) if outward else om
+    u_min = min(max(clearance, min(u_now, ahead - travel)), 0.5 * eps)
+    f_max = 1.0 / math.tan(math.pi * u_min / eps)
+    freq = math.sqrt((math.pi / eps) * (1.0 + f_max * f_max))
+    return int(max(m, math.ceil(abs(dt) * freq / WALL_RESOLUTION)))
+
+
+def _substep_loop(om, e, d, k0, m, tan, model: HookeModel, lo, hi, eta_scale):
+    """Substeps k0 .. m-1 of one row's velocity-Verlet sub-cycle, in
+    Python floats: each drifts omega by d*e, then kicks e with the bond
+    force, a half kick on the last substep.  ``e`` enters with every
+    kick before substep k0 applied.  Returns (omega, e), or None as soon
+    as omega leaves (lo, hi) or |force|*|d| exceeds eta_scale.
+
+    ``tan`` evaluates the tangent law: ``math.tan`` in the scalar step,
+    ``np.tan`` in ``_advance_batch``'s tail, where it gives the bits of
+    the batch's array passes.  A custom law is called on the float.
+    """
+    tangent = model.kind is _hooke.HookeKind.TANGENT
+    # The forces of _force_scalar and _force_array, constants hoisted.
+    c, mid = math.pi / model.epsilon, 0.5 * model.epsilon
+    ad, last = abs(d), m - 1
+    for k in range(k0, m):
+        om += d * e
+        if not (lo < om < hi):
+            return None
+        fh = -float(tan(c * (om - mid))) if tangent else float(model.force_fn(om))
+        if abs(fh) * ad > eta_scale:
+            return None
+        e += (d if k < last else 0.5 * d) * fh
+    return om, e
 
 
 class _Rejected(Exception):
@@ -190,7 +237,9 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
     (fp, fm) at (x, omega), queried here when None, and the result is
     ((x, v, omega, eta), (fp2, fm2)) with the closing pair at the new
     state.  A halved step opens its first half with its own pair and its
-    second half with the first half's closing pair.
+    second half with the first half's closing pair.  The sub-cycle is
+    ``_substep_loop`` from substep 0 with ``math.tan``, the loop that
+    also finishes the batch's last few rows.
     """
     if pair is None:
         pair = snap.pm(x, om)
@@ -206,20 +255,11 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
         if m > MAX_SUBSTEPS:
             raise _Rejected
         d = dt / m
-        e1 += 0.5 * d * fh
-        om1 = om
-        # The tangent force of _force_scalar, with its constants hoisted.
-        tangent = model.kind is _hooke.HookeKind.TANGENT
-        c, mid, tan = math.pi / model.epsilon, 0.5 * model.epsilon, math.tan
-        ad, eta_scale, last = abs(d), control.eta_scale, m - 1
-        for k in range(m):
-            om1 += d * e1
-            if not (lo < om1 < hi):
-                raise _Rejected
-            fh = -tan(c * (om1 - mid)) if tangent else float(model.force_fn(om1))
-            if abs(fh) * ad > eta_scale:
-                raise _Rejected
-            e1 += (d if k < last else 0.5 * d) * fh
+        done = _substep_loop(om, e1 + 0.5 * d * fh, d, 0, m, math.tan, model, lo, hi,
+                             control.eta_scale)
+        if done is None:
+            raise _Rejected
+        om1, e1 = done
         x1 = x + dt * v1
 
         fp2, fm2 = snap.pm(x1, om1)
@@ -240,6 +280,8 @@ def _check_seed(state: ParticleState, model: HookeModel) -> None:
     g = model.guard
     if not (g < state.omega < model.epsilon - g):
         raise DomainError(f"omega={state.omega!r} outside the guarded bond domain")
+    if not all(map(math.isfinite, (state.x, state.v, state.eta))):
+        raise DomainError(f"seed {state!r} has a non-finite coordinate")
 
 
 def _segments(provider, t0: float, t1: float):
@@ -274,10 +316,10 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     The path records the difference field at each sample and the largest
     field norm seen.  If ``balance`` is given, oscillation events are
     detected on the sampled path (sign-change location between samples).
-    Raises DomainError for a seed outside the guarded bond domain,
-    FieldGapError if the provider does not cover [t0, t1] and
-    StepUnderflowError, with ``time`` the start of the failing step, if a
-    step cannot be taken even after halving.
+    Raises DomainError for a seed outside the guarded bond domain or
+    with a non-finite coordinate, FieldGapError if the provider does not
+    cover [t0, t1] and StepUnderflowError, with ``time`` the start of the
+    failing step, if a step cannot be taken even after halving.
 
     The step contract and the time grid are those of ``integrate_batch``,
     and so are the results, bit for bit where the bond law evaluates alike
@@ -329,24 +371,32 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     """Advance an (n, 4) array of states [x, v, omega, eta] in lockstep.
 
     Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch:
-    each step sub-cycles every member in one loop over prefixes of the
-    members ordered by substep count (see ``_advance_batch``), and a row
-    comes out bit-for-bit as it would alone.  Members whose step is
-    rejected fall back to scalar halving for that step only, so lockstep
-    sampling is preserved.  The field pair is queried once per segment:
-    a step's closing pair, taken at the states it returns, is the next
-    step's opening pair.  The state is held in an (n, 4) Fortran-order
-    array, so each of its columns is contiguous.  With ``record=True``
-    returns (final, t_samples, samples, f_minus) where samples has shape
-    (n_samples, n, 4) and f_minus from the same pairs; a slice ``record=rows``
-    records copies of ``states[rows]`` only.  Otherwise returns the final array.
-    A StepUnderflowError carries the start time of the failing step.
+    each step sub-cycles the members in one loop over prefixes of them
+    ordered by substep count, and finishes the last few alone (see
+    ``_advance_batch``); a row comes out bit-for-bit as it would alone.
+    Members whose step is rejected fall back to scalar halving for that
+    step only, so lockstep sampling is preserved.  The field pair is
+    queried once per segment: a step's closing pair, taken at the states
+    it returns, is the next step's opening pair.  The state is held in an
+    (n, 4) Fortran-order array, so each of its columns is contiguous.
+    With ``record=True`` returns (final, t_samples, samples, f_minus)
+    where samples has shape (n_samples, n, 4) and f_minus from the same
+    pairs; a slice ``record=rows`` records copies of ``states[rows]``
+    only.  Otherwise returns the final array.  Raises DomainError,
+    naming the first such row, if a row's omega is outside the guarded
+    bond domain or a coordinate is not finite.  A StepUnderflowError
+    carries the start time of the failing step.
     """
     z = np.array(states, dtype=float, order="F")
     if z.ndim != 2 or z.shape[1] != 4:
         raise DomainError("states must be an (n, 4) array")
     lo = model.guard
     hi = model.epsilon - model.guard
+    bad = ~(np.isfinite(z).all(axis=1) & (z[:, 2] > lo) & (z[:, 2] < hi))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"row {i}, [x, v, omega, eta] = {z[i].tolist()!r}: omega outside "
+                          "the guarded bond domain or a non-finite coordinate")
     rows = np.arange(*record.indices(len(z))) if isinstance(record, slice) else slice(None)
     ts = [t0]
     recs = [z[rows]] if record else None
@@ -400,11 +450,19 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     Ordered by m, descending, the rows still stepping at substep k are a
     prefix, so each pass works on slices with a per-row substep d = dt/m,
     and the rows whose last substep is k take the closing half kick; their
-    results are scattered back.  The arithmetic per row is that of a lone
-    row, so batching changes no result.  Rows past MAX_SUBSTEPS, and rows
-    whose substeps leave the guard band or break the impulse bound, are
-    redone by ``_advance_scalar`` (same contract, with halving) from their
-    opening pair, and its closing pair replaces theirs.
+    results are scattered back.  A pass costs about 11 us of numpy call
+    overhead whatever its width, so the passes stop at the first substep
+    kstop that at most TAIL_ROWS rows reach, and each of those rows
+    finishes substeps kstop .. m-1 alone in ``_substep_loop``, the scalar
+    step's loop, called with ``np.tan`` (the tail).  The arithmetic per row
+    is that of a lone row in either loop, and ``np.tan`` gives a Python
+    float the bits it gives an array, so batching, and where the tail
+    starts, changes no result.  Rows past MAX_SUBSTEPS, and rows whose
+    substeps leave the guard band or break the impulse bound, are redone
+    by ``_advance_scalar`` (same contract, with halving) from their
+    opening pair, and its closing pair replaces theirs; a tail row fails
+    at its first failing substep, or is skipped when its passes already
+    failed.
     """
     x, v, om, et = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
     fp, fm = snap.pm(x, om) if pair is None else pair
@@ -445,11 +503,13 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
         # skips a NaN force as the comparison does, and rounding
         # |force| * |d| is monotone in |force|.
         lo_s, hi_s, top_s = oo.copy(), oo.copy(), np.abs(f0[idx])
-        steps = int(ms[0])
-        # live[k]: members with more than k substeps.
-        live = np.searchsorted(-ms, -np.arange(steps + 1), side="left").tolist()
+        # The passes stop at the first substep, kstop, that at most
+        # TAIL_ROWS members reach; live[k]: members with more than k
+        # substeps.
+        kstop = int(ms[TAIL_ROWS]) if TAIL_ROWS < ms.size else 1
+        live = np.searchsorted(-ms, -np.arange(kstop + 1), side="left").tolist()
         n = -1
-        for k in range(1, steps):
+        for k in range(1, kstop):
             if live[k] != n:
                 n = live[k]
                 on, dn, en = oo[:n], ds[:n], es[:n]
@@ -468,8 +528,18 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
                 es[:n1] += ds[:n1] * fhk[:n1]
                 # Members whose last substep is k close with a half kick.
                 es[n1:n] += hds[n1:n] * fhk[n1:]
+        fail = ~((lo_s > lo) & (hi_s < hi)) | (top_s * np.abs(ds) > control.eta_scale)
+        # The tail: members still stepping at kstop that pass so far
+        # finish alone, and fail at their first failing substep.
+        for j in np.flatnonzero(~fail[:live[kstop]]).tolist():
+            done = _substep_loop(float(oo[j]), float(es[j]), float(ds[j]), kstop,
+                                 int(ms[j]), np.tan, model, lo, hi, control.eta_scale)
+            if done is None:
+                fail[j] = True
+            else:
+                oo[j], es[j] = done
         o[idx], ee[idx] = oo, es
-        bad[idx] = ~((lo_s > lo) & (hi_s < hi)) | (top_s * np.abs(ds) > control.eta_scale)
+        bad[idx] = fail
 
     x1 = np.add(x, dt * v1, out=out[:, 0])
     fp2, fm2 = snap.pm(x1, o)
@@ -562,7 +632,11 @@ def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.
       ceiling at 1 for any error in freq below a factor of 2.
 
     A NaN or infinite row fails the screen's comparison and is counted
-    here.
+    here.  ``_substeps_scalar`` runs the same screen and the same count
+    in ``math``, and the argument holds there unchanged: it rests only on
+    the monotonicity of each step of the count and on errors of a few ulps
+    per operation, which ``math``'s sin, log, asin, exp, tan and sqrt
+    meet as numpy's do.
     """
     eps = model.epsilon
     # Equal bit for bit to the potential's where(om >= eps/2, eps - om,

@@ -217,6 +217,34 @@ class TestFieldPm:
         assert fp == snap.total
         assert fm == 0.0
 
+    def test_one_search_equals_two_queries(self, rng):
+        # pm looks x + omega and x - omega up in one stacked search; its
+        # values are those of two ``at`` queries, bit for bit, and 0-d
+        # input still gives Python floats.
+        pos, charges = TestMergedSnapshot().tie_heavy(rng)
+        snap = FieldSnapshot(pos, charges)
+
+        def two_at(x, om):
+            right = snap.at(np.asarray(x, dtype=float) + om)
+            left = snap.at(np.asarray(x, dtype=float) - om)
+            return right + left, right - left
+
+        inf, nan = np.inf, np.nan
+        # Key hits on both sides, -0.0, +-inf and NaN.
+        pairs = [(1.0, 1.0), (-2.0, 2.0), (0.5, 0.5), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                 (inf, 0.3), (-inf, 0.3), (0.0, inf), (inf, inf), (nan, 0.3), (0.3, nan)]
+        for x, om in pairs:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got, want = snap.pm(x, om), two_at(x, om)
+            assert all(type(g) is float for g in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (x, om)
+        x = np.concatenate([rng.uniform(-6, 6, 200), pos[:50], [-0.0, inf, -inf, nan]])
+        om = np.concatenate([rng.uniform(0, 3, 200), rng.integers(0, 3, 50), [0.0, 1.0, 1.0, 1.0]])
+        for args in ((x, om), (x, 0.5), (0.25, om), (x[:, None], om[None, :8])):
+            got, want = snap.pm(*args), two_at(*args)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
 
 class TestNorms:
     def test_values(self):

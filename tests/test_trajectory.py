@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from diatomic_vlasov import (
     integrate_batch,
     jacobian_estimate,
     potential_to_midpoint,
+    table_model,
     tangent_model,
     zero_field,
 )
@@ -42,6 +44,15 @@ def reference_bond_orbit(model_eps, omega0, eta0, t_eval, f_minus=0.0):
     sol = solve_ivp(rhs, (0.0, t_eval[-1]), [omega0, eta0], t_eval=t_eval,
                     rtol=1e-12, atol=1e-14, method="DOP853", max_step=0.01)
     return sol.y
+
+
+def cubic_model():
+    """Cubic bond law: numpy and Python floats evaluate it alike, bit for bit."""
+    def cubic(w):
+        u = np.asarray(w, dtype=float) - 0.5
+        return -1000.0 * u * u * u
+
+    return custom_model(1.0, cubic)
 
 
 def push(st, provider, model, dt):
@@ -95,6 +106,13 @@ class TestPush:
                                 zero_field(), model, t0, t1, ctl)
             assert exc.value.time == pytest.approx(0.04 if t1 > t0 else 0.06, rel=1e-12)
             assert f"from t={exc.value.time!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coord", ["x", "v", "eta"])
+    def test_non_finite_seed_rejected(self, tan1, coord, value):
+        seed = dict(x=0.0, v=0.0, omega=0.5, eta=0.1) | {coord: value}
+        with pytest.raises(DomainError, match="non-finite coordinate"):
+            integrate(ParticleState(**seed), zero_field(), tan1, 0.0, 0.02, StepControl(dt=0.01))
 
 
 class TestIntegrateAccuracy:
@@ -340,6 +358,24 @@ class TestBatch:
         assert ts.shape[0] == samples.shape[0] == fm.shape[0] == 11
         np.testing.assert_array_equal(samples[-1], final)
 
+    # Rows with omega outside the guarded band or a coordinate that is
+    # not finite: each is named, whatever the rows after it.
+    @pytest.mark.parametrize("row", [
+        pytest.param([0.0, 0.0, 1.5, 0.0], id="omega-1.5"),
+        pytest.param([0.0, 0.0, math.nan, 0.0], id="omega-nan"),
+        pytest.param([0.0, 0.0, 1e-9, 0.0], id="omega-on-guard"),
+        pytest.param([0.0, 0.0, 0.5, math.nan], id="eta-nan"),
+        pytest.param([0.0, 0.0, 0.5, math.inf], id="eta-inf"),
+        pytest.param([0.0, 0.0, 0.5, -math.inf], id="eta--inf"),
+        pytest.param([math.inf, 0.0, 0.5, 0.0], id="x-inf"),
+        pytest.param([0.0, math.nan, 0.5, 0.0], id="v-nan")])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_bad_rows_rejected(self, tan1, row, backward):
+        z = np.array([[0.0, 0.1, 0.5, 0.1], row, [0.0, 0.0, 2.0, 0.0]])
+        t0, t1 = (0.02, 0.0) if backward else (0.0, 0.02)
+        with pytest.raises(DomainError, match=r"^row 1, \[x, v, omega, eta\] = \["):
+            integrate_batch(z, zero_field(), tan1, t0, t1, StepControl(dt=0.01))
+
     def test_record_empty_span(self, tan1):
         z0 = np.array([[0.0, 0.1, 0.5, 0.1]])
         snap = build_field(Ensemble([0.45], [0.0], [0.5], [0.0], [0.3]))
@@ -544,11 +580,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("dt", [0.05, -0.05])
     def test_custom_law_matches_scalar_step(self, dt, fallback):
-        def cubic(w):
-            u = np.asarray(w, dtype=float) - 0.5
-            return -1000.0 * u * u * u
-
-        model = custom_model(1.0, cubic)
+        model = cubic_model()
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.guard, model.epsilon - model.guard
@@ -575,11 +607,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("dt", [0.05, -0.05])
     def test_custom_law_late_failures(self, dt, fallback):
-        def cubic(w):
-            u = np.asarray(w, dtype=float) - 0.5
-            return -1000.0 * u * u * u
-
-        model = custom_model(1.0, cubic)
+        model = cubic_model()
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.guard, model.epsilon - model.guard
@@ -588,6 +616,154 @@ class TestBatchIndependence:
         for i, row in enumerate(self.LATE_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
             np.testing.assert_array_equal(out[i], step[0])
+
+
+def test_np_tan_on_floats_equals_np_tan_on_arrays():
+    # _advance_batch's tail finishes rows with np.tan on Python floats
+    # where its passes use np.tan on arrays; its bits rest on the two
+    # agreeing, whatever the array's length and alignment.
+    rng = np.random.default_rng(11)
+    half_pi = 0.5 * math.pi
+    args = np.concatenate([
+        rng.uniform(-half_pi, half_pi, 400),
+        half_pi - 10.0 ** rng.uniform(-12, -1, 200),    # near the walls
+        -half_pi + 10.0 ** rng.uniform(-12, -1, 200),
+        rng.uniform(-1e3, 1e3, 100), [0.0, -0.0, half_pi, -half_pi]])
+    for n in range(1, 18):
+        for start in range(0, args.size - n + 1, n + 3):
+            arr = args[start:start + n]
+            alone = np.array([np.tan(float(a)) for a in arr])
+            assert np.array_equal(alone.view(np.uint64), np.tan(arr).view(np.uint64)), (
+                f"premise of _advance_batch's tail broken: np.tan on Python floats differs "
+                f"from np.tan on an array of length {n} at {arr.tolist()}")
+
+
+class TestTail:
+    """Where the sub-cycle leaves its numpy passes for the per-row loop
+    changes no bit: every row ends in the same state with the same
+    closing pair, and the same rows go to the scalar fallback, whether
+    no row, every row or any number between finishes in the tail."""
+
+    SNAP = build_field(Ensemble([-0.3, 0.1, 0.4], [0, 0, 0], [0.45, 0.5, 0.6], [0, 0, 0],
+                                [0.2, 0.3, 0.1]))
+
+    @staticmethod
+    def step(rows, snap, model, dt, ctl, tail):
+        """_advance_batch with TAIL_ROWS = tail: the bytes of the state and
+        of the closing pair and the omegas handed to the scalar fallback,
+        or the underflow message."""
+        lo, hi = model.guard, model.epsilon - model.guard
+        handed = []
+        scalar = trajectory._advance_scalar
+
+        def spy(*args):
+            if len(args) == 9:  # called by _advance_batch, not a halving
+                handed.append(args[2])
+            return scalar(*args)
+
+        with mock.patch.object(trajectory, "TAIL_ROWS", tail), \
+                mock.patch.object(trajectory, "_advance_scalar", spy):
+            try:
+                out, (fp, fm) = trajectory._advance_batch(rows, snap, model, dt, ctl, lo, hi)
+            except StepUnderflowError as exc:
+                return str(exc), handed
+        return out.tobytes("F"), fp.tobytes(), fm.tobytes(), handed
+
+    def assert_tails_agree(self, rows, snap, model, dt, ctl, tails):
+        want = self.step(rows, snap, model, dt, ctl, 0)
+        for tail in tails:
+            assert self.step(rows, snap, model, dt, ctl, tail) == want, f"TAIL_ROWS={tail}"
+        return want
+
+    @staticmethod
+    def table():
+        # The tangent law tabulated on [0.001, 0.999].
+        grid = np.linspace(0.001, 0.999, 999)
+        return table_model(1.0, grid, -np.tan(np.pi * (grid - 0.5)))
+
+    # Table law, eta_scale 0.02: m = 1 near the midpoint, tens of
+    # substeps near the walls; rows heading out fail the impulse bound.
+    TABLE_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],
+        [0.1, 0.0, 0.97, 0.0],
+        [0.2, 0.0, 0.03, -0.4],
+        [0.3, 0.0, 0.97, 0.4],
+        [0.4, 0.0, 0.9, -0.2],
+        [0.5, 0.0, 0.1, 0.3],
+        [0.6, 0.0, 0.985, -0.5],
+    ])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("case", ["rows", "cubic", "late", "table"])
+    def test_no_tail_and_all_tail_agree(self, tan1, case, sign):
+        if case == "rows":
+            rows, model, ctl = TestBatchIndependence.ROWS, tan1, StepControl(dt=2.5e-3)
+        elif case == "table":
+            rows, model, ctl = self.TABLE_ROWS, self.table(), StepControl(dt=0.05, eta_scale=0.02)
+        else:
+            rows = (TestBatchIndependence.CUBIC_ROWS if case == "cubic"
+                    else TestBatchIndependence.LATE_ROWS)
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=2.0)
+        want = self.assert_tails_agree(rows, self.SNAP, model, sign * ctl.dt, ctl,
+                                       [len(rows) + 1, 1, 3, trajectory.TAIL_ROWS])
+        assert want[-1], "no row reached the fallback"
+
+    # Cubic law, eta_scale 0.05, substep counts 1, 28, 28, 64, 4, 2, 2.
+    # With TAIL_ROWS = 3 the passes stop at substep 4: row 2 fails the
+    # impulse bound at substep 1, in the passes; row 1 fails it at
+    # substep 6, in the tail; row 3 finishes in the tail.  Backward, eta
+    # is mirrored.
+    CROSS_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],
+        [0.1, 0.0, 0.8, 0.5],
+        [0.2, 0.0, 0.8, 1.25],
+        [0.3, 0.0, 0.9, -0.3],
+        [0.4, 0.0, 0.65, 0.0],
+        [0.5, 0.0, 0.62, 0.0],
+        [0.6, 0.0, 0.38, 0.0],
+    ])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_fail_before_and_after_the_crossover(self, sign):
+        rows = self.CROSS_ROWS * [1.0, 1.0, 1.0, sign]
+        model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+        loops = []
+        loop = trajectory._substep_loop
+
+        def spy(om, e, d, k0, m, tan, *rest):
+            done = loop(om, e, d, k0, m, tan, *rest)
+            if tan is np.tan:
+                loops.append((k0, m, done is None))
+            return done
+
+        with mock.patch.object(trajectory, "_substep_loop", spy):
+            want = self.assert_tails_agree(rows, self.SNAP, model, sign * ctl.dt, ctl, [3])
+        assert want[-1] == [0.8, 0.8]
+        # Row 2 failed in the passes and is skipped; rows 3 and 1 finish
+        # in the tail from substep 4, and row 1 fails there.
+        assert loops == [(4, 64, False), (4, 28, True)]
+
+    @given(law=hs.sampled_from(["tangent", "cubic"]), backward=hs.booleans(),
+           tail=hs.integers(0, 25),
+           rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
+                         min_size=1, max_size=16))
+    @example(law="cubic", backward=False, tail=2,
+             rows=[(0.0, 0.0), (0.67, 0.2), (0.67, 0.5), (0.89, -0.12), (0.33, 0.0)])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_mixed_rows(self, law, backward, tail, rows):
+        if law == "tangent":
+            # Wall distances 1e-6 .. 0.5 at either wall, |eta| <= 2.
+            model, ctl = tangent_model(1.0), StepControl(dt=2.5e-3)
+            om = [10.0 ** (-6.0 + 5.7 * abs(a)) for a, _ in rows]
+            om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
+            eta = [2.0 * b for _, b in rows]
+        else:
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+            om = [0.5 + 0.45 * a for a, _ in rows]
+            eta = [2.5 * b for _, b in rows]
+        z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
+        dt = -ctl.dt if backward else ctl.dt
+        self.assert_tails_agree(z, self.SNAP, model, dt, ctl, [tail])
 
 
 class TestOneSubstepScreen:
@@ -600,20 +776,19 @@ class TestOneSubstepScreen:
         m = np.maximum(1, np.ceil(np.abs(fh) * abs(dt) / ctl.eta_scale))
         return np.maximum(m, trajectory._wall_substeps(model, om, e1, dt))
 
-    @given(eps=hs.floats(1e-3, 50.0), log_dt=hs.floats(-12.0, -1.0), backward=hs.booleans(),
-           fracs=hs.lists(hs.floats(0.0, 1.0), min_size=1, max_size=20),
-           etas=hs.lists(hs.one_of(hs.floats(-20.0, 20.0), hs.floats()), min_size=1,
-                         max_size=20),
-           ulps=hs.integers(-4, 4))
-    @example(eps=1.0, log_dt=-1.5, backward=False, fracs=[0.5], etas=[0.0], ulps=0)
-    @example(eps=1.0, log_dt=-12.0, backward=True, fracs=[0.3], etas=[1.0], ulps=1)
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    def test_screened_counts_equal_full_counts(self, eps, log_dt, backward, fracs, etas,
-                                               ulps):
-        model = tangent_model(eps)
-        dt = -(10.0 ** log_dt) if backward else 10.0 ** log_dt
-        ctl = StepControl(dt=abs(dt))
-        # Random rows, NaN and infinite rows.
+    # eps, |dt| of both signs, random rows and the screen's edge cases.
+    CASES = dict(eps=hs.floats(1e-3, 50.0), log_dt=hs.floats(-12.0, -1.0),
+                 backward=hs.booleans(),
+                 fracs=hs.lists(hs.floats(0.0, 1.0), min_size=1, max_size=20),
+                 etas=hs.lists(hs.one_of(hs.floats(-20.0, 20.0), hs.floats()), min_size=1,
+                               max_size=20),
+                 ulps=hs.integers(-4, 4))
+
+    @staticmethod
+    def rows(eps, dt, fracs, etas, ulps):
+        """(omega, e1) lists: random rows, NaN and infinite rows and, when
+        the screen is on, rows a few ulps either side of u* at both walls
+        and rows on the screen's boundary."""
         om = [f * eps for f in fracs] + [0.5 * eps] * 3 + [math.nan]
         e1 = [etas[i % len(etas)] for i in range(len(fracs))] + [math.nan, math.inf,
                                                                   -math.inf, 0.0]
@@ -633,12 +808,50 @@ class TestOneSubstepScreen:
                 e *= 1.0 + ulps * 2.0 ** -52
                 om += [un, eps - un]
                 e1 += [e, -e]
-        om, e1 = np.array(om), np.array(e1)
+        return om, e1
+
+    @given(**CASES)
+    @example(eps=1.0, log_dt=-1.5, backward=False, fracs=[0.5], etas=[0.0], ulps=0)
+    @example(eps=1.0, log_dt=-12.0, backward=True, fracs=[0.3], etas=[1.0], ulps=1)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_screened_counts_equal_full_counts(self, eps, log_dt, backward, fracs, etas,
+                                               ulps):
+        model = tangent_model(eps)
+        dt = -(10.0 ** log_dt) if backward else 10.0 ** log_dt
+        ctl = StepControl(dt=abs(dt))
+        om, e1 = map(np.array, self.rows(eps, dt, fracs, etas, ulps))
         with np.errstate(all="ignore"):
             fh = trajectory._force_array(model, om)
             got = trajectory._substeps_batch(model, om, e1, fh, dt, ctl)
             want = self.full_counts(model, om, e1, dt, ctl)
         np.testing.assert_array_equal(got, want)
+
+    @given(**CASES)
+    @example(eps=1.0, log_dt=-1.5, backward=False, fracs=[0.5], etas=[0.0], ulps=0)
+    @example(eps=1.0, log_dt=-12.0, backward=True, fracs=[0.3], etas=[1.0], ulps=1)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_scalar_counts_equal_with_screen_off(self, eps, log_dt, backward, fracs, etas,
+                                                 ulps):
+        # _substeps_scalar runs the screen in math; switched off, every
+        # row takes the full count, and each count (or the error a NaN
+        # row or a row on a wall raises) is the same.
+        model = tangent_model(eps)
+        dt = -(10.0 ** log_dt) if backward else 10.0 ** log_dt
+        ctl = StepControl(dt=abs(dt))
+        om, e1 = self.rows(eps, dt, fracs, etas, ulps)
+
+        def counts():
+            out = []
+            for o, e in zip(om, e1):
+                try:
+                    out.append(trajectory._substeps_scalar(model, o, e, dt, ctl))
+                except (ValueError, OverflowError) as exc:
+                    out.append(type(exc))
+            return out
+
+        on = counts()
+        with mock.patch.object(trajectory, "_one_substep_threshold", lambda eps, dt: None):
+            assert counts() == on
 
     def test_threshold(self):
         # |dt| * freq(u*) / WALL_RESOLUTION is 1/2, and U(u*) is the bond
