@@ -19,7 +19,6 @@ from .errors import (
     NoConfinementError,
     QuadratureError,
     RangeError,
-    SegmentOutOfRangeError,
     StepUnderflowError,
     ToleranceError,
     VacuousBoundError,
@@ -32,7 +31,6 @@ from .hooke import (
     balance_points,
     custom_model,
     force,
-    force_derivative,
     inverse_potential,
     load_table_model,
     potential_to_midpoint,
@@ -57,7 +55,6 @@ from .trajectory import (
     StepControl,
     TrajectoryPath,
     detect_events,
-    energy_residual,
     integrate,
     integrate_batch,
     jacobian_estimate,
@@ -86,7 +83,6 @@ from .picard import (
     IterationRecord,
     SupportBounds,
     iterate,
-    solve_linear,
     support_bounds,
 )
 from .simulator import (

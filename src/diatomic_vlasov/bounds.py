@@ -11,9 +11,9 @@ envelope on each excursion, return-time and drift-rate bounds through the
 potential inverse, and a global envelope plus a confinement interval for
 the bond length over any horizon.
 
-Both families share the naming C1/C2 in their usual statements; here the
-long-time pair is suffixed ``_sec5`` style as ``drift_rate`` /
-``envelope_rate`` fields on the certificate to keep them apart.
+Both families share the naming C1/C2 in their usual statements; on the
+certificate the long-time pair is ``C1_exc`` / ``C2_exc`` to keep them
+apart.
 
 ``certify`` replays a sampled trajectory against a certificate.  The
 certificate never consumes path data for its constants (no circularity):
@@ -116,26 +116,17 @@ def displacement_bound(p: BoundParameters, omega: float, eta: float, s: float) -
     return s * phase_bound(p, omega, eta, s)
 
 
-def _confinement_fn(p: BoundParameters):
-    c1, c2 = gronwall_constants(p)
-    amp = p.epsilon + p.R
-
-    def f(s: float) -> float:
-        e = math.exp(c1 * s)
-        return s * e * amp + c2 * s * (e - 1.0) / c1
-
-    return f
-
-
 def confinement_time(p: BoundParameters) -> float:
-    """Largest t0 with s e^{C1 s}(eps+R) + C2 s (e^{C1 s}-1)/C1 below
-    eps0/4 on [0, t0]; trajectories started in [eps0, eps-eps0] x [-R, R]
-    then stay in the eps0/2 band up to t0.
+    """Largest t0 with displacement_bound(p, eps, R, s) below eps0/4 on
+    [0, t0]; trajectories started in [eps0, eps-eps0] x [-R, R] then stay
+    in the eps0/2 band up to t0.
 
     The defining function is strictly increasing from 0, so a bracketing
     bisection on it always succeeds.
     """
-    f = _confinement_fn(p)
+    def f(s: float) -> float:
+        return displacement_bound(p, p.epsilon, p.R, s)
+
     target = 0.25 * p.epsilon0 * (1.0 - 1e-12)
     hi = 1.0
     while f(hi) < target:
@@ -152,10 +143,11 @@ def confinement_time(p: BoundParameters) -> float:
     return lo
 
 
-def excursion_envelope(H1: float, p: BoundParameters) -> float:
+def excursion_envelope(H1: float, p) -> float:
     """Peak |eta| during one excursion past a balance point:
-    sqrt(H1**2 + 4 eps C)."""
-    return math.sqrt(H1 * H1 + 4.0 * p.epsilon * p.C)
+    sqrt(H1**2 + 4 eps C).  ``p`` is any object with ``epsilon`` and ``C``
+    (parameters or a certificate)."""
+    return math.sqrt(H1 ** 2 + 4.0 * p.epsilon * p.C)
 
 
 def _I_M(p: BoundParameters, balance: BalancePoints) -> float:
@@ -164,6 +156,12 @@ def _I_M(p: BoundParameters, balance: BalancePoints) -> float:
 
 def _I_m(p: BoundParameters, balance: BalancePoints) -> float:
     return _hooke.potential_to_midpoint(p.model, balance.omega_m)
+
+
+def _gap(p: BoundParameters, level: float, balance: BalancePoints) -> float:
+    """hinv(level) - Omega_M: how far past the right balance point the
+    potential reaches ``level``."""
+    return _hooke.inverse_potential(p.model, level, Branch.RIGHT) - balance.omega_M
 
 
 def turning_point_band(H1: float, p: BoundParameters,
@@ -185,8 +183,7 @@ def return_time_lower_bound(H1: float, p: BoundParameters,
     level = 0.5 * H1 * H1 + _I_M(p, balance) - p.epsilon * p.C
     if level <= 0.0:
         return 0.0
-    turn = _hooke.inverse_potential(p.model, level, Branch.RIGHT)
-    num = turn - balance.omega_M
+    num = _gap(p, level, balance)
     if num <= 0.0:
         return 0.0
     return 2.0 * num / excursion_envelope(H1, p)
@@ -201,17 +198,17 @@ def drift_rate_bound(H1: float, p: BoundParameters,
     level = 0.5 * H1 * H1 + _I_M(p, balance) - p.epsilon * p.C
     if level <= 0.0:
         raise VacuousBoundError("potential level below the balance level; bound vacuous")
-    turn = _hooke.inverse_potential(p.model, level, Branch.RIGHT)
-    den = turn - balance.omega_M
+    den = _gap(p, level, balance)
     if den <= 0.0:
         raise VacuousBoundError("nonpositive denominator; bound vacuous")
     return 2.0 * p.epsilon * p.C / den
 
 
-def chaotic_bound(H1: float, t_minus_t1: float, C: float) -> float:
+def chaotic_bound(H1: float, t_minus_t1, C: float):
     """Linear-in-time bound 2C(t - t1) + |H1| valid while the bond stays
-    between the balance points."""
-    if t_minus_t1 < 0.0:
+    between the balance points; ``t_minus_t1`` may be an array of elapsed
+    times."""
+    if np.min(t_minus_t1) < 0.0:
         raise RangeError("elapsed time must be nonnegative")
     return 2.0 * C * t_minus_t1 + abs(H1)
 
@@ -221,23 +218,21 @@ def global_envelope(p: BoundParameters, eta_M: float, T: float,
     """(C1_exc, C2_exc, envelope) of the horizon-T speed bound.
 
     C1_exc = 2 eps C / (hinv(eps C + I_M) - Omega_M), C2_exc = max{2C, C1_exc},
-    envelope = sqrt((C2_exc T + eta_M)**2 + 4 eps C).
+    envelope = excursion_envelope(C2_exc T + eta_M).
     """
     if T < 0.0:
         raise RangeError("T must be nonnegative")
     balance = balance or _hooke.balance_points(p.model, p.C)
     level = p.epsilon * p.C + _I_M(p, balance)
     try:
-        turn = _hooke.inverse_potential(p.model, level, Branch.RIGHT)
+        den = _gap(p, level, balance)
     except RangeError as exc:
         raise InvalidCError(f"potential never reaches the excursion level: {exc}") from exc
-    den = turn - balance.omega_M
     if den <= 0.0:
         raise InvalidCError("excursion denominator nonpositive; increase C")
     c1 = 2.0 * p.epsilon * p.C / den
     c2 = max(2.0 * p.C, c1)
-    env = math.sqrt((c2 * T + eta_M) ** 2 + 4.0 * p.epsilon * p.C)
-    return c1, c2, env
+    return c1, c2, excursion_envelope(c2 * T + eta_M, p)
 
 
 def omega_confinement(p: BoundParameters, omega0: float, eta_M: float, T: float,
@@ -431,7 +426,7 @@ def _runs(mask: np.ndarray):
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
+def certify(path: TrajectoryPath, cert: BoundCertificate,
             slack: float = DEFAULT_SLACK) -> CertReport:
     """Verify every certificate inequality against a sampled trajectory.
 
@@ -440,9 +435,9 @@ def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
     entry), the per-excursion speed envelope across each exit/return pair,
     the global speed envelope, the bond confinement interval, and the
     work bound C*eps on every segment of constant eta sign.  The logged
-    field norms must not exceed C (precondition of every bound).
+    field norms must not exceed C (precondition of every bound).  The
+    excursions are read from ``path.events``.
     """
-    events = path.events if events is None else events
     om = path.omega
     h = path.eta
     t = path.t
@@ -461,7 +456,7 @@ def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
     first_bad = None
     worst = math.inf
     for a, b in _runs(inside):
-        bound = 2.0 * cert.C * (t[a:b + 1] - t[a]) + abs(h[a]) + slack
+        bound = chaotic_bound(h[a], t[a:b + 1] - t[a], cert.C) + slack
         margin = bound - np.abs(h[a:b + 1])
         worst = min(worst, float(margin.min()))
         bad = np.nonzero(margin < 0.0)[0]
@@ -473,7 +468,7 @@ def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
     # Excursions: pair each exit with the next return at the same boundary.
     spans = []
     open_exits: dict[str, object] = {}
-    for ev in sorted(events, key=lambda e: e.time):
+    for ev in sorted(path.events, key=lambda e: e.time):
         if ev.kind is EventKind.EXIT_CHAOTIC and ev.boundary is not None:
             open_exits.setdefault(ev.boundary, ev)
         elif ev.kind is EventKind.RETURN_TIME and ev.boundary in open_exits:
@@ -484,7 +479,7 @@ def certify(path: TrajectoryPath, cert: BoundCertificate, events=None,
     first_bad = None
     worst = math.inf
     for ex, end in spans:
-        env = math.sqrt(ex.state.eta ** 2 + 4.0 * cert.epsilon * cert.C)
+        env = excursion_envelope(ex.state.eta, cert)
         sel = (t >= ex.time) & (t <= end)
         margin = env + slack - np.abs(h[sel])
         if margin.size:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundCertificate, BoundParameters, build_certificate,
+from .bounds import (DEFAULT_SLACK, BoundCertificate, BoundParameters, build_certificate,
                      certificate_parameters, certify)
 from .datum import sample_datum
 from .errors import (
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="re-check dumped seed paths")
     p.add_argument("--path", required=True, help="run directory")
-    p.add_argument("--slack", type=float, default=1e-6)
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     return ap
 
 

@@ -21,8 +21,6 @@ from .field import Ensemble
 
 __all__ = ["BumpDatum", "sample_datum", "sobol_box"]
 
-AXES = ("x", "v", "omega", "eta")
-
 
 @dataclass(frozen=True)
 class BumpDatum:
@@ -53,12 +51,8 @@ class BumpDatum:
             out = out * prof
         return out
 
-    def sup(self) -> float:
-        return self.amplitude
 
-
-def sample_datum(datum: BumpDatum, box, shape, epsilon: float,
-                 time: float = 0.0) -> Ensemble:
+def sample_datum(datum: BumpDatum, box, shape, epsilon: float) -> Ensemble:
     """Midpoint-quadrature particle sampling of a datum over a box.
 
     ``box`` is ((x_lo, x_hi), (v_lo, v_hi), (om_lo, om_hi), (eta_lo,
@@ -89,15 +83,15 @@ def sample_datum(datum: BumpDatum, box, shape, epsilon: float,
     return Ensemble(
         x=gx.ravel()[keep], v=gv.ravel()[keep],
         omega=go.ravel()[keep], eta=ge.ravel()[keep],
-        w=vals * cell, f_values=vals, time=time)
+        w=vals * cell, f_values=vals)
 
 
-def sobol_box(n: int, lo, hi, seed: int | None = None) -> np.ndarray:
-    """First n points of the 4d Sobol sequence (unscrambled unless seeded)
-    scaled into the box [lo, hi].  A degenerate axis (hi <= lo) is padded
-    to lo + 1e-300, or to the next float where that sum rounds back to lo.
+def sobol_box(n: int, lo, hi) -> np.ndarray:
+    """First n points of the unscrambled 4d Sobol sequence scaled into the
+    box [lo, hi].  A degenerate axis (hi <= lo) is padded to lo + 1e-300,
+    or to the next float where that sum rounds back to lo.
     """
-    sampler = qmc.Sobol(d=4, scramble=seed is not None, seed=seed)
+    sampler = qmc.Sobol(d=4, scramble=False)
     pts = sampler.random_base2(max(1, math.ceil(math.log2(max(2, n)))))[:n]
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     pad = np.maximum(lo + 1e-300, np.nextafter(lo, np.inf))

@@ -27,7 +27,7 @@ class EmptyEnsembleError(DiatomicVlasovError):
 
 class StepUnderflowError(DiatomicVlasovError):
     """Step halving reached dt_min with the bond length still leaving the
-    guard band.  Carries the offending state and the start time of the
+    bond domain.  Carries the offending state and the start time of the
     failing step, once known, for post-mortem inspection; the message
     names that time."""
 
@@ -43,10 +43,6 @@ class StepUnderflowError(DiatomicVlasovError):
 
 class FieldGapError(DiatomicVlasovError):
     """A field provider lacks snapshots covering the requested interval."""
-
-
-class SegmentOutOfRangeError(DiatomicVlasovError):
-    """A diagnostic segment lies outside the sampled path range."""
 
 
 class InvalidCError(DiatomicVlasovError):

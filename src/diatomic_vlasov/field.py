@@ -70,17 +70,12 @@ def write_table(path, header, columns, end: str = "\r\n") -> None:
 
 @dataclass(frozen=True)
 class ParticleState:
-    """One phase-space point with its statistical mass."""
+    """One phase-space point."""
 
     x: float
     v: float
     omega: float
     eta: float
-    w: float = 0.0
-
-    def __post_init__(self):
-        if not (self.w >= 0.0):
-            raise DomainError(f"particle mass must be nonnegative, got {self.w!r}")
 
 
 class Ensemble:
@@ -111,11 +106,6 @@ class Ensemble:
     def __len__(self) -> int:
         return self.x.size
 
-    def __getitem__(self, i: int) -> ParticleState:
-        return ParticleState(x=float(self.x[i]), v=float(self.v[i]),
-                             omega=float(self.omega[i]), eta=float(self.eta[i]),
-                             w=float(self.w[i]))
-
     def with_coords(self, x, v, omega, eta, time: float) -> "Ensemble":
         """New ensemble with moved coordinates; masses and values shared."""
         return Ensemble(x, v, omega, eta, self.w, f_values=self.f_values, time=time)
@@ -144,11 +134,11 @@ class Ensemble:
         write_table(path, ["x_sorted", "cum_mass"], [positions, prefix[1:]])
 
     @classmethod
-    def load_csv(cls, path, time: float = 0.0) -> "Ensemble":
+    def load_csv(cls, path) -> "Ensemble":
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
         if data.shape[1] != 5:
             raise DomainError(f"{path}: expected columns x,v,omega,eta,w")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], time=time)
+        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
 
 
 def _sorted_prefix(positions, charges) -> tuple[np.ndarray, np.ndarray]:
@@ -182,9 +172,9 @@ class FieldSnapshot:
     every value is bitwise equal to it.  Positions must not be NaN.
     """
 
-    __slots__ = ("_keys", "_values", "total", "time")
+    __slots__ = ("_keys", "_values", "total")
 
-    def __init__(self, positions: np.ndarray, charges: np.ndarray, time: float = 0.0):
+    def __init__(self, positions: np.ndarray, charges: np.ndarray):
         pos, prefix = _sorted_prefix(positions, charges)
         if pos.size and np.isnan(pos[-1]):  # NaN sorts last
             raise DomainError("field charge positions must not be NaN")
@@ -194,7 +184,6 @@ class FieldSnapshot:
         starts = np.flatnonzero(first)
         p = prefix[np.append(starts, pos.size)]  # P_0 .. P_U
         self.total = float(prefix[-1])
-        self.time = float(time)
         self._keys = np.append(pos[starts], math.inf)
         self._values = np.empty((p.size, 2))
         # Between positions the charge at x is 0 and "- 0.5 * 0.0" is exact.
@@ -203,8 +192,8 @@ class FieldSnapshot:
         self._values[-1, 1] = self._values[-1, 0]
 
     @classmethod
-    def empty(cls, time: float = 0.0) -> "FieldSnapshot":
-        return cls(np.empty(0), np.empty(0), time=time)
+    def empty(cls) -> "FieldSnapshot":
+        return cls(np.empty(0), np.empty(0))
 
     def at(self, x):
         """Field value(s) at x: half of right mass minus left mass, charge
@@ -278,7 +267,7 @@ def build_field(ensemble: Ensemble) -> FieldSnapshot:
     """
     if len(ensemble) == 0:
         raise EmptyEnsembleError("cannot build a field from an empty ensemble")
-    return FieldSnapshot(ensemble.x, 2.0 * ensemble.w, time=ensemble.time)
+    return FieldSnapshot(ensemble.x, 2.0 * ensemble.w)
 
 
 class StaticField:
@@ -296,18 +285,11 @@ class _UniformSnapshot:
     """Uniform given fields (F+, F-) = (fp, fm) everywhere; a stand-in
     snapshot for studies of trajectories under prescribed fields."""
 
-    __slots__ = ("fp", "fm", "time")
+    __slots__ = ("fp", "fm")
 
-    def __init__(self, fp: float, fm: float, time: float = 0.0):
+    def __init__(self, fp: float, fm: float):
         self.fp = float(fp)
         self.fm = float(fm)
-        self.time = float(time)
-
-    def at(self, x):
-        out = np.full(np.shape(x), 0.5 * self.fp)
-        if np.ndim(x) == 0:
-            return float(0.5 * self.fp)
-        return out
 
     def pm(self, x, omega):
         if np.ndim(x) == 0:

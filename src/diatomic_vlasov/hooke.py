@@ -46,7 +46,6 @@ __all__ = [
     "table_model",
     "load_table_model",
     "force",
-    "force_derivative",
     "potential_to_midpoint",
     "inverse_potential",
     "balance_points",
@@ -78,14 +77,15 @@ class Branch(enum.Enum):
 class HookeModel:
     """A bonding-force law on (0, epsilon).
 
-    ``force_fn``/``dforce_fn`` are only set for custom models; the tangent
-    law is closed-form.  Custom callables must accept numpy arrays.
+    ``force_fn`` is only set for custom models; the tangent law is
+    closed-form.  Custom callables must accept numpy arrays.  ``hull`` is
+    the tabulated range of a table model (see ``domain``).
     """
 
     epsilon: float
     kind: HookeKind
     force_fn: Callable | None = None
-    dforce_fn: Callable | None = None
+    hull: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
@@ -96,6 +96,15 @@ class HookeModel:
     @property
     def guard(self) -> float:
         return GUARD_FRACTION * self.epsilon
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        """(lo, hi): the closed range where the force may be evaluated and
+        the open band a bond must stay in.  The guard band
+        (guard, epsilon - guard), or a table model's tabulated hull."""
+        if self.hull is not None:
+            return self.hull
+        return self.guard, self.epsilon - self.guard
 
     @property
     def root_tol(self) -> float:
@@ -138,18 +147,17 @@ def tangent_model(epsilon: float = 1.0) -> HookeModel:
     return HookeModel(epsilon=float(epsilon), kind=HookeKind.TANGENT)
 
 
-def custom_model(epsilon: float, force_fn: Callable, dforce_fn: Callable | None = None) -> HookeModel:
-    """Wrap a user force law (and optionally its derivative)."""
-    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM,
-                      force_fn=force_fn, dforce_fn=dforce_fn)
+def custom_model(epsilon: float, force_fn: Callable) -> HookeModel:
+    """Wrap a user force law."""
+    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM, force_fn=force_fn)
 
 
 def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeModel:
     """Build a custom model from tabulated (omega, force) samples.
 
     Monotone cubic (PCHIP) interpolation preserves the sign structure of
-    decreasing data.  Evaluations outside the tabulated hull raise
-    DomainError rather than extrapolate.
+    decreasing data.  The tabulated hull is the model's ``domain``:
+    evaluations outside it raise DomainError rather than extrapolate.
     """
     omega = np.asarray(omega, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -160,8 +168,7 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
     if omega[0] <= 0.0 or omega[-1] >= epsilon:
         raise DomainError("table omega values must lie strictly inside (0, epsilon)")
     interp = PchipInterpolator(omega, values, extrapolate=False)
-    dinterp = interp.derivative()
-    lo, hi = omega[0], omega[-1]
+    lo, hi = float(omega[0]), float(omega[-1])
 
     def _f(w):
         w = np.asarray(w, dtype=float)
@@ -170,7 +177,7 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
         return interp(w)
 
     return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM,
-                      force_fn=_f, dforce_fn=lambda w: dinterp(np.asarray(w, dtype=float)))
+                      force_fn=_f, hull=(lo, hi))
 
 
 def load_table_model(path, epsilon: float) -> HookeModel:
@@ -183,10 +190,9 @@ def load_table_model(path, epsilon: float) -> HookeModel:
 
 def _check_domain(model: HookeModel, omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
-    g = model.guard
-    if np.any(w < g) or np.any(w > model.epsilon - g):
-        raise DomainError(
-            f"omega outside the guarded bond domain [{g!r}, {model.epsilon - g!r}]")
+    lo, hi = model.domain
+    if np.any(w < lo) or np.any(w > hi):
+        raise DomainError(f"omega outside the bond domain [{lo!r}, {hi!r}]")
     return w
 
 
@@ -197,21 +203,6 @@ def force(model: HookeModel, omega):
         out = -np.tan(np.pi / model.epsilon * (w - 0.5 * model.epsilon))
     else:
         out = np.asarray(model.force_fn(w), dtype=float)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
-
-
-def force_derivative(model: HookeModel, omega):
-    """d(force)/d(omega); closed form for the tangent law."""
-    w = _check_domain(model, omega)
-    if model.kind is HookeKind.TANGENT:
-        k = np.pi / model.epsilon
-        out = -k / np.cos(k * (w - 0.5 * model.epsilon)) ** 2
-    else:
-        if model.dforce_fn is None:
-            raise DomainError("custom model has no derivative callable")
-        out = np.asarray(model.dforce_fn(w), dtype=float)
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return float(out)
     return out
@@ -293,9 +284,8 @@ def _potential_unguarded(model: HookeModel, x: float) -> float:
     # probe point may come arbitrarily close to a wall.
     if model.kind is HookeKind.TANGENT:
         return float(_tangent_potential(model, x))
-    g = model.guard
-    xv = min(max(x, g), model.epsilon - g)
-    return potential_to_midpoint(model, xv)
+    lo, hi = model.domain
+    return potential_to_midpoint(model, min(max(x, lo), hi))
 
 
 def inverse_potential(model: HookeModel, value: float, branch: Branch) -> float:
@@ -304,7 +294,7 @@ def inverse_potential(model: HookeModel, value: float, branch: Branch) -> float:
     RIGHT returns x in [eps/2, eps), LEFT returns x in (0, eps/2]; both by
     bisection to the configured absolute tolerance.  Raises RangeError when
     the level exceeds the branch supremum (finite-well custom models; for
-    custom models the supremum is taken at the guard band).
+    custom models the supremum is taken at the ends of ``domain``).
     """
     if not (value >= 0.0):
         raise RangeError(f"potential levels are nonnegative, got {value!r}")
@@ -316,7 +306,7 @@ def inverse_potential(model: HookeModel, value: float, branch: Branch) -> float:
     if model.kind is HookeKind.TANGENT:
         outer = eps if branch is Branch.RIGHT else 0.0
     else:
-        outer = eps - model.guard if branch is Branch.RIGHT else model.guard
+        outer = model.domain[1] if branch is Branch.RIGHT else model.domain[0]
         sup = _potential_unguarded(model, outer)
         if value > sup:
             raise RangeError(
@@ -337,8 +327,7 @@ def balance_points(model: HookeModel, level: float) -> BalancePoints:
     and force(omega_M) = -level (monotonicity gives uniqueness)."""
     if not (level > 0.0):
         raise DomainError(f"the balance level must be positive, got {level!r}")
-    eps = model.epsilon
-    g = model.guard
+    lo, hi = model.domain
     mid = model.midpoint
 
     def f_left(x: float) -> float:
@@ -347,8 +336,8 @@ def balance_points(model: HookeModel, level: float) -> BalancePoints:
     def f_right(x: float) -> float:
         return force(model, x) + level
 
-    om_m = _bisect(f_left, g, mid, tol=model.root_tol)
-    om_M = _bisect(f_right, mid, eps - g, tol=model.root_tol)
+    om_m = _bisect(f_left, lo, mid, tol=model.root_tol)
+    om_M = _bisect(f_right, mid, hi, tol=model.root_tol)
     return BalancePoints(omega_m=om_m, omega_M=om_M, level=level)
 
 

@@ -17,14 +17,13 @@ remaining records are filled in without recomputing them.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError, EmptyEnsembleError
-from .field import Ensemble, FieldHistory, StaticField, build_field, field_w1
+from .field import Ensemble, FieldHistory, StaticField, build_field, field_w1, write_table
 from .hooke import HookeModel
 from .simulator import _coords, _march
 from .trajectory import StepControl, integrate_batch
@@ -33,9 +32,8 @@ __all__ = [
     "SupportBounds",
     "IterationRecord",
     "support_bounds",
-    "solve_linear",
     "iterate",
-    "probe_grid_points",
+    "dump_iteration_log",
 ]
 
 
@@ -107,43 +105,10 @@ def _push_collect(ens: Ensemble, provider, model: HookeModel, T: float,
     return moved, hist, supp
 
 
-def solve_linear(f0: Ensemble, frozen_fields, model: HookeModel, T: float,
-                 control: StepControl, dt_macro: float | None = None,
-                 datum: BumpDatum | None = None):
-    """Transport the sampled datum under frozen fields up to time T.
-
-    Returns (ensemble at T, evaluate) where ``evaluate(z)`` gives the
-    solution value at phase points z at time T by backward characteristics
-    (needs the pointwise datum; z is an (n, 4) array).  Weights are
-    untouched: values are transported, never rescaled.
-    """
-    dt_macro = control.dt if dt_macro is None else dt_macro
-    moved, _ = _march(f0, T, dt_macro, model, control, lambda k, ens: frozen_fields)
-
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        if datum is None:
-            raise ConfigError("pointwise evaluation needs the datum")
-        return _backward_values(datum, np.asarray(z, dtype=float), frozen_fields,
-                                model, T, control)
-
-    return moved, evaluate
-
-
-def probe_grid_points(supp: SupportBounds, n: int, seed: int | None = None) -> np.ndarray:
-    """Deterministic low-discrepancy phase points inside the support box.
-
-    Unscrambled Sobol by default; a seed switches to scrambled points for
-    probe-robustness studies.
-    """
-    return sobol_box(n, [-supp.Px, -supp.Pv, supp.Pomega_minus, -supp.Peta],
-                     [supp.Px, supp.Pv, supp.Pomega_plus, supp.Peta], seed=seed)
-
-
 def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             n_max: int, probe_grid: int = 4096, control: StepControl | None = None,
             dt_macro: float | None = None, tol: float = 0.0,
-            t0_limit: float | None = None, probe_seed: int | None = None,
-            ) -> list[IterationRecord]:
+            t0_limit: float | None = None) -> list[IterationRecord]:
     """Run the fixed-point rounds and log one record per iterate.
 
     f_0 is the datum held constant in time, so its field history is a
@@ -202,7 +167,9 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             moved, hist_n, supp_n = _push_collect(ens0, hist_prev, model, T,
                                                   dt_macro, control)
             probes_last, vals_last = probes, vals_n
-            probes = probe_grid_points(supp_n, probe_grid, seed=probe_seed)
+            probes = sobol_box(probe_grid,
+                               [-supp_n.Px, -supp_n.Pv, supp_n.Pomega_minus, -supp_n.Peta],
+                               [supp_n.Px, supp_n.Pv, supp_n.Pomega_plus, supp_n.Peta])
             vals_n = _backward_values(datum, probes, hist_prev, model, T, control)
             if n == 1:
                 vals_prev = datum.value(*probes.T)
@@ -259,12 +226,6 @@ def _history_norms(provider) -> tuple[float, float]:
 
 def dump_iteration_log(records, path) -> None:
     """CSV log with one row per round."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "sup_delta", "Px", "Pv", "Pomega_minus",
-                     "Pomega_plus", "Peta", "supF"])
-        for r in records:
-            wr.writerow([r.n] + [f"{c:.17g}" for c in
-                                 (r.sup_delta, r.support.Px, r.support.Pv,
-                                  r.support.Pomega_minus, r.support.Pomega_plus,
-                                  r.support.Peta, r.sup_F)])
+    rows = [(r.n, r.sup_delta, *astuple(r.support), r.sup_F) for r in records]
+    write_table(path, ["n", "sup_delta", "Px", "Pv", "Pomega_minus", "Pomega_plus",
+                       "Peta", "supF"], np.reshape(rows, (-1, 8)).T)

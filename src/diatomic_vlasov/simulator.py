@@ -79,15 +79,9 @@ class Diagnostics:
 
 _DATUM_KEYS = {"kind", "centers", "widths", "amplitude", "box", "grid", "path"}
 _HOOKE_KEYS = {"kind", "epsilon", "table_path"}
-_CONTROL_KEYS = {"dt", "eta_scale", "event_time_tol_factor", "event_eta_tol"}
+_CONTROL_KEYS = {f.name for f in fields(StepControl)}
 _TRAJECTORY_KEYS = {"seed", "T", "dt", "field", "balance_level"}
 _BOUNDS_KEYS = {"support_box", "epsilon0", "R", "C_minus", "C", "T"}
-_TOP_KEYS = {
-    "hooke", "datum", "T", "dt_macro", "control", "tracked_boundary",
-    "tracked_interior", "c_safety", "snapshot_every", "output_dir",
-    "probe_grid", "n_max", "picard_tol", "continuation_margin",
-    "detj_seeds", "detj_every", "trajectory", "bounds",
-}
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        unknown = set(raw) - _TOP_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, allowed in (("hooke", _HOOKE_KEYS), ("datum", _DATUM_KEYS),
@@ -283,12 +277,12 @@ def run(config: RunConfig):
         ens = sample_datum(datum, box, grid, model.epsilon)
     if len(ens) == 0:
         raise ConfigError("the sampled datum has no particles")
-    g = model.guard
+    lo, hi = model.domain
     om_lo, om_hi = float(ens.omega.min()), float(ens.omega.max())
-    if not (g < om_lo and om_hi < model.epsilon - g):
+    if not (lo < om_lo and om_hi < hi):
         raise ConfigError(
-            "datum support must lie strictly inside the omega domain "
-            f"(0, {model.epsilon!r}); got [{om_lo!r}, {om_hi!r}]")
+            "datum support must lie strictly inside the bond domain "
+            f"({lo!r}, {hi!r}); got [{om_lo!r}, {om_hi!r}]")
 
     support0 = ens.support_box()
     cert = None

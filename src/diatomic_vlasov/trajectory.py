@@ -19,7 +19,7 @@ over its rows while more than TAIL_ROWS of them still step, then
 finishes each remaining row alone in the scalar step's substep loop;
 both loops do a lone row's arithmetic with the same bond-force bits, so
 where the switch falls changes no result.  A step whose drift would
-leave the guarded bond domain is rejected and retried at dt/2, down to
+leave the bond domain is rejected and retried at dt/2, down to
 dt/2**10; past that the step reports a blow-up candidate instead of
 emitting an out-of-domain state.
 
@@ -37,11 +37,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import hooke as _hooke
-from .errors import (
-    DomainError,
-    SegmentOutOfRangeError,
-    StepUnderflowError,
-)
+from .errors import DomainError, StepUnderflowError
 from .field import ParticleState, write_table
 from .hooke import BalancePoints, HookeModel
 
@@ -52,7 +48,6 @@ __all__ = [
     "OscillationEvent",
     "integrate",
     "integrate_batch",
-    "energy_residual",
     "detect_events",
     "jacobian_estimate",
 ]
@@ -231,7 +226,7 @@ class _Rejected(Exception):
 def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepControl,
                     pair=None, depth: int = 0):
     """One kick-drift-kick step of one row; recursive halving on
-    guard-band exits.
+    bond-domain exits.
 
     The contract of ``_advance_batch``: ``pair`` is the opening field pair
     (fp, fm) at (x, omega), queried here when None, and the result is
@@ -243,8 +238,7 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
     """
     if pair is None:
         pair = snap.pm(x, om)
-    lo = model.guard
-    hi = model.epsilon - model.guard
+    lo, hi = model.domain
     try:
         fp, fm = pair
         v1 = v + 0.5 * dt * fp
@@ -267,7 +261,7 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
     except _Rejected:
         if depth >= MAX_HALVINGS:
             raise StepUnderflowError(
-                f"step underflow at dt={dt!r}: omega={om!r} keeps leaving the guard band "
+                f"step underflow at dt={dt!r}: omega={om!r} keeps leaving the bond domain "
                 "(blow-up candidate; by the global confinement result this indicates a "
                 "discretization artifact)",
                 state=ParticleState(x=x, v=v, omega=om, eta=et))
@@ -277,8 +271,8 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
 
 
 def _check_seed(state: ParticleState, model: HookeModel) -> None:
-    g = model.guard
-    if not (g < state.omega < model.epsilon - g):
+    lo, hi = model.domain
+    if not (lo < state.omega < hi):
         raise DomainError(f"omega={state.omega!r} outside the guarded bond domain")
     if not all(map(math.isfinite, (state.x, state.v, state.eta))):
         raise DomainError(f"seed {state!r} has a non-finite coordinate")
@@ -316,7 +310,7 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     The path records the difference field at each sample and the largest
     field norm seen.  If ``balance`` is given, oscillation events are
     detected on the sampled path (sign-change location between samples).
-    Raises DomainError for a seed outside the guarded bond domain or
+    Raises DomainError for a seed outside the bond domain or
     with a non-finite coordinate, FieldGapError if the provider does not
     cover [t0, t1] and StepUnderflowError, with ``time`` the start of the
     failing step, if a step cannot be taken even after halving.
@@ -326,9 +320,10 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     in ``math`` and numpy: each step's closing field pair opens the next,
     so the pair is queried once per segment and once per step.  This loop
     stays for single seeds because it is cheaper: 20,000 steps of one seed
-    in the zero field (omega 0.3, eta 0.5, dt 1e-3) take 0.6-0.7 s in it
-    and 2.4-3.1 s as a one-row ``integrate_batch``, whose numpy calls cost
-    more per row than the arithmetic (2-core VM, Python 3.11, numpy 2.4).
+    in the zero field (omega 0.3, eta 0.5, dt 1e-3) take 0.25-0.33 s in it
+    and 1.37-1.47 s as a one-row ``integrate_batch``, whose numpy calls
+    cost more per row than the arithmetic (2-core VM, Python 3.11, numpy
+    2.4).
     """
     if t1 <= t0:
         raise DomainError("t1 must exceed t0")
@@ -383,15 +378,14 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     where samples has shape (n_samples, n, 4) and f_minus from the same
     pairs; a slice ``record=rows`` records copies of ``states[rows]``
     only.  Otherwise returns the final array.  Raises DomainError,
-    naming the first such row, if a row's omega is outside the guarded
-    bond domain or a coordinate is not finite.  A StepUnderflowError
+    naming the first such row, if a row's omega is outside the bond
+    domain or a coordinate is not finite.  A StepUnderflowError
     carries the start time of the failing step.
     """
     z = np.array(states, dtype=float, order="F")
     if z.ndim != 2 or z.shape[1] != 4:
         raise DomainError("states must be an (n, 4) array")
-    lo = model.guard
-    hi = model.epsilon - model.guard
+    lo, hi = model.domain
     bad = ~(np.isfinite(z).all(axis=1) & (z[:, 2] > lo) & (z[:, 2] < hi))
     if bad.any():
         i = int(bad.argmax())
@@ -458,7 +452,7 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     is that of a lone row in either loop, and ``np.tan`` gives a Python
     float the bits it gives an array, so batching, and where the tail
     starts, changes no result.  Rows past MAX_SUBSTEPS, and rows whose
-    substeps leave the guard band or break the impulse bound, are redone
+    substeps leave the bond domain or break the impulse bound, are redone
     by ``_advance_scalar`` (same contract, with halving) from their
     opening pair, and its closing pair replaces theirs; a tail row fails
     at its first failing substep, or is skipped when its passes already
@@ -496,7 +490,7 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
         idx = idx[np.argsort(-m[idx], kind="stable")]
         ms, ds, hds = m[idx], d[idx], hd[idx]
         oo, es = o[idx], ee[idx]
-        # The guard-band and impulse tests run once, after the loop, on
+        # The bond-domain and impulse tests run once, after the loop, on
         # the extremes of omega and the largest |force| over the
         # substeps.  They fail exactly the rows a test at every substep
         # would: minimum and maximum carry a NaN omega through, fmax
@@ -661,39 +655,6 @@ def _force_array(model: HookeModel, om: np.ndarray) -> np.ndarray:
     return np.asarray(model.force_fn(om), dtype=float)
 
 
-def energy_residual(path: TrajectoryPath, segment: tuple[float, float],
-                    model: HookeModel, field_provider=None) -> float:
-    """Defect of the oscillatory energy balance over a path segment.
-
-    Compares the change of eta**2/2 against the work of the difference
-    field (trapezoid rule on the samples) plus the bond-potential drop.
-    Shrinks as O(dt**2) under step refinement.
-    """
-    ta, tb = segment
-    t = path.t
-    tol = 1e-9 * max(1.0, abs(t[-1]) - abs(t[0]))
-    if ta < t[0] - tol or tb > t[-1] + tol or tb < ta:
-        raise SegmentOutOfRangeError(
-            f"segment [{ta!r}, {tb!r}] outside path range [{t[0]!r}, {t[-1]!r}]")
-    ia = int(np.searchsorted(t, ta - tol, side="left"))
-    ib = int(np.searchsorted(t, tb + tol, side="right")) - 1
-    if ib <= ia:
-        return 0.0
-    sl = slice(ia, ib + 1)
-    eta = path.eta[sl]
-    if field_provider is not None:
-        fm = np.array([field_provider.snapshot_at(tv).pm(xv, ov)[1]
-                       for tv, xv, ov in zip(path.t[sl], path.x[sl], path.omega[sl])])
-    else:
-        fm = path.f_minus[sl]
-    work = float(np.trapezoid(eta * fm, path.t[sl]))
-    u_a = _hooke.potential_to_midpoint(model, float(path.omega[ia]))
-    u_b = _hooke.potential_to_midpoint(model, float(path.omega[ib]))
-    dkin = 0.5 * float(path.eta[ib]) ** 2 - 0.5 * float(path.eta[ia]) ** 2
-    # Bond-force integral over [omega_a, omega_b] equals U(a) - U(b).
-    return dkin - work - (u_a - u_b)
-
-
 def _interp_state(path: TrajectoryPath, i: int, tq: float) -> ParticleState:
     t0, t1 = path.t[i], path.t[i + 1]
     a = 0.0 if t1 == t0 else (tq - t0) / (t1 - t0)
@@ -721,21 +682,20 @@ def _locate(path: TrajectoryPath, i: int, fn, time_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def detect_events(path: TrajectoryPath, balance: BalancePoints,
-                  eta_tol: float | None = None) -> list[OscillationEvent]:
+def detect_events(path: TrajectoryPath, balance: BalancePoints) -> list[OscillationEvent]:
     """Oscillation events of a sampled path relative to the balance points.
 
     Touching or crossing a balance separation is an exit when the bond is
     opening further (eta pointing outward), a return when it is closing
-    (eta pointing back), and a turning event at a tangency (|eta| below
-    the tolerance; the exactly-tangent case is genuinely ambiguous and is
-    filed with the turning events).  A sign change of eta strictly outside
+    (eta pointing back), and a turning event at a tangency (|eta| at most
+    the control's ``event_eta_tol``; the exactly-tangent case is genuinely
+    ambiguous and is filed with the turning events).  A sign change of eta strictly outside
     the chaotic interval is a turning (stopping-time) event.  Event times
     are located on the interpolated path to the control's time tolerance.
     """
     if len(path) == 0:
         return []
-    eta_tol = path.control.event_eta_tol if eta_tol is None else eta_tol
+    eta_tol = path.control.event_eta_tol
     time_tol = max(path.control.event_time_tol, 1e-15)
     om_m, om_M = balance.omega_m, balance.omega_M
     events: list[OscillationEvent] = []
@@ -782,13 +742,12 @@ def detect_events(path: TrajectoryPath, balance: BalancePoints,
 
 
 def jacobian_estimate(seed: ParticleState, field_provider, model: HookeModel,
-                      t: float, h: float, control: StepControl,
-                      t0: float = 0.0) -> float:
-    """Determinant of the flow-map Jacobian at the seed, by central
-    differences from eight auxiliary integrations.  The flow is volume
-    preserving, so the expected value is 1."""
+                      t: float, h: float, control: StepControl) -> float:
+    """Determinant of the time-t flow map's Jacobian at the seed, by
+    central differences from eight auxiliary integrations from time 0.
+    The flow is volume preserving, so the expected value is 1."""
     z0 = np.array([seed.x, seed.v, seed.omega, seed.eta], dtype=float)
-    if t == t0:
+    if t == 0.0:
         return 1.0
     pert = []
     for j in range(4):
@@ -796,7 +755,7 @@ def jacobian_estimate(seed: ParticleState, field_provider, model: HookeModel,
             zp = z0.copy()
             zp[j] += sgn * h
             pert.append(zp)
-    out = integrate_batch(np.asarray(pert), field_provider, model, t0, t, control)
+    out = integrate_batch(np.asarray(pert), field_provider, model, 0.0, t, control)
     jac = np.empty((4, 4))
     for j in range(4):
         jac[:, j] = (out[2 * j] - out[2 * j + 1]) / (2.0 * h)

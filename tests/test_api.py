@@ -1,0 +1,35 @@
+"""Export lists name only what their modules define."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import diatomic_vlasov
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(diatomic_vlasov.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(f"diatomic_vlasov.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def test_package_imports_are_exported():
+    # Every name the package re-exports from a module with an export list
+    # is on that list.
+    tree = ast.parse(Path(diatomic_vlasov.__file__).read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod = importlib.import_module(f"diatomic_vlasov.{node.module}")
+            exported = getattr(mod, "__all__", None)
+            if exported is None:
+                continue
+            unlisted += [f"{node.module}.{a.name}" for a in node.names
+                         if a.name not in exported]
+    assert not unlisted, f"imported but not in __all__: {unlisted}"

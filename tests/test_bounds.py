@@ -238,6 +238,14 @@ class TestChaoticBound:
         v2 = chaotic_bound(0.0, 2.0, c)
         assert v2 - v1 == pytest.approx(2.0 * c, rel=1e-14)
 
+    def test_elapsed_time_array(self):
+        # certify evaluates a whole inside-run at once.
+        elapsed = np.array([0.0, 1.0, 2.0])
+        assert chaotic_bound(-0.5, elapsed, 1.0).tolist() == [
+            chaotic_bound(-0.5, s, 1.0) for s in elapsed.tolist()]
+        with pytest.raises(RangeError):
+            chaotic_bound(0.5, np.array([1.0, -1e-300]), 1.0)
+
 
 class TestGlobalEnvelope:
     def test_t_zero_matches_excursion_form(self):
@@ -373,16 +381,16 @@ class TestCertify:
             return OscillationEvent(kind=kind, time=t, boundary=boundary,
                                     state=ParticleState(0.0, 0.0, 0.5, eta))
 
-        events = [event(EventKind.EXIT_CHAOTIC, 0.1, -0.1, "omega_m"),
-                  event(EventKind.EXIT_CHAOTIC, 0.2, 0.1, "omega_M"),
-                  event(EventKind.RETURN_TIME, 0.5, -0.1, "omega_M")]
+        path.events = [event(EventKind.EXIT_CHAOTIC, 0.1, -0.1, "omega_m"),
+                       event(EventKind.EXIT_CHAOTIC, 0.2, 0.1, "omega_M"),
+                       event(EventKind.RETURN_TIME, 0.5, -0.1, "omega_M")]
         k_open, k_pair, k_late = (int(np.searchsorted(path.t, tq))
                                   for tq in (0.15, 0.3, 1.8))
 
         def excursion(*bad):
             for k in bad:
                 path.eta[k] = 10.0
-            rep = certify(path, cert, events=events)
+            rep = certify(path, cert)
             return next(c for c in rep.checks if c.name == "excursion_envelope")
 
         late = excursion(k_late)  # only the open exit reaches t = 1.8

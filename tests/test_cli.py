@@ -176,6 +176,22 @@ class TestSubcommands:
         assert dispatch(["simulate", "--config", str(cfg), "--output-dir", str(out)]) == EXIT_OK
         assert printed == json.loads((out / "manifest.json").read_text())["certificate"]
 
+    @pytest.mark.parametrize("args", [["bounds"], ["simulate", "--seed-report"]],
+                             ids=["bounds", "simulate"])
+    def test_table_model_end_to_end(self, tmp_path, capsys, args):
+        # The tangent law tabulated on [0.01, 0.99]: the balance points and
+        # the runs stay inside the tabulated hull.
+        w = np.linspace(0.01, 0.99, 8)
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, T=0.02, tracked_interior=0,
+                           hooke={"kind": "table", "epsilon": 1.0,
+                                  "table_path": str(tmp_path / "law.txt")})
+        out = tmp_path / "out"
+        code = dispatch([args[0], "--config", str(cfg), "--output-dir", str(out)] + args[1:])
+        assert code == EXIT_OK, capsys.readouterr().err
+
     def test_validate_hooke_tangent(self, tmp_path, capsys):
         assert dispatch(["validate-hooke", "--config", str(write_config(tmp_path)),
                          "--grid", "256"]) == EXIT_OK

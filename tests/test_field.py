@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from diatomic_vlasov import (
     FieldHistory,
     FieldGapError,
     FieldSnapshot,
+    IterationRecord,
+    SupportBounds,
     build_field,
     field_w1,
 )
 from diatomic_vlasov.field import _BLOCK_ROWS, write_table
+from diatomic_vlasov.picard import dump_iteration_log
 
 
 def brute_force_field(x_pos, charges, queries):
@@ -302,7 +306,7 @@ class TestFieldW1:
 class TestProviders:
     def test_history_left_constant(self):
         h = FieldHistory()
-        s0 = FieldSnapshot.empty(time=0.0)
+        s0 = FieldSnapshot.empty()
         s1 = build_field(single_molecule())
         h.append(0.0, s0)
         h.append(1.0, s1)
@@ -363,6 +367,24 @@ class TestCsv:
         np.savetxt(tmp_path / "ref.csv", np.column_stack([t, fm]), delimiter=",",
                    header="t,f_minus", comments="", fmt="%.17g")
         write_table(tmp_path / "new.csv", ["t", "f_minus"], [t, fm], end="\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_iteration_log_matches_csv_writer(self, tmp_path):
+        # The log's integer n column and a NaN delta spell as csv.writer
+        # spelled them when it wrote the log.
+        recs = [IterationRecord(n=n, sup_delta=d, support=SupportBounds(*self.HARD[3:]),
+                                sup_F=0.1, sup_F_pm=0.2, z_dist=0.0, field_w1=0.0)
+                for n, d in ((1, math.nan), (2, 1.0 / 3.0), (123456789, -0.0))]
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["n", "sup_delta", "Px", "Pv", "Pomega_minus",
+                         "Pomega_plus", "Peta", "supF"])
+            for r in recs:
+                s = r.support
+                wr.writerow([r.n] + [f"{c:.17g}" for c in (r.sup_delta, s.Px, s.Pv,
+                                                            s.Pomega_minus, s.Pomega_plus,
+                                                            s.Peta, r.sup_F)])
+        dump_iteration_log(recs, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_load_csv_rejects_nan_mass(self, tmp_path):

@@ -13,7 +13,6 @@ from diatomic_vlasov import (
     balance_points,
     custom_model,
     force,
-    force_derivative,
     inverse_potential,
     potential_to_midpoint,
     table_model,
@@ -64,10 +63,6 @@ class TestForce:
         w = np.linspace(0.01, 0.99, 4001)
         f = force(tan1, w)
         assert np.all(np.diff(f) < 0.0)
-
-    def test_derivative_closed_form(self, tan1):
-        # slope at the midpoint is -pi/eps
-        assert force_derivative(tan1, 0.5) == pytest.approx(-math.pi, rel=1e-12)
 
 
 class TestPotential:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -14,14 +12,14 @@ from diatomic_vlasov import (
     confinement_time,
     custom_model,
     sample_datum,
-    solve_linear,
     support_bounds,
     tangent_model,
     zero_field,
 )
 from diatomic_vlasov import picard
 from diatomic_vlasov.field import FieldHistory
-from diatomic_vlasov.picard import iterate, probe_grid_points
+from diatomic_vlasov.picard import iterate
+from helpers import solve_linear
 
 
 def small_datum(amp=4.0):
@@ -163,18 +161,6 @@ class TestIterate:
         assert r2[0].support.Px >= r1[0].support.Px
         assert r2[0].support.Pomega_plus >= r1[0].support.Pomega_plus
 
-    def test_probe_perturbation_agreement(self):
-        # scrambled vs plain probe grids must tell the same decay story
-        d = small_datum()
-        model = tangent_model(1.0)
-        kw = dict(T=0.02, n_max=3, probe_grid=512,
-                  control=StepControl(dt=0.004), dt_macro=0.004)
-        r_plain = iterate(d, BOX, (8, 8, 8, 8), model, **kw)
-        r_scram = iterate(d, BOX, (8, 8, 8, 8), model, probe_seed=7, **kw)
-        for a, b in zip(r_plain, r_scram):
-            if a.sup_delta > 0 and b.sup_delta > 0:
-                assert abs(math.log10(a.sup_delta / b.sup_delta)) < 1.0
-
     def test_field_norm_bounded_by_twice_mass(self):
         recs, _ = self.setup_run(n_max=2)
         d = small_datum()
@@ -230,14 +216,13 @@ class TestSkippedWork:
         return calls
 
     @pytest.mark.parametrize("tol", [0.0, 1e-20, 1e-3])
-    @pytest.mark.parametrize("probe_seed", [None, 7])
-    def test_records_equal_full_run(self, monkeypatch, tol, probe_seed):
-        fast = self.run(tol=tol, probe_seed=probe_seed)
+    def test_records_equal_full_run(self, monkeypatch, tol):
+        fast = self.run(tol=tol)
         with monkeypatch.context() as mp:
             mp.setattr(picard, "_same_history", lambda a, b: False)
-            no_stop = self.run(tol=tol, probe_seed=probe_seed)
+            no_stop = self.run(tol=tol)
         full_rounds(monkeypatch)
-        full = self.run(tol=tol, probe_seed=probe_seed)
+        full = self.run(tol=tol)
         assert repr(fast) == repr(full) == repr(no_stop)
         # Round 3, the first filled-in record, is the first with delta 0.
         assert len(full) == {0.0: 6, 1e-20: 3, 1e-3: 2}[tol]
@@ -305,11 +290,23 @@ class TestSkippedWork:
 
 
 class TestProbeGrid:
-    def test_inside_box_and_deterministic(self):
-        s = support_bounds(Ensemble([0.0, 0.5], [0.1, -0.1], [0.4, 0.6],
-                                    [-0.2, 0.2], [1, 1]))
-        a = probe_grid_points(s, 128)
-        b = probe_grid_points(s, 128)
-        assert np.array_equal(a, b)
-        assert np.all(a[:, 2] >= 0.4) and np.all(a[:, 2] <= 0.6)
-        assert np.all(np.abs(a[:, 0]) <= 0.5)
+    def test_inside_box_and_deterministic(self, monkeypatch):
+        # Each round's probes are Sobol points in the box of f_n's support.
+        probes = []
+        sobol = picard.sobol_box
+
+        def spy(*args):
+            probes.append(sobol(*args))
+            return probes[-1]
+
+        monkeypatch.setattr(picard, "sobol_box", spy)
+        kw = dict(T=0.02, n_max=1, probe_grid=128, control=StepControl(dt=0.004),
+                  dt_macro=0.004)
+        rec, = iterate(small_datum(), BOX, (6, 6, 6, 6), tangent_model(1.0), **kw)
+        iterate(small_datum(), BOX, (6, 6, 6, 6), tangent_model(1.0), **kw)
+        a, b = probes
+        assert a.shape == (128, 4) and np.array_equal(a, b)
+        s = rec.support
+        assert np.all(a[:, 2] >= s.Pomega_minus) and np.all(a[:, 2] <= s.Pomega_plus)
+        for j, r in ((0, s.Px), (1, s.Pv), (3, s.Peta)):
+            assert np.all(np.abs(a[:, j]) <= r)

@@ -23,7 +23,6 @@ from diatomic_vlasov import (
     build_field,
     custom_model,
     detect_events,
-    energy_residual,
     Ensemble,
     integrate,
     integrate_batch,
@@ -33,6 +32,7 @@ from diatomic_vlasov import (
     tangent_model,
     zero_field,
 )
+from helpers import SegmentOutOfRangeError, energy_residual
 
 
 def reference_bond_orbit(model_eps, omega0, eta0, t_eval, f_minus=0.0):
@@ -106,6 +106,25 @@ class TestPush:
                                 zero_field(), model, t0, t1, ctl)
             assert exc.value.time == pytest.approx(0.04 if t1 > t0 else 0.06, rel=1e-12)
             assert f"from t={exc.value.time!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_underflow_at_the_table_hull(self, batch):
+        # The tangent law tabulated on [0.01, 0.99]: a step that leaves the
+        # hull is rejected like a wall step, and halving bottoms out with
+        # the state and the time, not an evaluation error of the table.
+        grid = np.linspace(0.01, 0.99, 99)
+        model = table_model(1.0, grid, -np.tan(np.pi * (grid - 0.5)))
+        assert model.domain == (0.01, 0.99)
+        ctl = StepControl(dt=0.01)
+        with pytest.raises(StepUnderflowError, match="leaving the bond domain") as exc:
+            if batch:
+                integrate_batch(np.array([[0.0, 0.0, 0.05, -3.0]]), zero_field(), model,
+                                0.0, 0.1, ctl)
+            else:
+                integrate(ParticleState(0.0, 0.0, 0.05, -3.0), zero_field(), model,
+                          0.0, 0.1, ctl)
+        assert exc.value.time == 0.01
+        assert 0.01 < exc.value.state.omega < 0.05
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("coord", ["x", "v", "eta"])
@@ -222,7 +241,6 @@ class TestEnergyResidual:
     def test_segment_out_of_range(self, tan1, control):
         st = ParticleState(0.0, 0.0, 0.6, 0.0)
         path = integrate(st, zero_field(), tan1, 0.0, 1.0, control)
-        from diatomic_vlasov import SegmentOutOfRangeError
         with pytest.raises(SegmentOutOfRangeError):
             energy_residual(path, (0.5, 2.0), tan1)
 
@@ -583,7 +601,7 @@ class TestBatchIndependence:
         model = cubic_model()
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
-        lo, hi = model.guard, model.epsilon - model.guard
+        lo, hi = model.domain
         out, _ = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
         assert len(fallback) == 2
         for i, row in enumerate(self.CUBIC_ROWS):
@@ -610,7 +628,7 @@ class TestBatchIndependence:
         model = cubic_model()
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
-        lo, hi = model.guard, model.epsilon - model.guard
+        lo, hi = model.domain
         out, _ = trajectory._advance_batch(self.LATE_ROWS, snap, model, dt, ctl, lo, hi)
         assert fallback == ([0.85, 0.06, 0.94] if dt > 0 else [0.15, 0.06, 0.94])
         for i, row in enumerate(self.LATE_ROWS):
@@ -652,7 +670,7 @@ class TestTail:
         """_advance_batch with TAIL_ROWS = tail: the bytes of the state and
         of the closing pair and the omegas handed to the scalar fallback,
         or the underflow message."""
-        lo, hi = model.guard, model.epsilon - model.guard
+        lo, hi = model.domain
         handed = []
         scalar = trajectory._advance_scalar
 
