@@ -14,7 +14,6 @@ from .errors import (
     DiatomicVlasovError,
     DomainError,
     EmptyEnsembleError,
-    FieldGapError,
     InvalidCError,
     NoConfinementError,
     QuadratureError,
@@ -41,10 +40,8 @@ from .hooke import (
 from .field import (
     ConstantField,
     Ensemble,
-    FieldHistory,
     FieldSnapshot,
     ParticleState,
-    StaticField,
     build_field,
     field_w1,
     zero_field,

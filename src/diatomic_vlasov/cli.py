@@ -90,16 +90,16 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     fld = spec.get("field", {})
     kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
     if kind == "zero":
-        provider = zero_field()
+        field = zero_field()
     elif kind == "constant":
-        provider = ConstantField(*(_number(fld.get(k, 0.0), f"trajectory.field.{k}")
-                                   for k in ("f_plus", "f_minus")))
+        field = ConstantField(*(_number(fld.get(k, 0.0), f"trajectory.field.{k}")
+                                for k in ("f_plus", "f_minus")))
     else:
         raise ConfigError(f"trajectory.field needs kind zero or constant, got {fld!r}")
     balance = None
     if "balance_level" in spec:
         balance = balance_points(model, _number(spec["balance_level"], "trajectory.balance_level"))
-    path = integrate(state, provider, model, 0.0, T, control, balance=balance)
+    path = integrate(state, field, model, 0.0, T, control, balance=balance)
     out = _out_dir(cfg, args.output_dir)
     path.dump_csv(out / "path.csv")
     path.dump_events_csv(out / "events.csv")

@@ -41,10 +41,6 @@ class StepUnderflowError(DiatomicVlasovError):
         return text if self.time is None else f"{text}; in the step from t={self.time!r}"
 
 
-class FieldGapError(DiatomicVlasovError):
-    """A field provider lacks snapshots covering the requested interval."""
-
-
 class InvalidCError(DiatomicVlasovError):
     """The chosen field constant violates a certificate precondition."""
 

@@ -25,13 +25,12 @@ same order and matches exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyEnsembleError, FieldGapError
+from .errors import DomainError, EmptyEnsembleError
 
 __all__ = [
     "ParticleState",
@@ -39,9 +38,7 @@ __all__ = [
     "FieldSnapshot",
     "build_field",
     "field_w1",
-    "StaticField",
     "ConstantField",
-    "FieldHistory",
     "zero_field",
     "write_table",
 ]
@@ -270,26 +267,16 @@ def build_field(ensemble: Ensemble) -> FieldSnapshot:
     return FieldSnapshot(ensemble.x, 2.0 * ensemble.w)
 
 
-class StaticField:
-    """A provider serving one frozen snapshot for every time."""
-
-    def __init__(self, snapshot: FieldSnapshot):
-        self.snapshot = snapshot
-        self.breakpoints = np.empty(0)
-
-    def snapshot_at(self, t: float) -> FieldSnapshot:
-        return self.snapshot
-
-
-class _UniformSnapshot:
-    """Uniform given fields (F+, F-) = (fp, fm) everywhere; a stand-in
-    snapshot for studies of trajectories under prescribed fields."""
+class ConstantField:
+    """Uniform prescribed fields (F+, F-) = (f_plus, f_minus) everywhere; F-
+    drives the bond.  A stand-in snapshot for studies of trajectories under
+    given fields."""
 
     __slots__ = ("fp", "fm")
 
-    def __init__(self, fp: float, fm: float):
-        self.fp = float(fp)
-        self.fm = float(fm)
+    def __init__(self, f_plus: float = 0.0, f_minus: float = 0.0):
+        self.fp = float(f_plus)
+        self.fm = float(f_minus)
 
     def pm(self, x, omega):
         if np.ndim(x) == 0:
@@ -302,57 +289,6 @@ class _UniformSnapshot:
         return 0.5 * m, m
 
 
-class ConstantField:
-    """Provider with constant prescribed (F+, F-); F- drives the bond."""
-
-    def __init__(self, f_plus: float = 0.0, f_minus: float = 0.0):
-        self._snap = _UniformSnapshot(f_plus, f_minus)
-        self.breakpoints = np.empty(0)
-
-    def snapshot_at(self, t: float):
-        return self._snap
-
-
-def zero_field() -> StaticField:
-    """Provider for the autonomous (field-free) dynamics."""
-    return StaticField(FieldSnapshot.empty())
-
-
-class FieldHistory:
-    """Snapshots at increasing times, held piecewise-constant to the right
-    (the snapshot taken at t_k serves [t_k, t_{k+1})).  Coverage ends at an
-    explicit horizon; queries outside raise FieldGapError."""
-
-    def __init__(self):
-        self._times: list[float] = []
-        self._snaps: list = []
-        self.t_end: float = -math.inf
-
-    def append(self, t: float, snapshot) -> None:
-        if self._times and t <= self._times[-1]:
-            raise DomainError("history times must be strictly increasing")
-        self._times.append(float(t))
-        self._snaps.append(snapshot)
-        self.t_end = max(self.t_end, float(t))
-
-    def close(self, t_end: float) -> None:
-        """Declare coverage up to t_end (the run horizon)."""
-        self.t_end = float(t_end)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    def snapshots(self):
-        return iter(self._snaps)
-
-    def snapshot_at(self, t: float):
-        if not self._times:
-            raise FieldGapError("empty field history")
-        t0 = self._times[0]
-        tol = 1e-12 * max(1.0, abs(self.t_end), abs(t0))
-        if t < t0 - tol or t > self.t_end + tol:
-            raise FieldGapError(
-                f"field history covers [{t0!r}, {self.t_end!r}], asked for {t!r}")
-        idx = max(bisect.bisect_right(self._times, t + tol) - 1, 0)
-        return self._snaps[idx]
+def zero_field() -> FieldSnapshot:
+    """The field of no charge, for the autonomous (field-free) dynamics."""
+    return FieldSnapshot.empty()

@@ -79,13 +79,15 @@ class HookeModel:
 
     ``force_fn`` is only set for custom models; the tangent law is
     closed-form.  Custom callables must accept numpy arrays.  ``hull`` is
-    the tabulated range of a table model (see ``domain``).
+    the tabulated range of a table model (see ``domain``) and
+    ``antiderivative`` the exact antiderivative of its interpolated force.
     """
 
     epsilon: float
     kind: HookeKind
     force_fn: Callable | None = None
     hull: tuple[float, float] | None = None
+    antiderivative: Callable | None = None
 
     def __post_init__(self):
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
@@ -157,7 +159,9 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
 
     Monotone cubic (PCHIP) interpolation preserves the sign structure of
     decreasing data.  The tabulated hull is the model's ``domain``:
-    evaluations outside it raise DomainError rather than extrapolate.
+    evaluations outside it raise DomainError rather than extrapolate.  The
+    hull must contain the midpoint epsilon/2, where potentials are
+    anchored; they come from the interpolant's exact antiderivative.
     """
     omega = np.asarray(omega, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -167,8 +171,10 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
         raise DomainError("table omega column must be strictly increasing")
     if omega[0] <= 0.0 or omega[-1] >= epsilon:
         raise DomainError("table omega values must lie strictly inside (0, epsilon)")
-    interp = PchipInterpolator(omega, values, extrapolate=False)
     lo, hi = float(omega[0]), float(omega[-1])
+    if not lo <= 0.5 * epsilon <= hi:
+        raise DomainError(f"table omega range [{lo!r}, {hi!r}] must contain epsilon/2")
+    interp = PchipInterpolator(omega, values, extrapolate=False)
 
     def _f(w):
         w = np.asarray(w, dtype=float)
@@ -177,7 +183,7 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
         return interp(w)
 
     return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM,
-                      force_fn=_f, hull=(lo, hi))
+                      force_fn=_f, hull=(lo, hi), antiderivative=interp.antiderivative())
 
 
 def load_table_model(path, epsilon: float) -> HookeModel:
@@ -229,29 +235,32 @@ def potential_to_midpoint(model: HookeModel, x):
     (0, epsilon).
 
     Restricted to the right branch this is the outward potential well; on
-    the left branch the mirror well.  Custom models are integrated by
-    adaptive quadrature to relative 1e-10.
+    the left branch the mirror well.  A table model takes A(epsilon/2) -
+    A(x) from the exact antiderivative A of its interpolant; custom
+    callables are integrated by adaptive quadrature to relative 1e-10.
     """
     w = _check_domain(model, x)
     if model.kind is HookeKind.TANGENT:
         out = _tangent_potential(model, w)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    def _one(xv: float) -> float:
-        if xv == model.midpoint:
-            return 0.0
-        val, err = _sciint.quad(lambda y: model.force_fn(y), xv, model.midpoint,
-                                epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-        if not math.isfinite(val) or (val != 0.0 and abs(err) > 10 * QUAD_RTOL * abs(val) + 1e-14):
-            raise QuadratureError(
-                f"quadrature did not converge at x={xv!r} (estimate {val!r}, error {err!r})")
-        return val
-
+    elif model.antiderivative is not None:
+        out = model.antiderivative(model.midpoint) - model.antiderivative(w)
+    else:
+        out = np.array([_quad_potential(model, float(v))
+                        for v in np.ravel(w)]).reshape(w.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
-        return _one(float(w))
-    return np.array([_one(float(v)) for v in np.ravel(w)]).reshape(w.shape)
+        return float(out)
+    return out
+
+
+def _quad_potential(model: HookeModel, xv: float) -> float:
+    if xv == model.midpoint:
+        return 0.0
+    val, err = _sciint.quad(lambda y: model.force_fn(y), xv, model.midpoint,
+                            epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
+    if not math.isfinite(val) or (val != 0.0 and abs(err) > 10 * QUAD_RTOL * abs(val) + 1e-14):
+        raise QuadratureError(
+            f"quadrature did not converge at x={xv!r} (estimate {val!r}, error {err!r})")
+    return val
 
 
 def _bisect(fn, lo: float, hi: float, tol: float, max_iter: int = 300) -> float:

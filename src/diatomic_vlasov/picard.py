@@ -13,6 +13,13 @@ certified confinement time the distances contract super-geometrically
 (factorial-decay signature), and the discrete map reaches an exact fixed
 point: once a round rebuilds the field history it was pushed under, the
 remaining records are filled in without recomputing them.
+
+A field history is a plain list of snapshots: the one built at each
+macro time t_k of [0, T], then the one at T.  Between macro times it is
+held piecewise constant (left snapshot), matching the operator-split
+update order: hist[k] governs [t_k, t_{k+1}] in either direction, so a
+backward push walks T -> 0 one macro step at a time.  The time-frozen
+datum f_0 has a one-snapshot history that governs all of [0, T].
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ import numpy as np
 
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError, EmptyEnsembleError
-from .field import Ensemble, FieldHistory, StaticField, build_field, field_w1, write_table
+from .field import Ensemble, build_field, field_w1, write_table
 from .hooke import HookeModel
 from .simulator import _coords, _march
-from .trajectory import StepControl, integrate_batch
+from .trajectory import StepControl, _time_grid, integrate_batch
 
 __all__ = [
     "SupportBounds",
@@ -86,22 +93,22 @@ def support_bounds(ensemble: Ensemble) -> SupportBounds:
         Peta=float(np.max(np.abs(ensemble.eta))))
 
 
-def _push_collect(ens: Ensemble, provider, model: HookeModel, T: float,
+def _push_collect(ens: Ensemble, prev: list, model: HookeModel, T: float,
                   dt_macro: float, control: StepControl):
-    """Push an ensemble from 0 to T under ``provider`` over the macro grid
-    (``simulator._march``), building the pushed iterate's field history at
-    each macro time and unioning support bounds along the way."""
-    hist = FieldHistory()
+    """Push an ensemble from 0 to T under the field history ``prev`` over
+    the macro grid (``simulator._march``), building the pushed iterate's
+    history at each macro time and unioning support bounds along the
+    way."""
+    hist = []
     supp = support_bounds(ens)
 
     def visit(k: int, ens_k: Ensemble):
         nonlocal supp
-        hist.append(ens_k.time, build_field(ens_k))
+        hist.append(build_field(ens_k))
         supp = supp.union(support_bounds(ens_k))
-        return provider
+        return prev[min(k, len(prev) - 1)]
 
     moved, _ = _march(ens, T, dt_macro, model, control, visit)
-    hist.close(T)
     return moved, hist, supp
 
 
@@ -112,7 +119,7 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     """Run the fixed-point rounds and log one record per iterate.
 
     f_0 is the datum held constant in time, so its field history is a
-    single static snapshot.  Round n transports the datum under the fields
+    single snapshot.  Round n transports the datum under the fields
     of f_{n-1} and estimates ||f_n - f_{n-1}|| at time T on a probe grid
     inside f_n's support box, evaluating both iterates by backward
     characteristics under their respective histories.  Stops after
@@ -144,19 +151,19 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     dt_macro = dt_macro or control.dt
 
     ens0 = sample_datum(datum, box, shape, model.epsilon)
-    hist_prev = StaticField(build_field(ens0))  # fields of f_0 (time-frozen datum)
+    hist_prev = [build_field(ens0)]  # fields of f_0 (time-frozen datum)
     hist_prev2 = None
     supp0 = support_bounds(ens0)
 
     records: list[IterationRecord] = []
     if n_max <= 0:
-        sup_f, sup_pm = hist_prev.snapshot.norms()
+        sup_f, sup_pm = hist_prev[0].norms()
         return [IterationRecord(n=0, sup_delta=0.0, support=supp0,
                                 sup_F=sup_f, sup_F_pm=sup_pm,
                                 z_dist=0.0, field_w1=0.0)]
 
     # f_0 at time T: the datum's particles and its static field.
-    z_prev, snap_prev = _coords(ens0), hist_prev.snapshot
+    z_prev, snap_prev = _coords(ens0), hist_prev[0]
     probes = vals_n = None
     fixed = False
     for n in range(1, n_max + 1):
@@ -170,15 +177,16 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             probes = sobol_box(probe_grid,
                                [-supp_n.Px, -supp_n.Pv, supp_n.Pomega_minus, -supp_n.Peta],
                                [supp_n.Px, supp_n.Pv, supp_n.Pomega_plus, supp_n.Peta])
-            vals_n = _backward_values(datum, probes, hist_prev, model, T, control)
+            vals_n = _backward_values(datum, probes, hist_prev, model, T, dt_macro,
+                                      control)
             if n == 1:
                 vals_prev = datum.value(*probes.T)
             elif np.array_equal(probes, probes_last):
                 vals_prev = vals_last
             else:
                 vals_prev = _backward_values(datum, probes, hist_prev2, model, T,
-                                             control)
-            z_n, snap_n = _coords(moved), hist_n.snapshot_at(T)
+                                             dt_macro, control)
+            z_n, snap_n = _coords(moved), hist_n[-1]
             z_dist = float(np.max(np.abs(z_n - z_prev)))
             w1 = field_w1(snap_n, snap_prev)
             z_prev, snap_prev = z_n, snap_n
@@ -196,32 +204,32 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     return records
 
 
-def _backward_values(datum: BumpDatum, probes: np.ndarray, provider,
-                     model: HookeModel, T: float, control: StepControl) -> np.ndarray:
+def _backward_values(datum: BumpDatum, probes: np.ndarray, hist: list,
+                     model: HookeModel, T: float, dt_macro: float,
+                     control: StepControl) -> np.ndarray:
     """Values at time T, at the probes, of the iterate transported under
-    ``provider``: the datum at the probes' backward characteristics."""
-    return datum.value(*integrate_batch(probes, provider, model, T, 0.0, control).T)
+    the field history ``hist``: the datum at the probes' backward
+    characteristics.  A one-snapshot history is one push over [T, 0]; a
+    pushed one walks the macro grid back with hist[k] on [t_k, t_{k+1}]."""
+    if len(hist) == 1:
+        z = integrate_batch(probes, hist[0], model, T, 0.0, control)
+    else:
+        times = [0.0] + _time_grid(0.0, T, dt_macro)
+        z = probes
+        for k in range(len(times) - 2, -1, -1):
+            z = integrate_batch(z, hist[k], model, times[k + 1], times[k], control)
+    return datum.value(*z.T)
 
 
-def _same_history(a, b) -> bool:
-    """True when two pushed field histories serve the same field at every
-    time: equal times, horizon and snapshots (``FieldSnapshot.same_field``)."""
-    if not (isinstance(a, FieldHistory) and isinstance(b, FieldHistory)):
-        return False
-    if not (np.array_equal(a.breakpoints, b.breakpoints) and a.t_end == b.t_end):
-        return False
-    return all(p.same_field(q) for p, q in zip(a.snapshots(), b.snapshots()))
+def _same_history(a: list, b: list) -> bool:
+    """True when two field histories serve the same field at every time:
+    as many snapshots, pairwise equal (``FieldSnapshot.same_field``)."""
+    return len(a) == len(b) and all(p.same_field(q) for p, q in zip(a, b))
 
 
-def _history_norms(provider) -> tuple[float, float]:
-    if isinstance(provider, StaticField):
-        return provider.snapshot.norms()
-    sup_f = sup_pm = 0.0
-    for snap in provider.snapshots():
-        f, pm = snap.norms()
-        sup_f = max(sup_f, f)
-        sup_pm = max(sup_pm, pm)
-    return sup_f, sup_pm
+def _history_norms(hist: list) -> tuple[float, float]:
+    return (max(snap.norms()[0] for snap in hist),
+            max(snap.norms()[1] for snap in hist))
 
 
 def dump_iteration_log(records, path) -> None:

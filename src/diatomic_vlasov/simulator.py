@@ -29,7 +29,7 @@ from . import hooke as _hooke
 from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError
-from .field import Ensemble, FieldSnapshot, StaticField, build_field
+from .field import Ensemble, FieldSnapshot, build_field
 from .hooke import HookeModel, tangent_model, load_table_model
 from .trajectory import (
     StepControl,
@@ -299,20 +299,19 @@ def run(config: RunConfig):
     max_norm = 0.0
     detj = math.nan
 
-    def visit(k: int, ens_k: Ensemble) -> StaticField:
+    def visit(k: int, ens_k: Ensemble) -> FieldSnapshot:
         nonlocal max_norm, detj
         snap = build_field(ens_k)
-        provider = StaticField(snap)
         max_norm = max(max_norm, snap.norms()[1])
         if config.detj_every > 0 and config.detj_seeds > 0 and \
                 k % config.detj_every == 0:
-            detj = _detj_probe(ens_k, provider, model, control, config.detj_seeds)
+            detj = _detj_probe(ens_k, snap, model, control, config.detj_seeds)
         d = diagnostics(ens_k, snap, model, detj_err=detj)
         status, violated = check_continuation(d, cert, config.continuation_margin)
         series.append(replace(d, status=status, violated=violated))
         if config.snapshot_every > 0 and k % config.snapshot_every == 0:
             snapshots_dumped.append((k, ens_k))
-        return provider
+        return snap
 
     ens, record = _march(ens, config.T, config.dt_macro, model, control, visit,
                          tracked)
@@ -343,7 +342,7 @@ def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
     """Advance an ensemble over the macro grid of [0, T], one
     ``integrate_batch`` call per macro step.
 
-    At each macro time t_k, ``visit(k, ens_k)`` returns the field provider
+    At each macro time t_k, ``visit(k, ens_k)`` returns the frozen field
     of the step from t_k (unused at T).  ``tracked`` seeds, an (m, 4)
     array, ride stacked under the particles, and only their rows are
     recorded.  Returns (ens_T, None), or with seeds (ens_T, (t, samples,
@@ -357,14 +356,14 @@ def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
         parts = ([], [], [])  # t, samples, f_minus
     t = 0.0
     for k, target in enumerate(targets):
-        provider = visit(k, ens)
+        field = visit(k, ens)
         if tracked is None:
-            z = integrate_batch(z, provider, model, t, target, control)
+            z = integrate_batch(z, field, model, t, target, control)
         else:
-            z, *rec = integrate_batch(z, provider, model, t, target, control,
+            z, *rec = integrate_batch(z, field, model, t, target, control,
                                       record=slice(n, None))
             # Keep [t_k, t_{k+1}): the next step opens at t_{k+1}, and its
-            # f_minus there comes from the next provider (constant-left).
+            # f_minus there comes from the next step's field.
             for acc, a in zip(parts, rec):
                 acc.append(a[:-1])
         t = target
@@ -387,13 +386,13 @@ def _cumulative_event_counts(series, paths) -> list[int]:
     return out
 
 
-def _detj_probe(ens: Ensemble, provider, model, control, n_seeds: int) -> float:
+def _detj_probe(ens: Ensemble, snap, model, control, n_seeds: int) -> float:
     box = ens.support_box()
     seeds = _tracked_seeds(box, 0, n_seeds)
     worst = 0.0
     for row in seeds:
         st = ParticleState(x=row[0], v=row[1], omega=row[2], eta=row[3])
-        det = jacobian_estimate(st, provider, model, t=10 * control.dt,
+        det = jacobian_estimate(st, snap, model, t=10 * control.dt,
                                 h=1e-5, control=control)
         worst = max(worst, abs(det - 1.0))
     return worst

@@ -23,8 +23,8 @@ leave the bond domain is rejected and retried at dt/2, down to
 dt/2**10; past that the step reports a blow-up candidate instead of
 emitting an out-of-domain state.
 
-Between stored field snapshots the field is held piecewise constant
-(left snapshot), matching the operator-split update order.
+The field is frozen for a whole call: any object with ``pm`` and
+``norms``, such as a ``FieldSnapshot``.
 """
 
 from __future__ import annotations
@@ -278,17 +278,6 @@ def _check_seed(state: ParticleState, model: HookeModel) -> None:
         raise DomainError(f"seed {state!r} has a non-finite coordinate")
 
 
-def _segments(provider, t0: float, t1: float):
-    """Split [t0, t1] (either direction) at the provider's breakpoints."""
-    brk = np.asarray(getattr(provider, "breakpoints", np.empty(0)), dtype=float)
-    a, b = (t0, t1) if t1 >= t0 else (t1, t0)
-    cuts = brk[(brk > a) & (brk < b)]
-    pts = np.unique(np.concatenate([[a], cuts, [b]])).tolist()
-    if t1 < t0:
-        pts = pts[::-1]
-    return list(zip(pts[:-1], pts[1:]))
-
-
 def _time_grid(lo: float, hi: float, dt: float) -> list[float]:
     """Step targets across [lo, hi], in either direction: n equal steps of
     at most dt (to 1e-12 relative), the last landing exactly on hi."""
@@ -296,29 +285,23 @@ def _time_grid(lo: float, hi: float, dt: float) -> list[float]:
     return [lo + k * (hi - lo) / n for k in range(1, n)] + [hi]
 
 
-def _snapshot_for(provider, lo: float, hi: float):
-    # Piecewise-constant-left: the snapshot governing (lo, hi) is the one
-    # at the left endpoint, regardless of traversal direction.
-    return provider.snapshot_at(min(lo, hi))
-
-
 def integrate(state: ParticleState, field_provider, model: HookeModel,
               t0: float, t1: float, control: StepControl,
               balance: BalancePoints | None = None) -> TrajectoryPath:
-    """Integrate one characteristic from t0 to t1, sampling every control.dt.
+    """Integrate one characteristic from t0 to t1 under the frozen field
+    ``field_provider``, sampling every control.dt.
 
-    The path records the difference field at each sample and the largest
-    field norm seen.  If ``balance`` is given, oscillation events are
-    detected on the sampled path (sign-change location between samples).
-    Raises DomainError for a seed outside the bond domain or
-    with a non-finite coordinate, FieldGapError if the provider does not
-    cover [t0, t1] and StepUnderflowError, with ``time`` the start of the
+    The path records the difference field at each sample and the field's
+    norm.  If ``balance`` is given, oscillation events are detected on
+    the sampled path (sign-change location between samples).  Raises
+    DomainError for a seed outside the bond domain or with a non-finite
+    coordinate and StepUnderflowError, with ``time`` the start of the
     failing step, if a step cannot be taken even after halving.
 
     The step contract and the time grid are those of ``integrate_batch``,
     and so are the results, bit for bit where the bond law evaluates alike
     in ``math`` and numpy: each step's closing field pair opens the next,
-    so the pair is queried once per segment and once per step.  This loop
+    so the pair is queried once per call and once per step.  This loop
     stays for single seeds because it is cheaper: 20,000 steps of one seed
     in the zero field (omega 0.3, eta 0.5, dt 1e-3) take 0.25-0.33 s in it
     and 1.37-1.47 s as a one-row ``integrate_batch``, whose numpy calls
@@ -328,33 +311,24 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     if t1 <= t0:
         raise DomainError("t1 must exceed t0")
     _check_seed(state, model)
+    snap = field_provider
     z = (state.x, state.v, state.omega, state.eta)
-    ts, zs, fms = [t0], [z], []
-    max_norm = 0.0
-    for lo, hi in _segments(field_provider, t0, t1):
-        snap = _snapshot_for(field_provider, lo, hi)
-        max_norm = max(max_norm, snap.norms()[1])
-        pair = snap.pm(z[0], z[2])
+    pair = snap.pm(z[0], z[2])
+    ts, zs, fms = [t0], [z], [pair[1]]
+    for target in _time_grid(t0, t1, control.dt):
+        try:
+            z, pair = _advance_scalar(*z, snap, model, target - ts[-1], control, pair)
+        except StepUnderflowError as exc:
+            exc.time = float(ts[-1])
+            raise
+        ts.append(target)
+        zs.append(z)
         fms.append(pair[1])
-        targets = _time_grid(lo, hi, control.dt)
-        for k, target in enumerate(targets, 1):
-            try:
-                z, pair = _advance_scalar(*z, snap, model, target - ts[-1], control, pair)
-            except StepUnderflowError as exc:
-                exc.time = float(ts[-1])
-                raise
-            ts.append(target)
-            zs.append(z)
-            if k < len(targets):
-                fms.append(pair[1])
-    # Difference field at the final sample, from the last governing snapshot.
-    last = _snapshot_for(field_provider, ts[-2], t1)
-    fms.append(pair[1] if last is snap else last.pm(z[0], z[2])[1])
 
     zs = np.asarray(zs)
     path = TrajectoryPath(
         t=np.asarray(ts), x=zs[:, 0], v=zs[:, 1], omega=zs[:, 2], eta=zs[:, 3],
-        f_minus=np.asarray(fms), max_field_norm=max_norm, control=control)
+        f_minus=np.asarray(fms), max_field_norm=snap.norms()[1], control=control)
     if balance is not None:
         path.events = detect_events(path, balance)
     return path
@@ -363,7 +337,8 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
 def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
                     t0: float, t1: float, control: StepControl,
                     record: bool | slice = False):
-    """Advance an (n, 4) array of states [x, v, omega, eta] in lockstep.
+    """Advance an (n, 4) array of states [x, v, omega, eta] in lockstep
+    under the frozen field ``field_provider``.
 
     Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch:
     each step sub-cycles the members in one loop over prefixes of them
@@ -371,16 +346,17 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     ``_advance_batch``); a row comes out bit-for-bit as it would alone.
     Members whose step is rejected fall back to scalar halving for that
     step only, so lockstep sampling is preserved.  The field pair is
-    queried once per segment: a step's closing pair, taken at the states
-    it returns, is the next step's opening pair.  The state is held in an
+    queried once per call: a step's closing pair, taken at the states it
+    returns, is the next step's opening pair.  The state is held in an
     (n, 4) Fortran-order array, so each of its columns is contiguous.
     With ``record=True`` returns (final, t_samples, samples, f_minus)
     where samples has shape (n_samples, n, 4) and f_minus from the same
     pairs; a slice ``record=rows`` records copies of ``states[rows]``
-    only.  Otherwise returns the final array.  Raises DomainError,
-    naming the first such row, if a row's omega is outside the bond
-    domain or a coordinate is not finite.  A StepUnderflowError
-    carries the start time of the failing step.
+    only.  Otherwise returns the final array.  t0 == t1 takes no step
+    and gives one sample.  Raises DomainError, naming the first such
+    row, if a row's omega is outside the bond domain or a coordinate is
+    not finite.  A StepUnderflowError carries the start time of the
+    failing step.
     """
     z = np.array(states, dtype=float, order="F")
     if z.ndim != 2 or z.shape[1] != 4:
@@ -392,32 +368,22 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
         raise DomainError(f"row {i}, [x, v, omega, eta] = {z[i].tolist()!r}: omega outside "
                           "the guarded bond domain or a non-finite coordinate")
     rows = np.arange(*record.indices(len(z))) if isinstance(record, slice) else slice(None)
+    snap = field_provider
+    pair = snap.pm(z[:, 0], z[:, 2])
     ts = [t0]
     recs = [z[rows]] if record else None
-    fmr = [] if record else None
-    snap = None  # t0 == t1 gives no segment
-
-    for seg_lo, seg_hi in _segments(field_provider, t0, t1):
-        snap = _snapshot_for(field_provider, seg_lo, seg_hi)
-        pair = snap.pm(z[:, 0], z[:, 2])
+    fmr = [pair[1][rows]] if record else None
+    for target in _time_grid(t0, t1, control.dt) if t1 != t0 else []:
+        try:
+            z, pair = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi, pair)
+        except StepUnderflowError as exc:
+            exc.time = float(ts[-1])
+            raise
+        ts.append(target)
         if record:
+            recs.append(z[rows])
             fmr.append(pair[1][rows])
-        targets = _time_grid(seg_lo, seg_hi, control.dt)
-        for k, target in enumerate(targets, 1):
-            try:
-                z, pair = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi, pair)
-            except StepUnderflowError as exc:
-                exc.time = float(ts[-1])
-                raise
-            ts.append(target)
-            if record:
-                recs.append(z[rows])
-                if k < len(targets):
-                    fmr.append(pair[1][rows])
     if record:
-        # Difference field at the final sample, from the last governing snapshot.
-        last = _snapshot_for(field_provider, ts[-2] if len(ts) > 1 else t0, t1)
-        fmr.append(pair[1][rows] if last is snap else last.pm(z[rows, 0], z[rows, 2])[1])
         return z, np.asarray(ts), np.stack(recs), np.stack(fmr)
     return z
 
@@ -743,9 +709,10 @@ def detect_events(path: TrajectoryPath, balance: BalancePoints) -> list[Oscillat
 
 def jacobian_estimate(seed: ParticleState, field_provider, model: HookeModel,
                       t: float, h: float, control: StepControl) -> float:
-    """Determinant of the time-t flow map's Jacobian at the seed, by
-    central differences from eight auxiliary integrations from time 0.
-    The flow is volume preserving, so the expected value is 1."""
+    """Determinant of the time-t flow map's Jacobian at the seed under the
+    frozen field ``field_provider``, by central differences from eight
+    auxiliary integrations from time 0.  The flow is volume preserving,
+    so the expected value is 1."""
     z0 = np.array([seed.x, seed.v, seed.omega, seed.eta], dtype=float)
     if t == 0.0:
         return 1.0

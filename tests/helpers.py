@@ -56,7 +56,7 @@ def solve_linear(f0, frozen_fields, model, T: float, control, dt_macro: float | 
     def evaluate(z: np.ndarray) -> np.ndarray:
         if datum is None:
             raise ConfigError("pointwise evaluation needs the datum")
-        return _backward_values(datum, np.asarray(z, dtype=float), frozen_fields,
-                                model, T, control)
+        return _backward_values(datum, np.asarray(z, dtype=float), [frozen_fields],
+                                model, T, dt_macro, control)
 
     return moved, evaluate

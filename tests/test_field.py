@@ -10,8 +10,6 @@ from diatomic_vlasov import (
     DomainError,
     EmptyEnsembleError,
     Ensemble,
-    FieldHistory,
-    FieldGapError,
     FieldSnapshot,
     IterationRecord,
     SupportBounds,
@@ -301,28 +299,6 @@ class TestFieldW1:
         a = build_field(Ensemble([0.0], [0.0], [0.5], [0.0], [0.5]))
         b = build_field(Ensemble([0.25], [0.0], [0.5], [0.0], [0.5]))
         assert field_w1(a, b) == 0.25
-
-
-class TestProviders:
-    def test_history_left_constant(self):
-        h = FieldHistory()
-        s0 = FieldSnapshot.empty()
-        s1 = build_field(single_molecule())
-        h.append(0.0, s0)
-        h.append(1.0, s1)
-        h.close(2.0)
-        assert h.snapshot_at(0.5) is s0
-        assert h.snapshot_at(1.0) is s1
-        assert h.snapshot_at(1.7) is s1
-
-    def test_history_gap(self):
-        h = FieldHistory()
-        h.append(0.0, FieldSnapshot.empty())
-        h.close(1.0)
-        with pytest.raises(FieldGapError):
-            h.snapshot_at(1.5)
-        with pytest.raises(FieldGapError):
-            h.snapshot_at(-0.5)
 
 
 class TestCsv:

@@ -203,3 +203,22 @@ class TestTableModel:
             table_model(1.0, [0.1, 0.2], [1.0, 0.5])
         with pytest.raises(DomainError):
             table_model(1.0, [0.3, 0.2, 0.4, 0.5], [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("w", [[0.1, 0.2, 0.3, 0.4], [0.55, 0.6, 0.7, 0.9]])
+    def test_hull_must_contain_the_midpoint(self, w):
+        with pytest.raises(DomainError, match="epsilon/2"):
+            table_model(1.0, w, [4.0, 3.0, 2.0, 1.0])
+
+    def test_potential_from_the_exact_antiderivative(self):
+        # On this table, quadrature of the interpolated force fails to
+        # converge where inverse_potential looks (QuadratureError).
+        om = np.linspace(0.01, 0.99, 99)
+        m = table_model(1.0, om, -np.tan(np.pi * (om - 0.5)))
+        x = inverse_potential(m, 1.0, Branch.RIGHT)
+        assert x == pytest.approx(0.98611, abs=1e-5)
+        assert potential_to_midpoint(m, x) == pytest.approx(1.0, rel=1e-11)
+        # Where quadrature of the same force converges (a custom model
+        # takes it, and raises where it does not), both agree.
+        pts = np.array([0.02, 0.1, 0.3, 0.45, 0.5, 0.7, 0.98])
+        want = potential_to_midpoint(custom_model(1.0, m.force_fn), pts)
+        np.testing.assert_allclose(potential_to_midpoint(m, pts), want, rtol=1e-9, atol=1e-15)

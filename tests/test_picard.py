@@ -6,18 +6,18 @@ from diatomic_vlasov import (
     BumpDatum,
     ConfigError,
     Ensemble,
-    StaticField,
     StepControl,
     build_field,
     confinement_time,
     custom_model,
+    integrate_batch,
     sample_datum,
     support_bounds,
     tangent_model,
     zero_field,
 )
 from diatomic_vlasov import picard
-from diatomic_vlasov.field import FieldHistory
+from diatomic_vlasov.datum import sobol_box
 from diatomic_vlasov.picard import iterate
 from helpers import solve_linear
 
@@ -88,7 +88,7 @@ class TestSolveLinear:
     def test_mass_invariant(self, tan1):
         d = small_datum()
         ens = sample_datum(d, BOX, (6, 6, 6, 6), epsilon=1.0)
-        prov = StaticField(build_field(ens))
+        prov = build_field(ens)
         moved, _ = solve_linear(ens, prov, tan1, T=0.05, control=StepControl(dt=0.01))
         assert moved.total_mass == ens.total_mass  # same float array, same sum
         assert moved.w is ens.w
@@ -96,7 +96,7 @@ class TestSolveLinear:
     def test_sup_preserved_under_transport(self, tan1):
         d = small_datum()
         ens = sample_datum(d, BOX, (6, 6, 6, 6), epsilon=1.0)
-        prov = StaticField(build_field(ens))
+        prov = build_field(ens)
         moved, _ = solve_linear(ens, prov, tan1, T=0.05, control=StepControl(dt=0.01))
         assert np.max(moved.f_values) == np.max(ens.f_values)
 
@@ -104,7 +104,7 @@ class TestSolveLinear:
         # evaluating at pushed particle positions recovers datum values
         d = small_datum()
         ens = sample_datum(d, BOX, (5, 5, 5, 5), epsilon=1.0)
-        prov = StaticField(build_field(ens))
+        prov = build_field(ens)
         ctl = StepControl(dt=0.005)
         moved, evaluate = solve_linear(ens, prov, tan1, T=0.05, control=ctl,
                                        datum=d)
@@ -200,19 +200,18 @@ class TestSkippedWork:
     def counts(self, monkeypatch):
         """Forward pushes and backward probe pushes made by iterate."""
         calls = {"forward": 0, "backward": 0}
-        push, batch = picard._push_collect, picard.integrate_batch
+        push, back = picard._push_collect, picard._backward_values
 
         def count_push(*args, **kw):
             calls["forward"] += 1
             return push(*args, **kw)
 
-        def count_batch(z, prov, model, t0, t1, *args, **kw):
-            if t1 < t0:
-                calls["backward"] += 1
-            return batch(z, prov, model, t0, t1, *args, **kw)
+        def count_back(*args, **kw):
+            calls["backward"] += 1
+            return back(*args, **kw)
 
         monkeypatch.setattr(picard, "_push_collect", count_push)
-        monkeypatch.setattr(picard, "integrate_batch", count_batch)
+        monkeypatch.setattr(picard, "_backward_values", count_back)
         return calls
 
     @pytest.mark.parametrize("tol", [0.0, 1e-20, 1e-3])
@@ -271,22 +270,83 @@ class TestSkippedWork:
     def test_same_history(self):
         ens = sample_datum(small_datum(), BOX, (4, 4, 4, 4), epsilon=1.0)
 
-        def history(t_end=0.02, bump=False):
-            h = FieldHistory()
-            for t in (0.0, 0.01):
-                snap = build_field(ens)
-                if bump and t > 0.0:
-                    snap._values[1, 0] = np.nextafter(snap._values[1, 0], np.inf)
-                h.append(t, snap)
-            h.close(t_end)
-            return h
+        def history(n=3, bump=False):
+            hist = [build_field(ens) for _ in range(n)]
+            if bump:
+                hist[-1]._values[1, 0] = np.nextafter(hist[-1]._values[1, 0], np.inf)
+            return hist
 
         assert picard._same_history(history(), history())
-        assert not picard._same_history(history(), StaticField(build_field(ens)))
-        assert not picard._same_history(StaticField(build_field(ens)),
-                                        StaticField(build_field(ens)))
+        # f_0's one-snapshot history never matches a pushed one.
+        assert not picard._same_history(history(), history(n=1))
+        assert not picard._same_history(history(n=2), history())
         assert not picard._same_history(history(), history(bump=True))
-        assert not picard._same_history(history(), history(t_end=0.03))
+
+    def test_round_one_never_stops(self, monkeypatch, counts):
+        # Velocities so small that no x moves by a bit: round 1 rebuilds
+        # f_0's field at every macro time, yet it is compared with f_0's
+        # one-snapshot history and pushes on; round 2 then repeats it.
+        box = (BOX[0], (-1e-20, 1e-20), BOX[2], BOX[3])
+        seen = []
+        same = picard._same_history
+
+        def spy(a, b):
+            seen.append((len(a), len(b), same(a, b)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(picard, "_same_history", spy)
+        recs = iterate(small_datum(), box, (4, 4, 4, 4), tangent_model(1.0), T=1e-10,
+                       n_max=4, probe_grid=64, control=StepControl(dt=5e-11),
+                       dt_macro=5e-11)
+        assert seen == [(3, 1, False), (3, 3, True)]
+        assert counts["forward"] == 2 and len(recs) == 4
+        assert recs[0].field_w1 == 0.0
+
+
+class TestBackwardWalk:
+    """A pushed history is walked back one macro step at a time, hist[k]
+    on [t_k, t_{k+1}]; f_0's one-snapshot history is one push over [T, 0]."""
+
+    MODEL = tangent_model(1.0)
+    CTL = StepControl(dt=0.005)
+
+    @staticmethod
+    def snapshots():
+        # Three distinct fields: the datum's particles shifted in x.
+        ens = sample_datum(small_datum(), BOX, (5, 5, 5, 5), epsilon=1.0)
+        return [build_field(ens.with_coords(ens.x + s, ens.v, ens.omega, ens.eta, 0.0))
+                for s in (0.0, 0.05, -0.07)]
+
+    @staticmethod
+    def probes():
+        return sobol_box(64, [-0.5, -0.3, 0.45, -0.3], [0.5, 0.3, 0.55, 0.3])
+
+    def test_one_snapshot_is_one_push(self, monkeypatch):
+        snap0 = self.snapshots()[0]
+        want = small_datum().value(
+            *integrate_batch(self.probes(), snap0, self.MODEL, 0.02, 0.0, self.CTL).T)
+        calls = []
+        batch = picard.integrate_batch
+        monkeypatch.setattr(picard, "integrate_batch",
+                            lambda *a, **k: calls.append(a[3:5]) or batch(*a, **k))
+        got = picard._backward_values(small_datum(), self.probes(), [snap0], self.MODEL,
+                                      0.02, 0.01, self.CTL)
+        assert calls == [(0.02, 0.0)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_two_steps_walk_the_macro_grid(self):
+        s0, s1, s2 = self.snapshots()
+        got = picard._backward_values(small_datum(), self.probes(), [s0, s1, s2],
+                                      self.MODEL, 0.02, 0.01, self.CTL)
+
+        def walk(first, second):
+            z = integrate_batch(self.probes(), second, self.MODEL, 0.02, 0.01, self.CTL)
+            z = integrate_batch(z, first, self.MODEL, 0.01, 0.0, self.CTL)
+            return small_datum().value(*z.T)
+
+        np.testing.assert_array_equal(got, walk(s0, s1))
+        # Each snapshot one step late reads other fields.
+        assert not np.array_equal(got, walk(s1, s2))
 
 
 class TestProbeGrid:

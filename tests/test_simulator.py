@@ -9,7 +9,6 @@ from diatomic_vlasov import (
     ContinuationStatus,
     Diagnostics,
     RunConfig,
-    StaticField,
     build_field,
     check_continuation,
     diagnostics,
@@ -189,7 +188,7 @@ class TestMergedPush:
         ts, samples, fms = [], [], []
         for k, (ens_k, ens_next) in enumerate(zip(ensembles, ensembles[1:])):
             z, ts_k, smp_k, fm_k = integrate_batch(
-                z, StaticField(build_field(ens_k)), model, ens_k.time, ens_next.time,
+                z, build_field(ens_k), model, ens_k.time, ens_next.time,
                 control, record=True)
             first = 0 if k == 0 else 1
             ts.append(ts_k[first:])
@@ -204,6 +203,22 @@ class TestMergedPush:
             for j, a in enumerate(("x", "v", "omega", "eta")):
                 np.testing.assert_array_equal(getattr(path, a), samples[:, i, j])
             np.testing.assert_array_equal(path.f_minus, fms[:, i])
+
+
+class TestDetJProbe:
+    def test_probe_through_run(self):
+        grid4 = {**base_config().datum, "grid": [4, 4, 4, 4]}
+        plain = run(base_config(datum=grid4, T=0.1))
+        probed = run(base_config(datum=grid4, T=0.1, detj_seeds=2, detj_every=3))
+        errs = [d.detJ_err for d in probed.series]
+        assert len(errs) == 11
+        assert all(math.isfinite(e) and e < 1e-8 for e in errs)
+        # Refreshed at every third macro time only, and it does change.
+        assert all(errs[k] == errs[k - 1] for k in range(1, len(errs)) if k % 3)
+        assert len(set(errs)) > 1
+        assert all(math.isnan(d.detJ_err) for d in plain.series)
+        assert [repr(replace(d, detJ_err=0.0)) for d in probed.series] == \
+            [repr(replace(d, detJ_err=0.0)) for d in plain.series]
 
 
 class TestDiagnostics:

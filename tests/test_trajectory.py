@@ -12,11 +12,8 @@ from diatomic_vlasov import (
     ConstantField,
     DomainError,
     EventKind,
-    FieldGapError,
-    FieldHistory,
     FieldSnapshot,
     ParticleState,
-    StaticField,
     StepControl,
     StepUnderflowError,
     balance_points,
@@ -201,14 +198,6 @@ class TestIntegrateAccuracy:
         with pytest.raises(DomainError):
             integrate(st, zero_field(), tan1, 1.0, 0.5, control)
 
-    def test_field_gap_propagates(self, tan1, control):
-        h = FieldHistory()
-        h.append(0.0, FieldSnapshot.empty())
-        h.close(0.5)
-        st = ParticleState(0.0, 0.0, 0.6, 0.0)
-        with pytest.raises(FieldGapError):
-            integrate(st, h, tan1, 0.0, 1.0, control)
-
 
 class TestEnergyResidual:
     def test_stationary_point_exact_zero(self, tan1, control):
@@ -336,11 +325,8 @@ class TestJacobian:
         ens = Ensemble(rng.normal(size=30), rng.normal(size=30) * 0.2,
                        rng.uniform(0.4, 0.6, 30), rng.normal(size=30) * 0.2,
                        rng.uniform(0.0, 0.05, 30))
-        prov = FieldHistory()
-        prov.append(0.0, build_field(ens))
-        prov.close(1.0)
         st = ParticleState(0.05, 0.1, 0.55, 0.05)
-        det = jacobian_estimate(st, prov, tan1, 1.0, 1e-5, StepControl(dt=1e-3))
+        det = jacobian_estimate(st, build_field(ens), tan1, 1.0, 1e-5, StepControl(dt=1e-3))
         assert abs(det - 1.0) < 1e-4
 
 
@@ -361,11 +347,9 @@ class TestBatch:
         ctl = StepControl(dt=1e-3)
         z0 = np.array([[0.0, 0.1, 0.6, 0.2], [0.3, -0.2, 0.52, -0.1]])
         ens = Ensemble([0.0, 0.4], [0, 0], [0.5, 0.5], [0, 0], [0.1, 0.2])
-        h = FieldHistory()
-        h.append(0.0, build_field(ens))
-        h.close(1.0)
-        zT = integrate_batch(z0, h, tan1, 0.0, 1.0, ctl)
-        zb = integrate_batch(zT, h, tan1, 1.0, 0.0, ctl)
+        snap = build_field(ens)
+        zT = integrate_batch(z0, snap, tan1, 0.0, 1.0, ctl)
+        zb = integrate_batch(zT, snap, tan1, 1.0, 0.0, ctl)
         assert np.max(np.abs(zb - z0)) < 1e-12
 
     def test_record_shapes(self, tan1):
@@ -398,7 +382,7 @@ class TestBatch:
         z0 = np.array([[0.0, 0.1, 0.5, 0.1]])
         snap = build_field(Ensemble([0.45], [0.0], [0.5], [0.0], [0.3]))
         final, ts, samples, fm = integrate_batch(
-            z0, StaticField(snap), tan1, 0.5, 0.5, StepControl(dt=0.1), record=True)
+            z0, snap, tan1, 0.5, 0.5, StepControl(dt=0.1), record=True)
         np.testing.assert_array_equal(final, z0)
         assert ts.tolist() == [0.5] and samples.shape == (1, 1, 4)
         np.testing.assert_array_equal(fm, [snap.pm(z0[:, 0], z0[:, 2])[1]])
@@ -436,44 +420,38 @@ class TestAtRest:
 
 class TestStepContract:
     """Both steppers take the opening field pair and return the closing
-    one, so ``integrate`` queries the pair once per segment and once per
-    step, and each f_minus is the governing snapshot's value at its
-    sample."""
+    one, so ``integrate`` queries the pair once per call and once per
+    step, and each f_minus is the frozen field's value at its sample."""
 
     # [x, v, omega, eta]: a calm seed, a hot seed whose steps are halved
     # (down to depth 6) and a seed moving near the lower wall.
     SEEDS = [(0.0, 0.1, 0.6, 0.2), (0.05, -0.2, 0.5, 3.0), (0.1, 0.3, 0.02, -0.5)]
 
     @staticmethod
-    def history():
-        # Three snapshots on [0, 0.3]; charges every 1e-4 make the step
-        # field change wherever a bond moves.
-        h = FieldHistory()
+    def snapshot():
+        # Charges every 1e-4 make the step field change wherever a bond
+        # moves.
         n = 30001
-        for k in range(3):
-            x = np.linspace(-1.5, 1.5, n) + 0.37e-4 * k
-            h.append(0.1 * k, build_field(Ensemble(x, np.zeros(n), np.full(n, 0.5),
-                                                   np.zeros(n), np.full(n, 1e-5 * (k + 1)))))
-        h.close(0.3)
-        return h
+        return build_field(Ensemble(np.linspace(-1.5, 1.5, n), np.zeros(n),
+                                    np.full(n, 0.5), np.zeros(n), np.full(n, 1e-5)))
 
     def test_pm_calls(self, tan1, monkeypatch):
-        h = self.history()
+        snap = self.snapshot()
         calls = []
         pm = FieldSnapshot.pm
         monkeypatch.setattr(FieldSnapshot, "pm",
                             lambda snap, x, om: calls.append(1) or pm(snap, x, om))
-        path = integrate(ParticleState(*self.SEEDS[0]), h, tan1, 0.0, 0.3, StepControl(dt=0.01))
+        path = integrate(ParticleState(*self.SEEDS[0]), snap, tan1, 0.0, 0.3,
+                         StepControl(dt=0.01))
         assert len(path) == 31
-        assert len(calls) == 3 + 30  # segments + fine steps
+        assert len(calls) == 1 + 30  # opening pair + fine steps
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_f_minus_from_governing_snapshot(self, tan1, seed):
-        h = self.history()
-        path = integrate(ParticleState(*seed), h, tan1, 0.0, 0.3, StepControl(dt=0.01))
+        snap = self.snapshot()
+        path = integrate(ParticleState(*seed), snap, tan1, 0.0, 0.3, StepControl(dt=0.01))
         for i in range(len(path)):
-            want = h.snapshot_at(path.t[i]).pm(path.x[i], path.omega[i])[1]
-            assert path.f_minus[i] == want
+            assert path.f_minus[i] == snap.pm(path.x[i], path.omega[i])[1]
 
 
 class TestBatchIndependence:
@@ -542,24 +520,23 @@ class TestBatchIndependence:
         n = 30001
         snap = build_field(Ensemble(np.linspace(-1.5, 1.5, n), np.zeros(n),
                                     np.full(n, 0.5), np.zeros(n), np.full(n, 1e-5)))
-        prov = StaticField(snap)
         ctl = StepControl(dt=2.5e-3)
         t0, t1 = (0.0, 0.01) if forward else (0.01, 0.0)
-        final, ts, samples, fm = integrate_batch(self.ROWS, prov, tan1, t0, t1, ctl,
+        final, ts, samples, fm = integrate_batch(self.ROWS, snap, tan1, t0, t1, ctl,
                                                  record=True)
         assert ts.size == 5 and fallback
         np.testing.assert_array_equal(
-            integrate_batch(self.ROWS, prov, tan1, t0, t1, ctl), final)
+            integrate_batch(self.ROWS, snap, tan1, t0, t1, ctl), final)
         z = self.ROWS
         for k in range(4):
-            z = integrate_batch(z, prov, tan1, ts[k], ts[k + 1], ctl)
+            z = integrate_batch(z, snap, tan1, ts[k], ts[k + 1], ctl)
             np.testing.assert_array_equal(z, samples[k + 1])
         for zk, fk in zip(samples, fm):
             np.testing.assert_array_equal(fk, snap.pm(zk[:, 0], zk[:, 2])[1])
         # A slice records its rows only (row 4 takes the fallback), and
         # every row still advances as with record=True.
         assert self.ROWS[4, 2] in fallback
-        sub = integrate_batch(self.ROWS, prov, tan1, t0, t1, ctl, record=slice(2, 5))
+        sub = integrate_batch(self.ROWS, snap, tan1, t0, t1, ctl, record=slice(2, 5))
         for got, want in zip(sub, (final, ts, samples[:, 2:5], fm[:, 2:5]), strict=True):
             np.testing.assert_array_equal(got, want)
 
