@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,9 @@ class BoundParameters:
     C         large field constant for the excursion analysis (must
               dominate sup|F+-|);
     model     the bonding-force law.
+
+    ``balance`` (the balance points at level C) and ``I_M`` (the potential
+    at omega_M) are derived once, on first use.
     """
 
     epsilon: float
@@ -88,6 +92,14 @@ class BoundParameters:
             raise InvalidCError("need R > 0, C_minus >= 0, C > 0")
         if abs(self.model.epsilon - self.epsilon) > 1e-12 * self.epsilon:
             raise InvalidCError("model epsilon disagrees with parameters")
+
+    @cached_property
+    def balance(self) -> BalancePoints:
+        return _hooke.balance_points(self.model, self.C)
+
+    @cached_property
+    def I_M(self) -> float:
+        return _hooke.potential_to_midpoint(self.model, self.balance.omega_M)
 
 
 def gronwall_constants(p: BoundParameters) -> tuple[float, float]:
@@ -150,55 +162,40 @@ def excursion_envelope(H1: float, p) -> float:
     return math.sqrt(H1 ** 2 + 4.0 * p.epsilon * p.C)
 
 
-def _I_M(p: BoundParameters, balance: BalancePoints) -> float:
-    return _hooke.potential_to_midpoint(p.model, balance.omega_M)
-
-
-def _I_m(p: BoundParameters, balance: BalancePoints) -> float:
-    return _hooke.potential_to_midpoint(p.model, balance.omega_m)
-
-
-def _gap(p: BoundParameters, level: float, balance: BalancePoints) -> float:
+def _gap(p: BoundParameters, level: float) -> float:
     """hinv(level) - Omega_M: how far past the right balance point the
     potential reaches ``level``."""
-    return _hooke.inverse_potential(p.model, level, Branch.RIGHT) - balance.omega_M
+    return _hooke.inverse_potential(p.model, level, Branch.RIGHT) - p.balance.omega_M
 
 
-def turning_point_band(H1: float, p: BoundParameters,
-                       balance: BalancePoints | None = None) -> tuple[float, float]:
+def turning_point_band(H1: float, p: BoundParameters) -> tuple[float, float]:
     """Band that contains the potential level at the excursion's turning
     point: [max(0, H1**2/2 + I_M - eps C), H1**2/2 + I_M + eps C]."""
-    balance = balance or _hooke.balance_points(p.model, p.C)
-    im = _I_M(p, balance)
-    mid = 0.5 * H1 * H1 + im
+    mid = 0.5 * H1 * H1 + p.I_M
     return max(0.0, mid - p.epsilon * p.C), mid + p.epsilon * p.C
 
 
-def return_time_lower_bound(H1: float, p: BoundParameters,
-                            balance: BalancePoints | None = None) -> float:
+def return_time_lower_bound(H1: float, p: BoundParameters) -> float:
     """Lower bound on the excursion duration,
     2 (hinv(H1**2/2 + I_M - eps C) - Omega_M) / sqrt(H1**2 + 4 eps C);
     reported as 0 when vacuous (nonpositive numerator)."""
-    balance = balance or _hooke.balance_points(p.model, p.C)
-    level = 0.5 * H1 * H1 + _I_M(p, balance) - p.epsilon * p.C
+    level = 0.5 * H1 * H1 + p.I_M - p.epsilon * p.C
     if level <= 0.0:
         return 0.0
-    num = _gap(p, level, balance)
+    num = _gap(p, level)
     if num <= 0.0:
         return 0.0
     return 2.0 * num / excursion_envelope(H1, p)
 
 
-def drift_rate_bound(H1: float, p: BoundParameters,
-                     balance: BalancePoints | None = None) -> float:
+def drift_rate_bound(H1: float, p: BoundParameters) -> float:
     """Bound on the per-excursion speed change rate,
     2 eps C / (hinv(H1**2/2 + I_M - eps C) - Omega_M).
     Raises VacuousBoundError when the denominator is nonpositive."""
-    balance = balance or _hooke.balance_points(p.model, p.C)
-    level = 0.5 * H1 * H1 + _I_M(p, balance) - p.epsilon * p.C
+    level = 0.5 * H1 * H1 + p.I_M - p.epsilon * p.C
     if level <= 0.0:
         raise VacuousBoundError("potential level below the balance level; bound vacuous")
-    den = _gap(p, level, balance)
+    den = _gap(p, level)
     if den <= 0.0:
         raise VacuousBoundError("nonpositive denominator; bound vacuous")
     return 2.0 * p.epsilon * p.C / den
@@ -213,8 +210,7 @@ def chaotic_bound(H1: float, t_minus_t1, C: float):
     return 2.0 * C * t_minus_t1 + abs(H1)
 
 
-def global_envelope(p: BoundParameters, eta_M: float, T: float,
-                    balance: BalancePoints | None = None) -> tuple[float, float, float]:
+def global_envelope(p: BoundParameters, eta_M: float, T: float) -> tuple[float, float, float]:
     """(C1_exc, C2_exc, envelope) of the horizon-T speed bound.
 
     C1_exc = 2 eps C / (hinv(eps C + I_M) - Omega_M), C2_exc = max{2C, C1_exc},
@@ -222,10 +218,9 @@ def global_envelope(p: BoundParameters, eta_M: float, T: float,
     """
     if T < 0.0:
         raise RangeError("T must be nonnegative")
-    balance = balance or _hooke.balance_points(p.model, p.C)
-    level = p.epsilon * p.C + _I_M(p, balance)
+    level = p.epsilon * p.C + p.I_M
     try:
-        den = _gap(p, level, balance)
+        den = _gap(p, level)
     except RangeError as exc:
         raise InvalidCError(f"potential never reaches the excursion level: {exc}") from exc
     if den <= 0.0:
@@ -235,15 +230,15 @@ def global_envelope(p: BoundParameters, eta_M: float, T: float,
     return c1, c2, excursion_envelope(c2 * T + eta_M, p)
 
 
-def omega_confinement(p: BoundParameters, omega0: float, eta_M: float, T: float,
-                      balance: BalancePoints | None = None) -> tuple[float, float]:
+def omega_confinement(p: BoundParameters, omega0: float, eta_M: float,
+                      T: float) -> tuple[float, float]:
     """Confinement interval for the bond length over [0, T].
 
     The potential level B = C T * envelope + U(omega0) + eta_M**2/2 caps
     U(Omega(t)); inverting U on both branches yields the interval.  Raises
     NoConfinementError when a finite-well model never reaches B.
     """
-    _, _, env = global_envelope(p, eta_M, T, balance=balance)
+    _, _, env = global_envelope(p, eta_M, T)
     level = p.C * T * env + _hooke.potential_to_midpoint(p.model, omega0) \
         + 0.5 * eta_M * eta_M
     try:
@@ -279,45 +274,22 @@ class BoundCertificate:
     C2_exc: float
     eta_M: float
     H_envelope: float
-    omega_lo: float
-    omega_hi: float
+    omega_confinement: tuple[float, float]
     x_bound: float
     v_bound: float
     support_box: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon, "T": self.T, "C": self.C,
-            "C_minus": self.C_minus, "C1": self.C1, "C2": self.C2,
-            "t0": self.t0,
-            "balance": {"omega_m": self.balance.omega_m,
-                        "omega_M": self.balance.omega_M,
-                        "level": self.balance.level},
-            "I_M": self.I_M, "I_m": self.I_m,
-            "C1_exc": self.C1_exc, "C2_exc": self.C2_exc,
-            "eta_M": self.eta_M, "H_envelope": self.H_envelope,
-            "omega_confinement": [self.omega_lo, self.omega_hi],
-            "x_bound": self.x_bound, "v_bound": self.v_bound,
-            "support_box": list(self.support_box),
-        }
+        return asdict(self)
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)
 
     @classmethod
-    def from_dict(cls, d: dict, model: HookeModel | None = None) -> "BoundCertificate":
-        bal = BalancePoints(omega_m=d["balance"]["omega_m"],
-                            omega_M=d["balance"]["omega_M"],
-                            level=d["balance"]["level"])
-        return cls(epsilon=d["epsilon"], T=d["T"], C=d["C"], C_minus=d["C_minus"],
-                   C1=d["C1"], C2=d["C2"], t0=d["t0"], balance=bal,
-                   I_M=d["I_M"], I_m=d["I_m"], C1_exc=d["C1_exc"],
-                   C2_exc=d["C2_exc"], eta_M=d["eta_M"],
-                   H_envelope=d["H_envelope"],
-                   omega_lo=d["omega_confinement"][0],
-                   omega_hi=d["omega_confinement"][1],
-                   x_bound=d["x_bound"], v_bound=d["v_bound"],
-                   support_box=tuple(d.get("support_box", ())))
+    def from_dict(cls, d: dict) -> "BoundCertificate":
+        return cls(**{**d, "balance": BalancePoints(**d["balance"]),
+                      "omega_confinement": tuple(d["omega_confinement"]),
+                      "support_box": tuple(d.get("support_box", ()))})
 
 
 def certificate_parameters(model: HookeModel, box, mass: float | None = None,
@@ -353,7 +325,7 @@ def build_certificate(p: BoundParameters, support_box, T: float) -> BoundCertifi
     its first event there); raises InvalidCError otherwise.
     """
     x_lo, x_hi, v_lo, v_hi, om_lo, om_hi, et_lo, et_hi = support_box
-    balance = _hooke.balance_points(p.model, p.C)
+    balance = p.balance
     if not (balance.omega_m < om_lo and om_hi < balance.omega_M):
         raise InvalidCError(
             "omega support must lie strictly between the balance points; "
@@ -361,19 +333,19 @@ def build_certificate(p: BoundParameters, support_box, T: float) -> BoundCertifi
     c1, c2 = gronwall_constants(p)
     t0 = confinement_time(p)
     eta_M = max(abs(et_lo), abs(et_hi))
-    c1e, c2e, env = global_envelope(p, eta_M, T, balance=balance)
+    c1e, c2e, env = global_envelope(p, eta_M, T)
     # The confinement level is driven by the worse potential endpoint.
     u_lo = _hooke.potential_to_midpoint(p.model, om_lo)
     u_hi = _hooke.potential_to_midpoint(p.model, om_hi)
     omega0 = om_lo if u_lo >= u_hi else om_hi
-    conf_lo, conf_hi = omega_confinement(p, omega0, eta_M, T, balance=balance)
     x_m = max(abs(x_lo), abs(x_hi))
     v_m = max(abs(v_lo), abs(v_hi))
     return BoundCertificate(
         epsilon=p.epsilon, T=T, C=p.C, C_minus=p.C_minus, C1=c1, C2=c2, t0=t0,
-        balance=balance, I_M=_I_M(p, balance), I_m=_I_m(p, balance),
+        balance=balance, I_M=p.I_M,
+        I_m=_hooke.potential_to_midpoint(p.model, balance.omega_m),
         C1_exc=c1e, C2_exc=c2e, eta_M=eta_M, H_envelope=env,
-        omega_lo=conf_lo, omega_hi=conf_hi,
+        omega_confinement=omega_confinement(p, omega0, eta_M, T),
         x_bound=x_m + v_m * T + 0.5 * p.C * T * T,
         v_bound=v_m + p.C * T,
         support_box=tuple(support_box))
@@ -426,6 +398,23 @@ def _runs(mask: np.ndarray):
     return list(zip(starts.tolist(), stops.tolist()))
 
 
+def _check(name: str, margin, note: str = "", at=None) -> CheckResult:
+    """Pass when no ``margin`` entry (bound + slack - value) is negative.
+
+    ``at`` maps each entry to its path sample (default: the entry's own
+    index); the first violation is the first negative entry in order.
+    """
+    margin = np.asarray(margin, dtype=float)
+    worst = float(margin.min()) if margin.size else math.inf
+    first = None
+    if not worst >= 0.0:  # a NaN minimum may hide negative entries
+        bad = np.flatnonzero(margin < 0.0)
+        if bad.size:
+            first = int(bad[0] if at is None else at[bad[0]])
+    return CheckResult(name=name, passed=first is None, first_violation=first,
+                       worst_margin=worst, note=note)
+
+
 def certify(path: TrajectoryPath, cert: BoundCertificate,
             slack: float = DEFAULT_SLACK) -> CertReport:
     """Verify every certificate inequality against a sampled trajectory.
@@ -441,29 +430,22 @@ def certify(path: TrajectoryPath, cert: BoundCertificate,
     om = path.omega
     h = path.eta
     t = path.t
-    checks: list[CheckResult] = []
 
     # Precondition: the fields the path saw were within the certificate's C.
     pre_ok = path.max_field_norm <= cert.C + slack
-    checks.append(CheckResult(
+    checks = [CheckResult(
         name="field_norm_precondition", passed=bool(pre_ok),
         first_violation=None if pre_ok else 0,
         worst_margin=cert.C - path.max_field_norm,
-        note=f"max logged sup|F+-| = {path.max_field_norm!r}"))
+        note=f"max logged sup|F+-| = {path.max_field_norm!r}")]
 
     # Chaotic region: |H| <= 2C (t - t_entry) + |H(t_entry)| per inside-run.
+    # The runs cover the inside samples in order.
     inside = (om > cert.balance.omega_m) & (om < cert.balance.omega_M)
-    first_bad = None
-    worst = math.inf
-    for a, b in _runs(inside):
-        bound = chaotic_bound(h[a], t[a:b + 1] - t[a], cert.C) + slack
-        margin = bound - np.abs(h[a:b + 1])
-        worst = min(worst, float(margin.min()))
-        bad = np.nonzero(margin < 0.0)[0]
-        if bad.size and first_bad is None:
-            first_bad = int(a + bad[0])
-    checks.append(CheckResult(name="chaotic_bound", passed=first_bad is None,
-                              first_violation=first_bad, worst_margin=worst))
+    margins = [chaotic_bound(h[a], t[a:b + 1] - t[a], cert.C) + slack - np.abs(h[a:b + 1])
+               for a, b in _runs(inside)]
+    checks.append(_check("chaotic_bound", np.concatenate([np.empty(0), *margins]),
+                         at=np.flatnonzero(inside)))
 
     # Excursions: pair each exit with the next return at the same boundary.
     spans = []
@@ -474,62 +456,32 @@ def certify(path: TrajectoryPath, cert: BoundCertificate,
         elif ev.kind is EventKind.RETURN_TIME and ev.boundary in open_exits:
             spans.append((open_exits.pop(ev.boundary), ev.time))
     n_pairs = len(spans)
-    # An excursion still open at the end of the path is checked to the end.
+    # An excursion still open at the end of the path is checked to the end,
+    # after every pair.
     spans += [(ex, math.inf) for ex in open_exits.values()]
-    first_bad = None
-    worst = math.inf
-    for ex, end in spans:
-        env = excursion_envelope(ex.state.eta, cert)
-        sel = (t >= ex.time) & (t <= end)
-        margin = env + slack - np.abs(h[sel])
-        if margin.size:
-            worst = min(worst, float(margin.min()))
-            bad = np.nonzero(margin < 0.0)[0]
-            if bad.size and first_bad is None:
-                first_bad = int(np.nonzero(sel)[0][bad[0]])
-    checks.append(CheckResult(name="excursion_envelope", passed=first_bad is None,
-                              first_violation=first_bad, worst_margin=worst,
-                              note=f"{n_pairs} exit/return pairs"))
+    at = [np.flatnonzero((t >= ex.time) & (t <= end)) for ex, end in spans]
+    margins = [excursion_envelope(ex.state.eta, cert) + slack - np.abs(h[k])
+               for (ex, _), k in zip(spans, at)]
+    checks.append(_check("excursion_envelope", np.concatenate([np.empty(0), *margins]),
+                         f"{n_pairs} exit/return pairs",
+                         np.concatenate([np.empty(0, dtype=np.intp), *at])))
 
-    # Global speed envelope.
-    margin = cert.H_envelope + slack - np.abs(h)
-    bad = np.nonzero(margin < 0.0)[0]
-    checks.append(CheckResult(
-        name="global_envelope", passed=bad.size == 0,
-        first_violation=int(bad[0]) if bad.size else None,
-        worst_margin=float(margin.min())))
+    checks.append(_check("global_envelope", cert.H_envelope + slack - np.abs(h)))
+    lo, hi = cert.omega_confinement
+    checks.append(_check("omega_confinement",
+                         np.minimum(om - (lo - slack), (hi + slack) - om)))
 
-    # Bond confinement interval.
-    lo_margin = om - (cert.omega_lo - slack)
-    hi_margin = (cert.omega_hi + slack) - om
-    margin = np.minimum(lo_margin, hi_margin)
-    bad = np.nonzero(margin < 0.0)[0]
-    checks.append(CheckResult(
-        name="omega_confinement", passed=bad.size == 0,
-        first_violation=int(bad[0]) if bad.size else None,
-        worst_margin=float(margin.min())))
-
-    # Work bound on segments of constant eta sign.  Exact-zero samples are
-    # folded into the preceding segment so mixed-sign merges cannot occur.
-    first_bad = None
-    worst = math.inf
+    # Work bound on segments of constant eta sign, each reported at its
+    # first sample.  Exact-zero samples are folded into the preceding
+    # segment so mixed-sign merges cannot occur.
     sign = np.sign(h)
     nz = np.where(sign != 0.0, np.arange(sign.size), 0)
     np.maximum.accumulate(nz, out=nz)
     sign = sign[nz]
-    seg_start = 0
-    boundaries = (np.nonzero(sign[:-1] * sign[1:] < 0.0)[0] + 1).tolist() + [len(h)]
-    for stop in boundaries:
-        a, b = seg_start, stop - 1
-        seg_start = stop
-        if b <= a:
-            continue
-        work = abs(float(np.trapezoid(h[a:b + 1] * path.f_minus[a:b + 1], t[a:b + 1])))
-        m = cert.C * cert.epsilon + slack - work
-        worst = min(worst, m)
-        if m < 0.0 and first_bad is None:
-            first_bad = a
-    checks.append(CheckResult(name="work_bound", passed=first_bad is None,
-                              first_violation=first_bad, worst_margin=worst))
+    stops = (np.nonzero(sign[:-1] * sign[1:] < 0.0)[0] + 1).tolist() + [len(h)]
+    segs = [(a, b) for a, b in zip([0] + stops, stops) if b - 1 > a]
+    work = [abs(float(np.trapezoid(h[a:b] * path.f_minus[a:b], t[a:b]))) for a, b in segs]
+    checks.append(_check("work_bound", [cert.C * cert.epsilon + slack - w for w in work],
+                         at=[a for a, _ in segs]))
 
     return CertReport(checks=tuple(checks), slack=slack)

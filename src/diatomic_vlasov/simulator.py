@@ -71,7 +71,6 @@ class Diagnostics:
     sup_F: float
     E_kin: float
     E_osc: float
-    event_count: int
     detJ_err: float
     status: ContinuationStatus = ContinuationStatus.NA
     violated: str = ""
@@ -205,7 +204,7 @@ def _oscillatory_energy(ens: Ensemble, model: HookeModel) -> float:
 
 
 def diagnostics(ensemble: Ensemble, snapshot: FieldSnapshot, model: HookeModel,
-                event_count: int = 0, detj_err: float = math.nan) -> Diagnostics:
+                detj_err: float = math.nan) -> Diagnostics:
     """All per-step scalars of an ensemble/field pair."""
     linf = math.nan
     if ensemble.f_values is not None and len(ensemble) > 0:
@@ -218,7 +217,6 @@ def diagnostics(ensemble: Ensemble, snapshot: FieldSnapshot, model: HookeModel,
         sup_F=snapshot.norms()[0],
         E_kin=float(np.sum(ensemble.w * 0.5 * ensemble.v**2)),
         E_osc=_oscillatory_energy(ensemble, model),
-        event_count=event_count,
         detJ_err=detj_err)
 
 
@@ -233,14 +231,15 @@ def check_continuation(diag: Diagnostics, cert: BoundCertificate | None,
     if cert is None:
         return ContinuationStatus.NA, ""
     x_lo, x_hi, v_lo, v_hi, om_lo, om_hi, et_lo, et_hi = diag.support_box
-    conf_width = cert.omega_hi - cert.omega_lo
+    conf_lo, conf_hi = cert.omega_confinement
+    conf_width = conf_hi - conf_lo
     checks = (
         ("x_lower", -x_lo, cert.x_bound, margin * cert.x_bound),
         ("x_upper", x_hi, cert.x_bound, margin * cert.x_bound),
         ("v_lower", -v_lo, cert.v_bound, margin * cert.v_bound),
         ("v_upper", v_hi, cert.v_bound, margin * cert.v_bound),
-        ("omega_lower", cert.omega_lo - om_lo, 0.0, margin * conf_width),
-        ("omega_upper", om_hi - cert.omega_hi, 0.0, margin * conf_width),
+        ("omega_lower", conf_lo - om_lo, 0.0, margin * conf_width),
+        ("omega_upper", om_hi - conf_hi, 0.0, margin * conf_width),
         ("eta_lower", -et_lo, cert.H_envelope, margin * cert.H_envelope),
         ("eta_upper", et_hi, cert.H_envelope, margin * cert.H_envelope),
     )
@@ -329,8 +328,6 @@ def run(config: RunConfig):
                 path.events = detect_events(path, cert.balance)
                 cert_reports.append(certify(path, cert))
             tracked_paths.append(path)
-        counts = _cumulative_event_counts(series, tracked_paths)
-        series = [replace(d, event_count=c) for d, c in zip(series, counts)]
 
     return RunResult(final=ens, series=series, tracked_paths=tracked_paths,
                      certificate=cert, cert_reports=cert_reports, config=config,
@@ -376,14 +373,6 @@ def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
 
 def _coords(ens: Ensemble) -> np.ndarray:
     return np.stack([ens.x, ens.v, ens.omega, ens.eta], axis=1)
-
-
-def _cumulative_event_counts(series, paths) -> list[int]:
-    times = sorted(ev.time for p in paths for ev in p.events)
-    out = []
-    for d in series:
-        out.append(int(np.searchsorted(times, d.time + 1e-15)))
-    return out
 
 
 def _detj_probe(ens: Ensemble, snap, model, control, n_seeds: int) -> float:

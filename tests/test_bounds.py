@@ -168,7 +168,7 @@ class TestTurningPointBand:
         path = integrate(ParticleState(0, 0, bal.omega_M, h1), prov, p.model,
                          0.0, 1.9, StepControl(dt=1e-3), balance=bal)
         turn = np.max(path.omega)
-        lo, hi = turning_point_band(h1, p, balance=bal)
+        lo, hi = turning_point_band(h1, p)
         level = potential_to_midpoint(p.model, turn)
         assert lo - 1e-6 <= level <= hi + 1e-6
 
@@ -205,7 +205,7 @@ class TestReturnTime:
         exit_t = path.events[0].time
         ret_t = next(e.time for e in path.events
                      if e.kind.value == "return" and e.boundary == "omega_M")
-        assert ret_t - exit_t >= return_time_lower_bound(h1, p, balance=bal) - 1e-6
+        assert ret_t - exit_t >= return_time_lower_bound(h1, p) - 1e-6
 
 
 class TestDriftRate:
@@ -307,11 +307,18 @@ class TestCertificate:
         cert = build_certificate(p, self.box(), T=1.0)
         back = BoundCertificate.from_dict(json.loads(cert.to_json()))
         assert back == cert
+        # The manifest's key order, which run directories are diffed by.
+        assert list(cert.to_dict()) == [
+            "epsilon", "T", "C", "C_minus", "C1", "C2", "t0", "balance", "I_M", "I_m",
+            "C1_exc", "C2_exc", "eta_M", "H_envelope", "omega_confinement",
+            "x_bound", "v_bound", "support_box"]
+        assert list(cert.to_dict()["balance"]) == ["omega_m", "omega_M", "level"]
 
     def test_confinement_contains_initial_support(self):
         p = params(eps0=0.42, R=0.5, c_minus=0.4, c=0.9)
         cert = build_certificate(p, self.box(), T=1.0)
-        assert cert.omega_lo <= 0.42 and cert.omega_hi >= 0.58
+        lo, hi = cert.omega_confinement
+        assert lo <= 0.42 and hi >= 0.58
         assert cert.C1 >= 1.0
         assert cert.t0 > 0.0
 
@@ -365,7 +372,7 @@ class TestCertify:
 
     def test_edited_omega_fails_confinement(self):
         path, cert = self.run_path()
-        path.omega[5] = cert.omega_hi + 1e-3
+        path.omega[5] = cert.omega_confinement[1] + 1e-3
         report = certify(path, cert)
         conf = next(c for c in report.checks if c.name == "omega_confinement")
         assert not conf.passed and conf.first_violation == 5

@@ -1,9 +1,18 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from diatomic_vlasov import ParticleState, StepControl, integrate, tangent_model, zero_field
+from diatomic_vlasov import (
+    ConstantField,
+    ParticleState,
+    StepControl,
+    balance_points,
+    integrate,
+    tangent_model,
+    zero_field,
+)
 from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, dispatch
 
 
@@ -134,6 +143,20 @@ class TestExitCodes:
         firsts = [c["first_violation"] for r in reports for c in r["checks"]]
         assert all(f is None or type(f) is int for f in firsts)
 
+    def test_validate_hooke_violation(self, tmp_path, capsys):
+        # The tangent law shifted by 0.1 fails H2 (zero at the midpoint)
+        # and H3 (odd about it); its interpolated table also misses H4
+        # (convex left, concave right) by about 4e-7.
+        w = np.linspace(0.01, 0.99, 99)
+        np.savetxt(tmp_path / "law.txt",
+                   np.column_stack([w, -np.tan(np.pi * (w - 0.5)) + 0.1]))
+        cfg = write_config(tmp_path, hooke={"kind": "table", "epsilon": 1.0,
+                                            "table_path": str(tmp_path / "law.txt")})
+        assert dispatch(["validate-hooke", "--config", str(cfg)]) == EXIT_VIOLATION
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["failures"] == ["H2", "H3", "H4"]
+
 
 class TestSubcommands:
     def test_trajectory_needs_no_datum(self, tmp_path, capsys):
@@ -157,6 +180,23 @@ class TestSubcommands:
         for j, name in enumerate(("t", "x", "v", "omega", "eta")):
             np.testing.assert_array_equal(data[:, j], getattr(ref, name))
         assert (out / "events.csv").exists()
+
+    def test_trajectory_balance_level(self, tmp_path, capsys):
+        seed = {"omega": 0.7, "eta": 0.3}
+        cfg = write_config(tmp_path, trajectory={
+            "seed": seed, "T": 1.0, "dt": 1e-3, "balance_level": 0.8,
+            "field": {"kind": "constant", "f_minus": 0.5}})
+        out = tmp_path / "traj"
+        assert dispatch(["trajectory", "--config", str(cfg),
+                         "--output-dir", str(out)]) == EXIT_OK
+        model = tangent_model(1.0)
+        ref = integrate(ParticleState(0.0, 0.0, 0.7, 0.3), ConstantField(0.0, 0.5), model,
+                        0.0, 1.0, StepControl(dt=1e-3), balance=balance_points(model, 0.8))
+        with open(out / "events.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[1] for r in rows] == ["exit", "stopping", "return"]
+        assert [(float(t), kind, float(om), float(eta)) for t, kind, om, eta in rows] == \
+            [(e.time, e.kind.value, e.state.omega, e.state.eta) for e in ref.events]
 
     def test_bounds_writes_certificate(self, tmp_path, capsys):
         out = tmp_path / "bounds"

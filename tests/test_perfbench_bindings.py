@@ -2,21 +2,35 @@
 
 ``perfbench/tracing.py`` wraps package functions and methods by name and
 reads ``integrate_batch``'s arguments by parameter name, and
-``worker.setup_probe`` imports public names.  A rename in the package
-would zero the traced metrics or fail the harness without failing any
-other test, so these checks run with the package's own tests.
+``worker.setup_probe`` imports public names and keeps its own copy of the
+certificate parameter formulas.  A rename in the package would zero the
+traced metrics or fail the harness, and a changed formula would leave
+``setup_s`` timing the old one, without failing any other test, so these
+checks run with the package's own tests.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from diatomic_vlasov import StepControl, integrate_batch, tangent_model, zero_field
+from diatomic_vlasov import (
+    RunConfig,
+    StepControl,
+    bounds,
+    certificate_parameters,
+    integrate_batch,
+    sample_datum,
+    tangent_model,
+    zero_field,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +77,28 @@ def test_setup_probe_imports_resolve():
     for module, name in imports:
         assert module.startswith("diatomic_vlasov.")
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("name", ["bulk", "wall", "picard"])
+def test_setup_probe_derives_the_run_parameters(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])
+    with mock.patch.dict(os.environ):  # importing worker pins thread variables
+        worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    build, captured = bounds.build_certificate, []
+
+    def capture(p, box, T):
+        captured.append((p, box))
+        return build(p, box, T)
+
+    monkeypatch.setattr(bounds, "build_certificate", capture)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(workloads.config(name, 0, smoke=True)))
+    worker.setup_probe(str(cfg_path))
+
+    cfg = RunConfig.from_dict(json.loads(cfg_path.read_text()))
+    model = cfg.build_model()
+    ens = sample_datum(*cfg.build_datum(), model.epsilon)
+    [(p, box)] = captured
+    assert box == ens.support_box()
+    assert p == certificate_parameters(model, box, ens.total_mass, cfg.c_safety)
