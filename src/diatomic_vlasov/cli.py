@@ -39,11 +39,17 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
 
-def _load_config(path: str, overrides) -> RunConfig:
+def _read_json(path: Path, what: str):
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from exc
+
+
+def _load_config(path: str, overrides) -> RunConfig:
+    raw = _read_json(Path(path), "config")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path!r} must hold a JSON object, got {type(raw).__name__}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -198,24 +204,44 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _load_columns(path: Path, ncols: int) -> np.ndarray:
+    """A dumped CSV's rows below its header, with at least ncols columns."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {str(path)!r}: {exc}") from exc
+    if data.shape[1] < ncols:
+        raise ConfigError(f"{str(path)!r} has {data.shape[1]} columns, expected {ncols}")
+    return data
+
+
 def _cmd_certify(args) -> int:
     rundir = Path(args.path)
-    manifest = json.loads((rundir / "manifest.json").read_text())
-    if not manifest.get("certificate"):
-        raise ConfigError(f"{rundir}/manifest.json has no certificate")
-    cert = BoundCertificate.from_dict(manifest["certificate"])
+    manifest_file = rundir / "manifest.json"
+    manifest = _read_json(manifest_file, "run manifest")
+    if not isinstance(manifest, dict) or not manifest.get("certificate"):
+        raise ConfigError(f"{manifest_file} has no certificate")
+    try:
+        cert = BoundCertificate.from_dict(manifest["certificate"])
+        # The control the run used, event tolerances included.
+        control = RunConfig.from_dict(manifest["config"]).build_control()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed run manifest {str(manifest_file)!r}: {exc!r}") from exc
     norm_file = rundir / "max_field_norm.json"
     max_norm = 0.0
     if norm_file.exists():
-        max_norm = float(json.loads(norm_file.read_text())["max_field_norm"])
-    # The control the run used, event tolerances included.
-    control = RunConfig.from_dict(manifest["config"]).build_control()
+        try:
+            max_norm = float(_read_json(norm_file, "field norm")["max_field_norm"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed field norm {str(norm_file)!r}: {exc!r}") from exc
     reports = []
     any_fail = False
     for pth in sorted(rundir.glob("seed_*_path.csv")):
-        data = np.loadtxt(pth, delimiter=",", skiprows=1, ndmin=2)
-        aux = np.loadtxt(pth.with_name(pth.name.replace("_path", "_aux")),
-                         delimiter=",", skiprows=1, ndmin=2)
+        data = _load_columns(pth, 5)
+        aux_file = pth.with_name(pth.name.replace("_path", "_aux"))
+        aux = _load_columns(aux_file, 2)
+        if len(aux) != len(data):
+            raise ConfigError(f"{str(aux_file)!r} has {len(aux)} rows, {pth.name} {len(data)}")
         path = TrajectoryPath(
             t=data[:, 0], x=data[:, 1], v=data[:, 2], omega=data[:, 3],
             eta=data[:, 4], f_minus=aux[:, 1],

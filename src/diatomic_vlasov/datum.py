@@ -10,11 +10,9 @@ config reproduces the ensemble bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError
 from .field import Ensemble
@@ -86,13 +84,56 @@ def sample_datum(datum: BumpDatum, box, shape, epsilon: float) -> Ensemble:
         w=vals * cell, f_values=vals)
 
 
+# Unscrambled Sobol points (Bratley & Fox, ACM TOMS 14, 1988, Algorithm
+# 659) on 30 bits.  Dimension 1 is van der Corput (every m_k = 1);
+# dimensions 2-4 take the Joe & Kuo (SIAM J. Sci. Comput. 30, 2008)
+# primitive polynomials as (degree s, coefficient bits a, initial m).
+_SOBOL_BITS = 30
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+
+
+def _direction_numbers() -> np.ndarray:
+    """(bits, 4) direction numbers v_k = m_k * 2**(bits - k), k = 1..bits."""
+    cols = [[1] * _SOBOL_BITS]
+    for s, a, m in _JOE_KUO:
+        m = list(m)
+        for k in range(s, _SOBOL_BITS):
+            mk = m[k - s] ^ (m[k - s] << s)
+            for j in range(1, s):
+                if (a >> (s - 1 - j)) & 1:
+                    mk ^= m[k - j] << j
+            m.append(mk)
+        cols.append(m)
+    return np.array([[mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(col)]
+                     for col in cols], dtype=np.uint32).T
+
+
+_SOBOL_V = _direction_numbers()
+
+
 def sobol_box(n: int, lo, hi) -> np.ndarray:
     """First n points of the unscrambled 4d Sobol sequence scaled into the
     box [lo, hi].  A degenerate axis (hi <= lo) is padded to lo + 1e-300,
     or to the next float where that sum rounds back to lo.
+
+    The points are those of ``scipy.stats.qmc.Sobol(d=4, scramble=False)``
+    bit for bit: 30-bit integers in Gray-code order (point i is the XOR of
+    the direction numbers picked by the bits of i ^ (i >> 1)) times 2**-30,
+    with van der Corput in dimension 1 and the Joe-Kuo direction numbers in
+    dimensions 2-4.  Raises ValueError, as scipy does, when a lower bound
+    is not below its padded upper bound (NaN, +inf) or n exceeds 2**30.
     """
-    sampler = qmc.Sobol(d=4, scramble=False)
-    pts = sampler.random_base2(max(1, math.ceil(math.log2(max(2, n)))))[:n]
+    m = max(0, int(n) - 1).bit_length()
+    if m > _SOBOL_BITS:
+        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points, got n={n}")
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     pad = np.maximum(lo + 1e-300, np.nextafter(lo, np.inf))
-    return qmc.scale(pts, lo, np.where(hi > lo, hi, pad))
+    up = np.where(hi > lo, hi, pad)
+    if not np.all(lo < up):
+        raise ValueError(f"Sobol box bounds need lo < hi, got {lo} and {up}")
+    # XOR of v_k over the bits of j, for every j < 2**m, by doubling.
+    q = np.zeros((1 << m, 4), dtype=np.uint32)
+    for k in range(m):
+        q[1 << k:2 << k] = q[:1 << k] ^ _SOBOL_V[k]
+    i = np.arange(n)
+    return q[i ^ (i >> 1)] * 2.0 ** -_SOBOL_BITS * (up - lo) + lo

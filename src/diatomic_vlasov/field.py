@@ -132,7 +132,10 @@ class Ensemble:
 
     @classmethod
     def load_csv(cls, path) -> "Ensemble":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"{path}: {exc}") from exc
         if data.shape[1] != 5:
             raise DomainError(f"{path}: expected columns x,v,omega,eta,w")
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])

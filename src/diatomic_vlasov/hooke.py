@@ -8,9 +8,12 @@ The built-in tangent law is
     force(omega) = -tan(pi/epsilon * (omega - epsilon/2)).
 
 Custom laws are supported as callables or as two-column tables with
-monotone cubic interpolation.  Four structural hypotheses are checked by
-``validate_model`` rather than assumed: monotone decrease, midpoint zero,
-odd symmetry about the midpoint, and convex/concave split.
+monotone cubic interpolation.  scipy loads only for these table and
+custom models, on first use (PCHIP for tables, adaptive quadrature for
+callables); the tangent law needs numpy alone.  Four structural
+hypotheses are checked by ``validate_model`` rather than assumed:
+monotone decrease, midpoint zero, odd symmetry about the midpoint, and
+convex/concave split.
 
 All root finding here is plain bracketing bisection.  Newton-type
 iterations are deliberately avoided: the force diverges at the walls, so
@@ -25,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DomainError,
@@ -174,6 +175,7 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
     lo, hi = float(omega[0]), float(omega[-1])
     if not lo <= 0.5 * epsilon <= hi:
         raise DomainError(f"table omega range [{lo!r}, {hi!r}] must contain epsilon/2")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(omega, values, extrapolate=False)
 
     def _f(w):
@@ -188,7 +190,10 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
 
 def load_table_model(path, epsilon: float) -> HookeModel:
     """Load a two-column plain-text table (omega, force) into a model."""
-    data = np.loadtxt(path, dtype=float)
+    try:
+        data = np.loadtxt(path, dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"{path}: expected two columns (omega, force)")
     return table_model(epsilon, data[:, 0], data[:, 1])
@@ -255,7 +260,8 @@ def potential_to_midpoint(model: HookeModel, x):
 def _quad_potential(model: HookeModel, xv: float) -> float:
     if xv == model.midpoint:
         return 0.0
-    val, err = _sciint.quad(lambda y: model.force_fn(y), xv, model.midpoint,
+    from scipy import integrate
+    val, err = integrate.quad(lambda y: model.force_fn(y), xv, model.midpoint,
                             epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
     if not math.isfinite(val) or (val != 0.0 and abs(err) > 10 * QUAD_RTOL * abs(val) + 1e-14):
         raise QuadratureError(

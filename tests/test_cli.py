@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diatomic_vlasov
 from diatomic_vlasov import (
     ConstantField,
     ParticleState,
@@ -156,6 +161,52 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         assert report["failures"] == ["H2", "H3", "H4"]
+
+    @pytest.mark.parametrize("text, needle", [
+        ("{not json", "cannot read run manifest"),
+        ('{"certificate": {"a": 1}}', "balance"),
+    ], ids=["not-json", "no-balance"])
+    def test_certify_unreadable_manifest(self, tmp_path, capsys, text, needle):
+        (tmp_path / "manifest.json").write_text(text)
+        assert dispatch(["certify", "--path", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert needle in err and "manifest.json" in err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        code = dispatch(["bounds", "--config", str(cfg), "--set", "T=1"])
+        assert code == EXIT_CONFIG
+        assert "config.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, name, text", [
+        ("datum", "bad.csv", "x,v,omega,eta,w\n0,0,zz,0,1\n"),
+        ("hooke", "law.txt", "0.1 two\n"),
+    ])
+    def test_unparseable_input_file(self, tmp_path, capsys, section, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        spec = ({"kind": "particles", "path": str(path)} if section == "datum"
+                else {"kind": "table", "epsilon": 1.0, "table_path": str(path)})
+        cfg = write_config(tmp_path, **{section: spec})
+        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("seed_001_path.csv", "t,x,v,omega,eta\r\n0,1,two,0.5,0\r\n"),
+        ("seed_001_aux.csv", "t,f_minus\n0,0\n"),  # fewer rows than the path
+    ], ids=["unparseable-path", "short-aux"])
+    def test_certify_bad_seed_file(self, tmp_path, capsys, name, text):
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, T=0.02, tracked_interior=0)
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(cfg), "--seed-report",
+                         "--output-dir", str(out)]) == EXIT_OK
+        (out / name).write_text(text)
+        capsys.readouterr()
+        assert dispatch(["certify", "--path", str(out)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -352,3 +403,57 @@ class TestSnapshotFiles:
         snaps = sorted(out.glob("ensemble_0*.csv"))
         assert [p.name for p in snaps][-1] == "ensemble_000009.csv"
         assert all(p.read_bytes() != final for p in snaps)
+
+
+# Runs CLI argument lists through ``dispatch`` in a fresh interpreter and
+# prints their exit codes and the scipy modules then loaded, as JSON.
+_DISPATCH_SCRIPT = """
+import contextlib, io, json, sys
+from diatomic_vlasov.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def dispatch_fresh(argvs):
+    src = str(Path(diatomic_vlasov.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout)
+
+
+class TestDefaultPathImports:
+    """The tangent-law path runs on numpy alone; scipy loads only for
+    table and custom force laws.  Reads module names, not timings."""
+
+    def test_tangent_law_subcommands_load_no_scipy(self, tmp_path):
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = str(write_config(tmp_path, datum=datum, T=0.02, tracked_boundary=4,
+                               tracked_interior=4, n_max=2, probe_grid=16,
+                               trajectory={"seed": {"omega": 0.6, "eta": 0.1}, "T": 0.05}))
+        run = str(tmp_path / "run")
+        got = dispatch_fresh([
+            ["simulate", "--config", cfg, "--seed-report", "--output-dir", run],
+            ["picard", "--config", cfg, "--output-dir", str(tmp_path / "picard")],
+            ["bounds", "--config", cfg],
+            ["trajectory", "--config", cfg, "--output-dir", str(tmp_path / "traj")],
+            ["validate-hooke", "--config", cfg, "--grid", "64"],
+            ["certify", "--path", run],
+        ])
+        assert got == {"codes": [EXIT_OK] * 6, "scipy": []}
+
+    def test_table_model_still_loads_scipy(self, tmp_path):
+        w = np.linspace(0.01, 0.99, 8)
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, hooke={
+            "kind": "table", "epsilon": 1.0, "table_path": str(tmp_path / "law.txt")})
+        got = dispatch_fresh([["bounds", "--config", str(cfg)]])
+        assert got["codes"] == [EXIT_OK]
+        assert "scipy.interpolate" in got["scipy"]
