@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diatomic_vlasov import (
+    BumpDatum,
     DomainError,
     EmptyEnsembleError,
     Ensemble,
@@ -15,8 +16,9 @@ from diatomic_vlasov import (
     SupportBounds,
     build_field,
     field_w1,
+    sample_datum,
 )
-from diatomic_vlasov.field import _BLOCK_ROWS, write_table
+from diatomic_vlasov.field import _BLOCK_ROWS, _REUSE_SHARE, write_table
 from diatomic_vlasov.picard import dump_iteration_log
 
 
@@ -242,7 +244,9 @@ class TestFieldPm:
             assert np.array(got).tobytes() == np.array(want).tobytes(), (x, om)
         x = np.concatenate([rng.uniform(-6, 6, 200), pos[:50], [-0.0, inf, -inf, nan]])
         om = np.concatenate([rng.uniform(0, 3, 200), rng.integers(0, 3, 50), [0.0, 1.0, 1.0, 1.0]])
-        for args in ((x, om), (x, 0.5), (0.25, om), (x[:, None], om[None, :8])):
+        # A scalar omega broadcasts to x's shape, also 2-d and empty.
+        for args in ((x, om), (x, 0.5), (0.25, om), (x[:, None], om[None, :8]),
+                     (x[:240].reshape(8, 30), 0.5), (np.empty(0), 0.5)):
             got, want = snap.pm(*args), two_at(*args)
             for g, w in zip(got, want, strict=True):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -318,24 +322,55 @@ class TestCsv:
         header = p.read_text().splitlines()[0]
         assert header == "x_sorted,cum_mass"
 
-    # Values whose spelling the byte contract pins: nan, +-inf, -0, the
-    # smallest subnormal, a huge value and two inexact fractions.
-    HARD = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0]
+    # Values whose spelling the byte contract pins: nan, +-inf, -0 next to
+    # 0, the smallest subnormal, a huge value, two inexact fractions and a
+    # NaN with its sign bit set (it spells nan too).
+    HARD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0,
+            -np.nan]
 
     def hard_columns(self, n, k):
         return [np.resize(np.roll(self.HARD, j), n) for j in range(k)]
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-    def test_write_table_matches_csv_writer(self, tmp_path, n):
-        header = ["a", "b", "c"]
-        cols = self.hard_columns(n, 3)
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+    def csv_writer_bytes(self, path, header, cols):
+        with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(header)
             for row in zip(*cols):
                 wr.writerow([f"{c:.17g}" for c in row])
+        return path.read_bytes()
+
+    def assert_write_table_bytes(self, tmp_path, header, cols):
         write_table(tmp_path / "new.csv", header, cols)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == self.csv_writer_bytes(
+            tmp_path / "ref.csv", header, cols)
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_write_table_matches_csv_writer(self, tmp_path, n):
+        self.assert_write_table_bytes(tmp_path, ["a", "b", "c"], self.hard_columns(n, 3))
+
+    def test_write_table_reuse_rule_both_sides(self, tmp_path, rng):
+        # Over two blocks and a part, one column holds ten values (every
+        # string reused) and one is all distinct (every cell formatted),
+        # with -0.0, 0.0 and both NaN signs among the distinct ones.
+        n = 2 * _BLOCK_ROWS + 7
+        few = self.hard_columns(n, 1)[0]
+        distinct = rng.normal(size=n)
+        distinct[:len(self.HARD)] = self.HARD
+        for col, reused in ((few, True), (distinct, False)):
+            repeats = n - np.unique(col.view(np.uint64)).size
+            assert (repeats >= _REUSE_SHARE * n) == reused
+        self.assert_write_table_bytes(tmp_path, ["few", "distinct"], [few, distinct])
+
+    def test_sampled_ensemble_dump_matches_csv_writer(self, tmp_path):
+        # A tensor-grid ensemble repeats each axis value across the grid.
+        datum = BumpDatum(centers=(0.1, 0.0, 0.5, 0.0), widths=(0.5, 0.3, 0.08, 0.3),
+                          amplitude=4.0)
+        ens = sample_datum(datum, datum.support(), (9, 8, 8, 8), epsilon=1.0)
+        assert len(ens) > _BLOCK_ROWS
+        ens.dump_csv(tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == self.csv_writer_bytes(
+            tmp_path / "ref.csv", ["x", "v", "omega", "eta", "w"],
+            [ens.x, ens.v, ens.omega, ens.eta, ens.w])
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_write_table_newline_matches_savetxt(self, tmp_path, n):
@@ -348,7 +383,7 @@ class TestCsv:
     def test_iteration_log_matches_csv_writer(self, tmp_path):
         # The log's integer n column and a NaN delta spell as csv.writer
         # spelled them when it wrote the log.
-        recs = [IterationRecord(n=n, sup_delta=d, support=SupportBounds(*self.HARD[3:]),
+        recs = [IterationRecord(n=n, sup_delta=d, support=SupportBounds(*self.HARD[3:8]),
                                 sup_F=0.1, sup_F_pm=0.2, z_dist=0.0, field_w1=0.0)
                 for n, d in ((1, math.nan), (2, 1.0 / 3.0), (123456789, -0.0))]
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
@@ -370,8 +405,9 @@ class TestCsv:
             Ensemble.load_csv(p)
 
     def test_load_csv_roundtrips_bits(self, tmp_path):
+        # Every NaN spells nan, so only the plain NaN reads back bit for bit.
         n = _BLOCK_ROWS + 1
-        x, v, om, et = self.hard_columns(n, 4)
+        x, v, om, et = (np.where(np.isnan(c), np.nan, c) for c in self.hard_columns(n, 4))
         w = np.resize([0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0], n)
         ens = Ensemble(x, v, om, et, w)
         p = tmp_path / "ens.csv"
