@@ -49,11 +49,12 @@ _BLOCK_ROWS = 4096  # rows formatted per ``%`` call in write_table
 # Measured on 20,736-row columns (2-core VM, Python 3.11, numpy 2.4):
 # ``%.17g`` costs about 425 ns per float, and the column's sort, which
 # every column of such a table pays to count its repeats, about 8 ns per
-# element.  Reuse costs about 195 ns per cell on top (the inverse from
+# element.  Reuse costs about 160-195 ns per cell on top (the inverse from
 # ``np.unique``'s own sort, the gather and the ``%s`` copy) and saves one
-# format per repeat, so it breaks even at a repeat share of about 0.36.
-# At 0.4 it gained about 30 ns per cell, too little to hold a string for
-# every distinct value, so such columns stay on the plain path.
+# format per repeat, so it breaks even at a repeat share near 0.4.  With
+# one reused column among four all-distinct ones (fastest of 31 calls) it
+# lost 30 ns per cell at 0.4 and gained 34 ns at 0.5, 114 at 0.7 and 240
+# at 0.9.
 _REUSE_SHARE = 0.5
 
 
@@ -82,27 +83,30 @@ def write_table(path, header, columns, end: str = "\r\n") -> None:
     n = cols[0].size
     if any(c.shape != (n,) for c in cols):
         raise ValueError("write_table columns must be 1-d and of equal length")
-    fmt = ["%.17g"] * len(cols)
-    reused = []  # (column, strings of its distinct values, cell -> string index)
-    if n >= _BLOCK_ROWS:
-        for j, c in enumerate(cols):
-            s = np.sort(c.view(np.uint64))
-            if np.count_nonzero(s[1:] == s[:-1]) >= _REUSE_SHARE * n:
-                bits, inv = np.unique(c.view(np.uint64), return_inverse=True)
-                u = bits.view(float).tolist()
-                strs = (",".join(["%.17g"] * len(u)) % tuple(u)).split(",")
-                reused.append((j, np.array(strs, dtype=object), inv))
-                fmt[j] = "%s"
-    line = ",".join(fmt) + end
+    picks = [_distinct_strings(c) if n >= _BLOCK_ROWS else None for c in cols]
+    line = ",".join("%.17g" if p is None else "%s" for p in picks) + end
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + end)
         for i in range(0, n, _BLOCK_ROWS):
-            block = np.column_stack([c[i:i + _BLOCK_ROWS] for c in cols])
-            if reused:
-                block = block.astype(object)
-                for j, strs, inv in reused:
-                    block[:, j] = strs.take(inv[i:i + _BLOCK_ROWS])
+            rows = slice(i, i + _BLOCK_ROWS)
+            block = np.empty((min(_BLOCK_ROWS, n - i), len(cols)), dtype=object)
+            for j, (c, p) in enumerate(zip(cols, picks)):
+                block[:, j] = c[rows] if p is None else p[0].take(p[1][rows])
             fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _distinct_strings(c):
+    """``(strings, index)`` such that ``strings[index]`` spells ``c``, each
+    distinct bit pattern formatted once; None when fewer than
+    ``_REUSE_SHARE`` of the cells repeat a value."""
+    bits = c.view(np.uint64)
+    s = np.sort(bits)
+    if np.count_nonzero(s[1:] == s[:-1]) < _REUSE_SHARE * c.size:
+        return None
+    u, index = np.unique(bits, return_inverse=True)
+    vals = u.view(float).tolist()
+    strs = (",".join(["%.17g"] * len(vals)) % tuple(vals)).split(",")
+    return np.array(strs, dtype=object), index
 
 
 @dataclass(frozen=True)
@@ -251,26 +255,18 @@ class FieldSnapshot:
         """(F(x+omega)+F(x-omega), F(x+omega)-F(x-omega)).
 
         Both sides are looked up as one stacked query, the lookup of
-        ``at``, so each call pays numpy's per-call overhead once.  Array
-        queries are built in one buffer that then takes the field values
-        back."""
+        ``at``, so each call pays numpy's per-call overhead once."""
         x = np.asarray(x, dtype=float)
-        if x.ndim:
-            q = np.empty((2, *np.broadcast(x, omega).shape))
-            np.add(x, omega, out=q[0])
-            np.subtract(x, omega, out=q[1])
-        else:
-            q = np.array((x + omega, x - omega))
+        q = np.array((x + omega, x - omega))
         idx = np.searchsorted(self._keys[:-1], q, side="left")
         hit = self._keys.take(idx) == q
         idx *= 2
         idx += hit
+        f = self._values.ravel().take(idx)
         if q.ndim == 1:
-            r, l = self._values.ravel().take(idx).tolist()
+            r, l = f.tolist()
             return r + l, r - l
-        # Every index is in range; "clip" lets take write into q unbuffered.
-        self._values.ravel().take(idx, out=q, mode="clip")
-        return q[0] + q[1], q[0] - q[1]
+        return f[0] + f[1], f[0] - f[1]
 
     def norms(self) -> tuple[float, float]:
         """Exact suprema (sup|F|, sup|F+-|) = (total/2, total)."""

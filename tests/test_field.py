@@ -18,7 +18,7 @@ from diatomic_vlasov import (
     field_w1,
     sample_datum,
 )
-from diatomic_vlasov.field import _BLOCK_ROWS, _REUSE_SHARE, write_table
+from diatomic_vlasov.field import _BLOCK_ROWS, _distinct_strings, write_table
 from diatomic_vlasov.picard import dump_iteration_log
 
 
@@ -356,9 +356,11 @@ class TestCsv:
         few = self.hard_columns(n, 1)[0]
         distinct = rng.normal(size=n)
         distinct[:len(self.HARD)] = self.HARD
-        for col, reused in ((few, True), (distinct, False)):
-            repeats = n - np.unique(col.view(np.uint64)).size
-            assert (repeats >= _REUSE_SHARE * n) == reused
+        strings, index = _distinct_strings(few)
+        # One string per bit pattern: -0 and 0 apart, each NaN on its own.
+        assert sorted(strings) == sorted(f"{c:.17g}" for c in self.HARD)
+        assert strings.take(index).tolist() == [f"{c:.17g}" for c in few]
+        assert _distinct_strings(distinct) is None
         self.assert_write_table_bytes(tmp_path, ["few", "distinct"], [few, distinct])
 
     def test_sampled_ensemble_dump_matches_csv_writer(self, tmp_path):
