@@ -59,14 +59,15 @@ _REUSE_SHARE = 0.5
 
 
 def write_table(path, header, columns, end: str = "\r\n") -> None:
-    r"""Write equal-length float columns as CSV, one row per index.
+    r"""Write equal-length columns as CSV, one row per index.
 
     Byte contract: each value is ``"%.17g"`` (17 significant digits, exact
-    round trip; ``nan``, ``inf``, ``-0`` as Python spells them), fields are
-    joined by ``,`` and every line, header included, ends with ``end``.
-    With the default ``"\r\n"`` the bytes equal ``csv.writer`` rows of
-    ``f"{c:.17g}"`` strings; with ``"\n"`` they equal ``np.savetxt`` with
-    ``delimiter=",", comments="", fmt="%.17g"``.
+    round trip; ``nan``, ``inf``, ``-0`` as Python spells them) and a
+    text column's cell (``str``) is written as is; fields are joined by
+    ``,`` and every line, header included, ends with ``end``.  With the
+    default ``"\r\n"`` the bytes equal ``csv.writer`` rows of
+    ``f"{c:.17g}"`` strings and unquoted text; with ``"\n"`` they equal
+    ``np.savetxt`` with ``delimiter=",", comments="", fmt="%.17g"``.
 
     Formatting rule: in a table of at least ``_BLOCK_ROWS`` rows, each
     column is sorted on its uint64 bits, and when at least
@@ -79,12 +80,15 @@ def write_table(path, header, columns, end: str = "\r\n") -> None:
     repeats format every cell.  Rows are built and written one block at a
     time.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [np.asarray(c) for c in columns]
+    cols = [c if c.dtype.kind == "U" else c.astype(float, copy=False) for c in cols]
     n = cols[0].size
     if any(c.shape != (n,) for c in cols):
         raise ValueError("write_table columns must be 1-d and of equal length")
-    picks = [_distinct_strings(c) if n >= _BLOCK_ROWS else None for c in cols]
-    line = ",".join("%.17g" if p is None else "%s" for p in picks) + end
+    picks = [_distinct_strings(c) if n >= _BLOCK_ROWS and c.dtype.kind == "f" else None
+             for c in cols]
+    line = ",".join("%.17g" if p is None and c.dtype.kind == "f" else "%s"
+                    for c, p in zip(cols, picks)) + end
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + end)
         for i in range(0, n, _BLOCK_ROWS):

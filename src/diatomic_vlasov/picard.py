@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .datum import BumpDatum, sample_datum, sobol_box
-from .errors import ConfigError, EmptyEnsembleError
+from .errors import EmptyEnsembleError
 from .field import Ensemble, build_field, field_w1, write_table
 from .hooke import HookeModel
 from .simulator import _coords, _march
@@ -114,8 +114,7 @@ def _push_collect(ens: Ensemble, prev: list, model: HookeModel, T: float,
 
 def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             n_max: int, probe_grid: int = 4096, control: StepControl | None = None,
-            dt_macro: float | None = None, tol: float = 0.0,
-            t0_limit: float | None = None) -> list[IterationRecord]:
+            dt_macro: float | None = None, tol: float = 0.0) -> list[IterationRecord]:
     """Run the fixed-point rounds and log one record per iterate.
 
     f_0 is the datum held constant in time, so its field history is a
@@ -141,12 +140,7 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
       equal, round n-1's values are reused.  (``==`` misses only the
       sign of a zero coordinate, and no step of the backward push or of
       the datum turns that sign into a nonzero difference.)
-
-    ``t0_limit``, when given, guards the precondition T <= t0 (the
-    certified confinement horizon).
     """
-    if t0_limit is not None and T > t0_limit:
-        raise ConfigError(f"horizon T={T!r} exceeds the certified t0={t0_limit!r}")
     control = control or StepControl(dt=min(T / 8.0, 1e-2))
     dt_macro = dt_macro or control.dt
 

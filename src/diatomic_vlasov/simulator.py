@@ -17,7 +17,6 @@ randomness and reductions run in fixed order.
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
 import math
@@ -29,7 +28,7 @@ from . import hooke as _hooke
 from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError
-from .field import Ensemble, FieldSnapshot, build_field
+from .field import Ensemble, FieldSnapshot, build_field, write_table
 from .hooke import HookeModel, tangent_model, load_table_model
 from .trajectory import (
     StepControl,
@@ -391,10 +390,6 @@ def dump_diagnostics_csv(series, path) -> None:
     """Stable column set; one row per macro step."""
     cols = ["t", "L1", "Linf", "x_lo", "x_hi", "v_lo", "v_hi", "w_lo", "w_hi",
             "eta_lo", "eta_hi", "supF", "E_kin", "E_osc", "detJ_err", "status"]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols)
-        for d in series:
-            row = [d.time, d.L1, d.Linf, *d.support_box, d.sup_F,
-                   d.E_kin, d.E_osc, d.detJ_err]
-            wr.writerow([f"{c:.17g}" for c in row] + [d.status.value])
+    nums = np.array([[d.time, d.L1, d.Linf, *d.support_box, d.sup_F, d.E_kin, d.E_osc,
+                      d.detJ_err] for d in series], dtype=float).reshape(-1, len(cols) - 1)
+    write_table(path, cols, [*nums.T, [d.status.value for d in series]])

@@ -18,9 +18,10 @@ their m is the impulse count alone.  A batch sub-cycles in numpy passes
 over its rows while more than TAIL_ROWS of them still step, then
 finishes each remaining row alone in the scalar step's substep loop;
 both loops do a lone row's arithmetic with the same bond-force bits, so
-where the switch falls changes no result.  A step whose drift would
-leave the bond domain is rejected and retried at dt/2, down to
-dt/2**10; past that the step reports a blow-up candidate instead of
+where the switch falls changes no result.  A batch of one row, such as
+``integrate``'s, steps in Python floats with those bits.  A step whose
+drift would leave the bond domain is retried at dt/2, down to dt/2**10,
+in ``math``; past that the step reports a blow-up candidate instead of
 emitting an out-of-domain state.
 
 The field is frozen for a whole call: any object with ``pm`` and
@@ -29,7 +30,6 @@ The field is frozen for a whole call: any object with ``pm`` and
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
@@ -141,34 +141,32 @@ class TrajectoryPath:
                     [self.t, self.x, self.v, self.omega, self.eta])
 
     def dump_events_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "kind", "omega", "eta"])
-            for ev in self.events:
-                wr.writerow([f"{ev.time:.17g}", ev.kind.value,
-                             f"{ev.state.omega:.17g}", f"{ev.state.eta:.17g}"])
+        evs = self.events
+        write_table(path, ["t", "kind", "omega", "eta"],
+                    [[e.time for e in evs], [e.kind.value for e in evs],
+                     [e.state.omega for e in evs], [e.state.eta for e in evs]])
 
 
-def _force_scalar(model: HookeModel, om: float) -> float:
+def _force_scalar(model: HookeModel, om: float, tan) -> float:
     if model.kind is _hooke.HookeKind.TANGENT:
-        return -math.tan(math.pi / model.epsilon * (om - 0.5 * model.epsilon))
+        return -float(tan(math.pi / model.epsilon * (om - 0.5 * model.epsilon)))
     return float(model.force_fn(om))
 
 
 def _substeps_scalar(model: HookeModel, om: float, et: float, dt: float,
-                     control: StepControl) -> int:
+                     control: StepControl, tan) -> int:
     """Inner substep count: each substep must respect the impulse bound
     |Fh|*delta <= eta_scale AND, for the tangent law, resolve the stiffest
     local frequency sqrt(|Fh'|) the step can reach.  The smallest
     reachable wall distance is the current one minus the shell-bounded
     travel, floored at the turning clearance of the energy shell (a fast
     bond turns within a thin layer near the wall; jumping over it would
-    leave the domain).
+    leave the domain).  ``tan`` evaluates the tangent law.
 
     The frequency term is skipped where ``_substeps_batch``'s
     one-substep screen clears the row, which changes no count (see
     ``_wall_substeps``)."""
-    fh = abs(_force_scalar(model, om))
+    fh = abs(_force_scalar(model, om, tan))
     m = max(1, math.ceil(fh * abs(dt) / control.eta_scale))
     if model.kind is not _hooke.HookeKind.TANGENT:
         return int(m)
@@ -188,7 +186,7 @@ def _substeps_scalar(model: HookeModel, om: float, et: float, dt: float,
     outward = et > 0.0 if dt > 0.0 else et < 0.0
     ahead = (eps - om) if outward else om
     u_min = min(max(clearance, min(u_now, ahead - travel)), 0.5 * eps)
-    f_max = 1.0 / math.tan(math.pi * u_min / eps)
+    f_max = 1.0 / float(tan(math.pi * u_min / eps))
     freq = math.sqrt((math.pi / eps) * (1.0 + f_max * f_max))
     return int(max(m, math.ceil(abs(dt) * freq / WALL_RESOLUTION)))
 
@@ -200,9 +198,10 @@ def _substep_loop(om, e, d, k0, m, tan, model: HookeModel, lo, hi, eta_scale):
     kick before substep k0 applied.  Returns (omega, e), or None as soon
     as omega leaves (lo, hi) or |force|*|d| exceeds eta_scale.
 
-    ``tan`` evaluates the tangent law: ``math.tan`` in the scalar step,
-    ``np.tan`` in ``_advance_batch``'s tail, where it gives the bits of
-    the batch's array passes.  A custom law is called on the float.
+    ``tan`` evaluates the tangent law: ``math.tan`` in the halving
+    fallback, ``np.tan`` in ``_advance_batch``'s tail and lone row, where
+    it gives the bits of its array passes.  A custom law is called on the
+    float.
     """
     tangent = model.kind is _hooke.HookeKind.TANGENT
     # The forces of _force_scalar and _force_array, constants hoisted.
@@ -219,8 +218,31 @@ def _substep_loop(om, e, d, k0, m, tan, model: HookeModel, lo, hi, eta_scale):
     return om, e
 
 
-class _Rejected(Exception):
-    pass
+def _step_once(x, v, om, et, snap, model: HookeModel, dt, control: StepControl, pair, tan):
+    """One step of one row in Python floats, as ``_advance_scalar``
+    without halving: None where the step is rejected (more than
+    MAX_SUBSTEPS substeps, or a substep leaves the bond domain or breaks
+    the impulse bound).  ``tan`` is ``np.tan`` for a lone row of
+    ``_advance_batch``, giving the batch's bits, and ``math.tan`` in the
+    halving fallback, whose bits the ``wall`` references pin.
+    """
+    fp, fm = pair
+    v1 = v + 0.5 * dt * fp
+    e1 = et + 0.5 * dt * fm
+    fh = _force_scalar(model, om, tan)
+    m = _substeps_scalar(model, om, e1, dt, control, tan)
+    if m > MAX_SUBSTEPS:
+        return None
+    d = dt / m
+    lo, hi = model.domain
+    done = _substep_loop(om, e1 + 0.5 * d * fh, d, 0, m, tan, model, lo, hi,
+                         control.eta_scale)
+    if done is None:
+        return None
+    om1, e1 = done
+    x1 = x + dt * v1
+    fp2, fm2 = snap.pm(x1, om1)
+    return (x1, v1 + 0.5 * dt * fp2, om1, e1 + 0.5 * dt * fm2), (fp2, fm2)
 
 
 def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepControl,
@@ -232,50 +254,24 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
     (fp, fm) at (x, omega), queried here when None, and the result is
     ((x, v, omega, eta), (fp2, fm2)) with the closing pair at the new
     state.  A halved step opens its first half with its own pair and its
-    second half with the first half's closing pair.  The sub-cycle is
-    ``_substep_loop`` from substep 0 with ``math.tan``, the loop that
-    also finishes the batch's last few rows.
+    second half with the first half's closing pair.  Each (half) step is
+    ``_step_once`` with ``math.tan``: the ``wall`` references pin the
+    fallback's bits.
     """
     if pair is None:
         pair = snap.pm(x, om)
-    lo, hi = model.domain
-    try:
-        fp, fm = pair
-        v1 = v + 0.5 * dt * fp
-        e1 = et + 0.5 * dt * fm
-
-        fh = _force_scalar(model, om)
-        m = _substeps_scalar(model, om, e1, dt, control)
-        if m > MAX_SUBSTEPS:
-            raise _Rejected
-        d = dt / m
-        done = _substep_loop(om, e1 + 0.5 * d * fh, d, 0, m, math.tan, model, lo, hi,
-                             control.eta_scale)
-        if done is None:
-            raise _Rejected
-        om1, e1 = done
-        x1 = x + dt * v1
-
-        fp2, fm2 = snap.pm(x1, om1)
-        return (x1, v1 + 0.5 * dt * fp2, om1, e1 + 0.5 * dt * fm2), (fp2, fm2)
-    except _Rejected:
-        if depth >= MAX_HALVINGS:
-            raise StepUnderflowError(
-                f"step underflow at dt={dt!r}: omega={om!r} keeps leaving the bond domain "
-                "(blow-up candidate; by the global confinement result this indicates a "
-                "discretization artifact)",
-                state=ParticleState(x=x, v=v, omega=om, eta=et))
-        half = 0.5 * dt
-        state, pair = _advance_scalar(x, v, om, et, snap, model, half, control, pair, depth + 1)
-        return _advance_scalar(*state, snap, model, half, control, pair, depth + 1)
-
-
-def _check_seed(state: ParticleState, model: HookeModel) -> None:
-    lo, hi = model.domain
-    if not (lo < state.omega < hi):
-        raise DomainError(f"omega={state.omega!r} outside the guarded bond domain")
-    if not all(map(math.isfinite, (state.x, state.v, state.eta))):
-        raise DomainError(f"seed {state!r} has a non-finite coordinate")
+    done = _step_once(x, v, om, et, snap, model, dt, control, pair, math.tan)
+    if done is not None:
+        return done
+    if depth >= MAX_HALVINGS:
+        raise StepUnderflowError(
+            f"step underflow at dt={dt!r}: omega={om!r} keeps leaving the bond domain "
+            "(blow-up candidate; by the global confinement result this indicates a "
+            "discretization artifact)",
+            state=ParticleState(x=x, v=v, omega=om, eta=et))
+    half = 0.5 * dt
+    state, pair = _advance_scalar(x, v, om, et, snap, model, half, control, pair, depth + 1)
+    return _advance_scalar(*state, snap, model, half, control, pair, depth + 1)
 
 
 def _time_grid(lo: float, hi: float, dt: float) -> list[float]:
@@ -291,44 +287,21 @@ def integrate(state: ParticleState, field_provider, model: HookeModel,
     """Integrate one characteristic from t0 to t1 under the frozen field
     ``field_provider``, sampling every control.dt.
 
-    The path records the difference field at each sample and the field's
-    norm.  If ``balance`` is given, oscillation events are detected on
-    the sampled path (sign-change location between samples).  Raises
-    DomainError for a seed outside the bond domain or with a non-finite
-    coordinate and StepUnderflowError, with ``time`` the start of the
-    failing step, if a step cannot be taken even after halving.
-
-    The step contract and the time grid are those of ``integrate_batch``,
-    and so are the results, bit for bit where the bond law evaluates alike
-    in ``math`` and numpy: each step's closing field pair opens the next,
-    so the pair is queried once per call and once per step.  This loop
-    stays for single seeds because it is cheaper: 20,000 steps of one seed
-    in the zero field (omega 0.3, eta 0.5, dt 1e-3) take 0.25-0.33 s in it
-    and 1.37-1.47 s as a one-row ``integrate_batch``, whose numpy calls
-    cost more per row than the arithmetic (2-core VM, Python 3.11, numpy
-    2.4).
+    This is ``integrate_batch`` on the one row [x, v, omega, eta] with
+    ``record=True``, which steps in Python floats with the bits of that
+    row in any batch.  The path records the difference field at each
+    sample and the field's norm.  If ``balance`` is given, oscillation
+    events are detected on the sampled path (sign-change location between
+    samples).  Raises DomainError unless t1 > t0, and what
+    ``integrate_batch`` raises.
     """
     if t1 <= t0:
         raise DomainError("t1 must exceed t0")
-    _check_seed(state, model)
-    snap = field_provider
-    z = (state.x, state.v, state.omega, state.eta)
-    pair = snap.pm(z[0], z[2])
-    ts, zs, fms = [t0], [z], [pair[1]]
-    for target in _time_grid(t0, t1, control.dt):
-        try:
-            z, pair = _advance_scalar(*z, snap, model, target - ts[-1], control, pair)
-        except StepUnderflowError as exc:
-            exc.time = float(ts[-1])
-            raise
-        ts.append(target)
-        zs.append(z)
-        fms.append(pair[1])
-
-    zs = np.asarray(zs)
-    path = TrajectoryPath(
-        t=np.asarray(ts), x=zs[:, 0], v=zs[:, 1], omega=zs[:, 2], eta=zs[:, 3],
-        f_minus=np.asarray(fms), max_field_norm=snap.norms()[1], control=control)
+    _, ts, zs, fms = integrate_batch([[state.x, state.v, state.omega, state.eta]],
+                                     field_provider, model, t0, t1, control, record=True)
+    x, v, omega, eta = zs[:, 0].T
+    path = TrajectoryPath(t=ts, x=x, v=v, omega=omega, eta=eta, f_minus=fms[:, 0],
+                          max_field_norm=field_provider.norms()[1], control=control)
     if balance is not None:
         path.events = detect_events(path, balance)
     return path
@@ -343,9 +316,11 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch:
     each step sub-cycles the members in one loop over prefixes of them
     ordered by substep count, and finishes the last few alone (see
-    ``_advance_batch``); a row comes out bit-for-bit as it would alone.
-    Members whose step is rejected fall back to scalar halving for that
-    step only, so lockstep sampling is preserved.  The field pair is
+    ``_advance_batch``); a row comes out bit-for-bit as it would alone,
+    and a batch of one row steps in Python floats with those bits.
+    Members whose step is rejected fall back to scalar halving in
+    ``math`` (the ``wall`` references pin its bits) for that step only,
+    so lockstep sampling is preserved.  The field pair is
     queried once per call: a step's closing pair, taken at the states it
     returns, is the next step's opening pair.  The state is held in an
     (n, 4) Fortran-order array, so each of its columns is contiguous.
@@ -422,10 +397,26 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     by ``_advance_scalar`` (same contract, with halving) from their
     opening pair, and its closing pair replaces theirs; a tail row fails
     at its first failing substep, or is skipped when its passes already
-    failed.
+    failed.  That fallback stays in ``math``, whose bits the ``wall``
+    references pin.
+
+    A lone row skips the passes, which cost about 50 us a step against
+    10-15 us for its float step (2-core VM, Python 3.11, numpy 2.4): it
+    runs ``_step_once`` with ``np.tan``, the bits of the passes and the
+    tail, and the fallback where that rejects the step.  Its substep
+    count takes the wall term's log, sin, asin and exp from ``math``,
+    whose ceiling ``TestLoneRow`` finds equal to the batch's.
     """
+    if pair is None:
+        pair = snap.pm(z[:, 0], z[:, 2])
+    if len(z) == 1:
+        row = z[0].tolist()
+        opening = (float(pair[0][0]), float(pair[1][0]))
+        state, (fp2, fm2) = (_step_once(*row, snap, model, dt, control, opening, np.tan)
+                             or _advance_scalar(*row, snap, model, dt, control, opening))
+        return np.array([state]), (np.array([fp2]), np.array([fm2]))
     x, v, om, et = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-    fp, fm = snap.pm(x, om) if pair is None else pair
+    fp, fm = pair
     v1 = v + 0.5 * dt * fp
     e1 = et + 0.5 * dt * fm
 

@@ -124,7 +124,7 @@ class TestIterate:
         T = t0 / 2
         recs = iterate(d, BOX, (8, 8, 8, 8), model, T=T, n_max=n_max,
                        probe_grid=probe, control=StepControl(dt=T / 10),
-                       dt_macro=T / 10, t0_limit=t0)
+                       dt_macro=T / 10)
         return recs, T
 
     def test_records_and_decay(self):
@@ -144,12 +144,6 @@ class TestIterate:
         assert len(recs) == 1
         assert recs[0].n == 0 and recs[0].sup_delta == 0.0
         assert recs[0].sup_F > 0
-
-    def test_horizon_guard(self):
-        d = small_datum()
-        with pytest.raises(ConfigError):
-            iterate(d, BOX, (4, 4, 4, 4), tangent_model(1.0), T=1.0,
-                    n_max=1, t0_limit=0.05)
 
     def test_support_grows_with_horizon(self):
         d = small_datum()

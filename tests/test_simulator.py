@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -239,6 +240,30 @@ class TestDiagnostics:
         header = f.read_text().splitlines()[0]
         assert header == ("t,L1,Linf,x_lo,x_hi,v_lo,v_hi,w_lo,w_hi,"
                           "eta_lo,eta_hi,supF,E_kin,E_osc,detJ_err,status")
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        # The bytes of the csv.writer rows the file was first written
+        # with, for every status, NaN, infinities, -0.0, and no rows.
+        box = (-0.0, 0.5, -1e-300, 0.1, 0.45, 0.55, math.inf, -math.inf)
+        series = [Diagnostics(time=0.1 * k, L1=1.0 / 3.0, Linf=-0.0, support_box=box,
+                              sup_F=1e-17 * k, E_kin=2.0 ** 60, E_osc=math.nan,
+                              detJ_err=math.nan if k % 2 else 1.5e-9, status=st)
+                  for k, st in enumerate(ContinuationStatus)]
+        assert {d.status.value for d in series} >= {"na", "warn", "fail"}
+        for rows in (series, series[:1], []):
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as fh:
+                wr = csv.writer(fh)
+                wr.writerow(["t", "L1", "Linf", "x_lo", "x_hi", "v_lo", "v_hi", "w_lo",
+                             "w_hi", "eta_lo", "eta_hi", "supF", "E_kin", "E_osc",
+                             "detJ_err", "status"])
+                for d in rows:
+                    row = [d.time, d.L1, d.Linf, *d.support_box, d.sup_F, d.E_kin,
+                           d.E_osc, d.detJ_err]
+                    wr.writerow([f"{c:.17g}" for c in row] + [d.status.value])
+            f = tmp_path / "diag.csv"
+            dump_diagnostics_csv(rows, f)
+            assert f.read_bytes() == ref.read_bytes()
 
 
 class TestContinuation:

@@ -1,3 +1,4 @@
+import csv
 import math
 from unittest import mock
 
@@ -21,6 +22,7 @@ from diatomic_vlasov import (
     custom_model,
     detect_events,
     Ensemble,
+    OscillationEvent,
     integrate,
     integrate_batch,
     jacobian_estimate,
@@ -390,32 +392,35 @@ class TestBatch:
 
 class TestAtRest:
     """A bond at rest near a wall gets the substeps its reachable
-    stiffness asks for, on the scalar path as in the batch; moving bonds
-    follow the batch path too."""
+    stiffness asks for, on the scalar path as in the batch; a seed run
+    alone is its row in a batch, bit for bit."""
 
     def test_substep_count(self, tan1):
         # ceil(0.01 * freq(0.02) / WALL_RESOLUTION) with freq(0.02) ~ 28.2
-        assert trajectory._substeps_scalar(tan1, 0.02, 0.0, 0.01, StepControl(dt=0.01)) == 6
+        ctl = StepControl(dt=0.01)
+        assert trajectory._substeps_scalar(tan1, 0.02, 0.0, 0.01, ctl, np.tan) == 6
 
-    # At rest (exact) and moving: toward a wall, and hot enough that
-    # steps near the wall are halved.
+    # At rest (exact) and moving: toward a wall, hot enough that steps
+    # near the wall are halved, and two seeds on which math.tan and
+    # np.tan round apart within the 20 steps.
     @pytest.mark.parametrize("omega, eta", [
         pytest.param(0.02, 0.0, id="0.02"), pytest.param(0.1, 0.0, id="0.1"),
         pytest.param(0.5, 0.0, id="0.5"), pytest.param(0.3, 0.5, id="moving-0.3"),
-        pytest.param(0.05, -0.9, id="moving-0.05"), pytest.param(0.5, 3.0, id="moving-hot")])
+        pytest.param(0.05, -0.9, id="moving-0.05"), pytest.param(0.5, 3.0, id="moving-hot"),
+        pytest.param(0.125, -1.19, id="tan-0.125"), pytest.param(0.716, -0.06, id="tan-0.716")])
     def test_integrate_equals_one_row_batch(self, tan1, omega, eta):
         ctl = StepControl(dt=0.01)
         path = integrate(ParticleState(0.0, 0.1, omega, eta), zero_field(), tan1,
                          0.0, 0.2, ctl)
-        _, ts, samples, fm = integrate_batch(np.array([[0.0, 0.1, omega, eta]]),
-                                             zero_field(), tan1, 0.0, 0.2, ctl, record=True)
         got = np.column_stack([path.x, path.v, path.omega, path.eta])
-        np.testing.assert_array_equal(path.t, ts)
-        np.testing.assert_array_equal(path.f_minus, fm[:, 0])
-        if eta == 0.0:
-            np.testing.assert_array_equal(got, samples[:, 0])
-        else:
-            np.testing.assert_allclose(got, samples[:, 0], rtol=1e-12, atol=1e-12)
+        # The row alone, and inside a batch of rows at rest and moving.
+        z = np.array([[0.0, 0.1, omega, eta], [0.2, 0.0, 0.5, 0.0], [0.0, 0.1, 0.02, 1.0]])
+        for rows, i in ((z[:1], 0), (z, 0), (z[::-1], 2)):
+            _, ts, samples, fm = integrate_batch(rows, zero_field(), tan1, 0.0, 0.2, ctl,
+                                                 record=True)
+            np.testing.assert_array_equal(path.t, ts)
+            np.testing.assert_array_equal(path.f_minus, fm[:, i])
+            assert got.tobytes() == samples[:, i].tobytes()
 
 
 class TestStepContract:
@@ -496,7 +501,7 @@ class TestBatchIndependence:
         counts = []
         for x, _, om, et in self.ROWS:
             e1 = et + 0.5 * dt * snap.pm(x, om)[1]
-            counts.append(trajectory._substeps_scalar(tan1, om, e1, dt, ctl))
+            counts.append(trajectory._substeps_scalar(tan1, om, e1, dt, ctl, np.tan))
         assert min(counts) == 1
         assert any(100 <= m <= trajectory.MAX_SUBSTEPS for m in counts)
         assert max(counts) > trajectory.MAX_SUBSTEPS
@@ -761,6 +766,81 @@ class TestTail:
         self.assert_tails_agree(z, self.SNAP, model, dt, ctl, [tail])
 
 
+class TestLoneRow:
+    """A batch of one row steps in Python floats with the batch's bits:
+    each row of a larger batch comes out of each step as it does alone,
+    with the same state and closing pair, the same omegas handed to the
+    ``math`` fallback and the same underflow, message and time."""
+
+    TABLE = TestTail.table()
+
+    @staticmethod
+    def run(rows, model, dt, ctl):
+        """Two steps of integrate_batch from t = 0: the (n, 6) state and
+        closing pair after each step, the (step, omega) of each row handed
+        to the scalar fallback, and an underflow's message and time."""
+        steps, handed = [], []
+        advance, scalar = trajectory._advance_batch, trajectory._advance_scalar
+
+        def step(*args):
+            out, pair = advance(*args)
+            steps.append(np.column_stack([out, *pair]))
+            return out, pair
+
+        def spy(*args):
+            if len(args) == 9:  # called by _advance_batch, not a halving
+                handed.append((len(steps), args[2]))
+            return scalar(*args)
+
+        with mock.patch.object(trajectory, "_advance_batch", step), \
+                mock.patch.object(trajectory, "_advance_scalar", spy):
+            try:
+                integrate_batch(rows, TestTail.SNAP, model, 0.0, 2.0 * dt, ctl)
+            except StepUnderflowError as exc:
+                return steps, handed, (str(exc), exc.time)
+        return steps, handed, None
+
+    @given(law=hs.sampled_from(["tangent", "cubic", "table"]), backward=hs.booleans(),
+           rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
+                         min_size=2, max_size=12))
+    # Tangent rows 5e-5 .. 3e-3 from a wall, which take tens to thousands
+    # of substeps in the batch's tail.
+    @example(law="tangent", backward=False,
+             rows=[(0.3, 0.0), (-0.35, 0.15), (0.4, -0.25), (-0.5, -0.3), (0.6, 0.2)])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_rows_step_as_lone_rows(self, law, backward, rows):
+        if law == "tangent":
+            # Wall distances 1e-6 .. 0.5 at either wall, |eta| <= 2.
+            model, ctl = tangent_model(1.0), StepControl(dt=2.5e-3)
+            om = [10.0 ** (-6.0 + 5.7 * abs(a)) for a, _ in rows]
+            om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
+            eta = [2.0 * b for _, b in rows]
+        elif law == "cubic":
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+            om = [0.5 + 0.45 * a for a, _ in rows]
+            eta = [2.5 * b for _, b in rows]
+        else:
+            # Rows with |eta| above about 1.9 can cross the table's hull.
+            model, ctl = self.TABLE, StepControl(dt=0.05, eta_scale=0.02)
+            om = [0.5 + 0.495 * a for a, _ in rows]
+            eta = [3.0 * b for _, b in rows]
+        z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
+        dt = -ctl.dt if backward else ctl.dt
+        steps, handed, err = self.run(z, model, dt, ctl)
+        alone = [self.run(z[i:i + 1], model, dt, ctl) for i in range(len(z))]
+        # The batch stops at the first row, in row order, to underflow at
+        # the earliest step; every row completed the steps before it.
+        fails = [(len(s), i, e) for i, (s, _, e) in enumerate(alone) if e is not None]
+        k_stop, i_stop, want_err = min(fails) if fails else (2, len(z), None)
+        assert err == want_err and len(steps) == k_stop
+        for k, got in enumerate(steps):
+            for i, (s, _, _) in enumerate(alone):
+                assert got[i].tobytes() == s[k][0].tobytes(), f"row {i}, step {k}"
+        want = sorted((k, i, om) for i, (_, h, _) in enumerate(alone) for k, om in h
+                      if (k, i) <= (k_stop, i_stop))
+        assert handed == [(k, om) for k, _, om in want]
+
+
 class TestOneSubstepScreen:
     """Where the screen clears a row, the wall term it skips is at most 1,
     so ``_substeps_batch`` equals the full count on every row."""
@@ -839,7 +919,7 @@ class TestOneSubstepScreen:
             out = []
             for o, e in zip(om, e1):
                 try:
-                    out.append(trajectory._substeps_scalar(model, o, e, dt, ctl))
+                    out.append(trajectory._substeps_scalar(model, o, e, dt, ctl, math.tan))
                 except (ValueError, OverflowError) as exc:
                     out.append(type(exc))
             return out
@@ -875,3 +955,29 @@ class TestPathDumps:
         fe = tmp_path / "events.csv"
         path.dump_events_csv(fe)
         assert fe.read_text().splitlines()[0] == "t,kind,omega,eta"
+
+    def test_events_csv_bytes_equal_csv_writer(self, tan1, tmp_path):
+        # The bytes of the csv.writer rows the file was first written
+        # with: events of every kind from a real excursion, events with
+        # NaN, -0.0 and infinite coordinates, and no events.
+        bal = balance_points(tan1, 0.1)
+        path = integrate(ParticleState(0.0, 0.0, bal.omega_M, 0.2), ConstantField(0.0, 0.1),
+                         tan1, 0.0, 1.9, StepControl(dt=1e-3), balance=bal)
+        found = list(path.events)
+        assert {e.kind for e in found} == set(EventKind)
+        odd = [OscillationEvent(EventKind.STOPPING_TIME, -0.0,
+                                ParticleState(0.0, 0.0, math.nan, -0.0)),
+               OscillationEvent(EventKind.EXIT_CHAOTIC, 1.0 / 3.0,
+                                ParticleState(0.0, 0.0, math.inf, 1e-300), "omega_M")]
+        for events in (found, odd, []):
+            path.events = events
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as fh:
+                wr = csv.writer(fh)
+                wr.writerow(["t", "kind", "omega", "eta"])
+                for ev in events:
+                    wr.writerow([f"{ev.time:.17g}", ev.kind.value,
+                                 f"{ev.state.omega:.17g}", f"{ev.state.eta:.17g}"])
+            fe = tmp_path / "events.csv"
+            path.dump_events_csv(fe)
+            assert fe.read_bytes() == ref.read_bytes()
