@@ -227,16 +227,17 @@ def _cmd_certify(args) -> int:
         control = RunConfig.from_dict(manifest["config"]).build_control()
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed run manifest {str(manifest_file)!r}: {exc!r}") from exc
-    norm_file = rundir / "max_field_norm.json"
-    max_norm = 0.0
-    if norm_file.exists():
+    seed_paths = sorted(rundir.glob("seed_*_path.csv"))
+    if seed_paths:
+        # The replayed paths need the norm the run logged, not a default.
+        norm_file = rundir / "max_field_norm.json"
         try:
             max_norm = float(_read_json(norm_file, "field norm")["max_field_norm"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed field norm {str(norm_file)!r}: {exc!r}") from exc
     reports = []
     any_fail = False
-    for pth in sorted(rundir.glob("seed_*_path.csv")):
+    for pth in seed_paths:
         data = _load_columns(pth, 5)
         aux_file = pth.with_name(pth.name.replace("_path", "_aux"))
         aux = _load_columns(aux_file, 2)

@@ -29,7 +29,6 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .datum import BumpDatum, sample_datum, sobol_box
-from .errors import EmptyEnsembleError
 from .field import Ensemble, build_field, field_w1, write_table
 from .hooke import HookeModel
 from .simulator import _coords, _march
@@ -82,15 +81,12 @@ class IterationRecord:
 
 
 def support_bounds(ensemble: Ensemble) -> SupportBounds:
-    """Componentwise min/max over the particles."""
-    if len(ensemble) == 0:
-        raise EmptyEnsembleError("empty ensemble has no support bounds")
-    return SupportBounds(
-        Px=float(np.max(np.abs(ensemble.x))),
-        Pv=float(np.max(np.abs(ensemble.v))),
-        Pomega_minus=float(np.min(ensemble.omega)),
-        Pomega_plus=float(np.max(ensemble.omega)),
-        Peta=float(np.max(np.abs(ensemble.eta))))
+    """Componentwise min/max over the particles, from ``support_box``."""
+    x_lo, x_hi, v_lo, v_hi, om_lo, om_hi, et_lo, et_hi = ensemble.support_box()
+    # abs, not -lo: an all-zero column has sup|x| 0, not -0.
+    return SupportBounds(Px=max(abs(x_lo), abs(x_hi)), Pv=max(abs(v_lo), abs(v_hi)),
+                         Pomega_minus=om_lo, Pomega_plus=om_hi,
+                         Peta=max(abs(et_lo), abs(et_hi)))
 
 
 def _push_collect(ens: Ensemble, prev: list, model: HookeModel, T: float,

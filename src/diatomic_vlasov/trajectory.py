@@ -19,10 +19,11 @@ over its rows while more than TAIL_ROWS of them still step, then
 finishes each remaining row alone in the scalar step's substep loop;
 both loops do a lone row's arithmetic with the same bond-force bits, so
 where the switch falls changes no result.  A batch of one row, such as
-``integrate``'s, steps in Python floats with those bits.  A step whose
-drift would leave the bond domain is retried at dt/2, down to dt/2**10,
-in ``math``; past that the step reports a blow-up candidate instead of
-emitting an out-of-domain state.
+``integrate``'s, steps in Python floats with those bits.  Every path
+counts its substeps with the one wall term, ``_wall_substeps``.  A step
+whose drift would leave the bond domain is retried at dt/2, down to
+dt/2**10, with ``math.tan``; past that the step reports a blow-up
+candidate instead of emitting an out-of-domain state.
 
 The field is frozen for a whole call: any object with ``pm`` and
 ``norms``, such as a ``FieldSnapshot``.
@@ -153,42 +154,30 @@ def _force_scalar(model: HookeModel, om: float, tan) -> float:
     return float(model.force_fn(om))
 
 
-def _substeps_scalar(model: HookeModel, om: float, et: float, dt: float,
-                     control: StepControl, tan) -> int:
-    """Inner substep count: each substep must respect the impulse bound
-    |Fh|*delta <= eta_scale AND, for the tangent law, resolve the stiffest
-    local frequency sqrt(|Fh'|) the step can reach.  The smallest
-    reachable wall distance is the current one minus the shell-bounded
-    travel, floored at the turning clearance of the energy shell (a fast
-    bond turns within a thin layer near the wall; jumping over it would
-    leave the domain).  ``tan`` evaluates the tangent law.
+def _substeps_scalar(model: HookeModel, om: float, e1: float, fh: float, dt: float,
+                     control: StepControl) -> int:
+    """``_substeps_batch`` for one row in Python floats; fh is the bond
+    force at om.
 
-    The frequency term is skipped where ``_substeps_batch``'s
-    one-substep screen clears the row, which changes no count (see
-    ``_wall_substeps``)."""
-    fh = abs(_force_scalar(model, om, tan))
-    m = max(1, math.ceil(fh * abs(dt) / control.eta_scale))
+    The impulse count and the one-substep screen use only ``*``, ``/``,
+    sqrt, ceil and comparisons, so they give the batch's bits; a row the
+    screen cannot clear takes its wall term from ``_wall_substeps`` on a
+    one-row array.  A NaN or infinite count raises ValueError or
+    OverflowError."""
+    m = max(1, math.ceil(abs(fh) * abs(dt) / control.eta_scale))
     if model.kind is not _hooke.HookeKind.TANGENT:
         return int(m)
     eps = model.epsilon
-    u_now = min(om, eps - om)
     screen = _one_substep_threshold(eps, dt)
     if screen is not None:
         u_star, pot = screen
         # The travel bound of _substeps_batch, bit for bit.
-        reach = math.sqrt(et * et + 2.0 * pot) * (abs(dt) * math.sqrt(1.0 + SCREEN_MARGIN))
-        if u_now - u_star >= reach:
+        reach = math.sqrt(e1 * e1 + 2.0 * pot) * (abs(dt) * math.sqrt(1.0 + SCREEN_MARGIN))
+        if min(om, eps - om) - u_star >= reach:
             return int(m)
-    energy = 0.5 * et * et - (eps / math.pi) * math.log(math.sin(math.pi * u_now / eps))
-    clearance = (eps / math.pi) * math.asin(min(1.0, math.exp(-math.pi * energy / eps)))
-    clearance = max(clearance, 0.25 * model.guard)
-    travel = abs(dt) * math.sqrt(2.0 * energy)
-    outward = et > 0.0 if dt > 0.0 else et < 0.0
-    ahead = (eps - om) if outward else om
-    u_min = min(max(clearance, min(u_now, ahead - travel)), 0.5 * eps)
-    f_max = 1.0 / float(tan(math.pi * u_min / eps))
-    freq = math.sqrt((math.pi / eps) * (1.0 + f_max * f_max))
-    return int(max(m, math.ceil(abs(dt) * freq / WALL_RESOLUTION)))
+    wall = _wall_substeps(model, np.array([om]), np.array([e1]), dt)[0]
+    # Not max(m, wall): that returns m for a NaN wall term.
+    return int(max(wall, m))
 
 
 def _substep_loop(om, e, d, k0, m, tan, model: HookeModel, lo, hi, eta_scale):
@@ -222,15 +211,16 @@ def _step_once(x, v, om, et, snap, model: HookeModel, dt, control: StepControl, 
     """One step of one row in Python floats, as ``_advance_scalar``
     without halving: None where the step is rejected (more than
     MAX_SUBSTEPS substeps, or a substep leaves the bond domain or breaks
-    the impulse bound).  ``tan`` is ``np.tan`` for a lone row of
-    ``_advance_batch``, giving the batch's bits, and ``math.tan`` in the
-    halving fallback, whose bits the ``wall`` references pin.
+    the impulse bound).  ``tan`` evaluates the bond force: ``np.tan``
+    for a lone row of ``_advance_batch``, giving the batch's bits, and
+    ``math.tan`` in the halving fallback, whose bits the ``wall``
+    references pin.  The substep count takes that opening force.
     """
     fp, fm = pair
     v1 = v + 0.5 * dt * fp
     e1 = et + 0.5 * dt * fm
     fh = _force_scalar(model, om, tan)
-    m = _substeps_scalar(model, om, e1, dt, control, tan)
+    m = _substeps_scalar(model, om, e1, fh, dt, control)
     if m > MAX_SUBSTEPS:
         return None
     d = dt / m
@@ -255,8 +245,8 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
     ((x, v, omega, eta), (fp2, fm2)) with the closing pair at the new
     state.  A halved step opens its first half with its own pair and its
     second half with the first half's closing pair.  Each (half) step is
-    ``_step_once`` with ``math.tan``: the ``wall`` references pin the
-    fallback's bits.
+    ``_step_once`` with ``math.tan`` for its forces: the ``wall``
+    references pin the fallback's bits.
     """
     if pair is None:
         pair = snap.pm(x, om)
@@ -318,8 +308,8 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     ordered by substep count, and finishes the last few alone (see
     ``_advance_batch``); a row comes out bit-for-bit as it would alone,
     and a batch of one row steps in Python floats with those bits.
-    Members whose step is rejected fall back to scalar halving in
-    ``math`` (the ``wall`` references pin its bits) for that step only,
+    Members whose step is rejected fall back to scalar halving with
+    ``math.tan`` (the ``wall`` references pin its bits) for that step only,
     so lockstep sampling is preserved.  The field pair is
     queried once per call: a step's closing pair, taken at the states it
     returns, is the next step's opening pair.  The state is held in an
@@ -397,15 +387,14 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     by ``_advance_scalar`` (same contract, with halving) from their
     opening pair, and its closing pair replaces theirs; a tail row fails
     at its first failing substep, or is skipped when its passes already
-    failed.  That fallback stays in ``math``, whose bits the ``wall``
+    failed.  That fallback keeps ``math.tan``, whose bits the ``wall``
     references pin.
 
     A lone row skips the passes, which cost about 50 us a step against
     10-15 us for its float step (2-core VM, Python 3.11, numpy 2.4): it
     runs ``_step_once`` with ``np.tan``, the bits of the passes and the
     tail, and the fallback where that rejects the step.  Its substep
-    count takes the wall term's log, sin, asin and exp from ``math``,
-    whose ceiling ``TestLoneRow`` finds equal to the batch's.
+    count is ``_substeps_scalar``, the batch's count on one row.
     """
     if pair is None:
         pair = snap.pm(z[:, 0], z[:, 2])
@@ -506,12 +495,13 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
 
 def _substeps_batch(model: HookeModel, om: np.ndarray, e1: np.ndarray, fh: np.ndarray,
                     dt, control: StepControl) -> np.ndarray:
-    """``_substeps_scalar`` for arrays of rows, as float ceilings; fh is
-    the bond force at om.
+    """Inner substep counts of rows (om, e1), as float ceilings; fh is
+    the bond force at om.  Each substep must respect the impulse bound
+    |Fh|*delta <= eta_scale and, for the tangent law, resolve the
+    stiffest local frequency the step can reach (``_wall_substeps``).
 
-    The wall term (``_wall_substeps``) is evaluated only on the rows the
-    one-substep screen cannot clear; its docstring proves that the screen
-    changes no count.
+    The wall term is evaluated only on the rows the one-substep screen
+    cannot clear; its docstring proves that the screen changes no count.
     """
     m = np.maximum(1, np.ceil(np.abs(fh) * abs(dt) / control.eta_scale))
     if model.kind is not _hooke.HookeKind.TANGENT:
@@ -553,9 +543,13 @@ def _one_substep_threshold(eps: float, dt: float):
 
 
 def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.ndarray:
-    """Substeps that resolve the stiffest tangent-law frequency a step of
-    dt can reach from (om, e1): the wall term of ``_substeps_scalar``'s
-    count, as float ceilings.
+    """Substeps that resolve the stiffest tangent-law frequency
+    sqrt(|Fh'|) a step of dt can reach from (om, e1): the wall term of
+    ``_substeps_batch``'s count, and so of ``_substeps_scalar``'s, as
+    float ceilings.  The smallest reachable wall distance is the current
+    one minus the shell-bounded travel, floored at the turning clearance
+    of the energy shell (a fast bond turns within a thin layer near the
+    wall; jumping over it would leave the domain).
 
     ``_substeps_batch`` evaluates it only on the rows its screen cannot
     clear.  A row is cleared when, with (u*, U*) from
@@ -583,11 +577,9 @@ def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.
       ceiling at 1 for any error in freq below a factor of 2.
 
     A NaN or infinite row fails the screen's comparison and is counted
-    here.  ``_substeps_scalar`` runs the same screen and the same count
-    in ``math``, and the argument holds there unchanged: it rests only on
-    the monotonicity of each step of the count and on errors of a few ulps
-    per operation, which ``math``'s sin, log, asin, exp, tan and sqrt
-    meet as numpy's do.
+    here.  ``_substeps_scalar`` runs the same screen in ``math``, with
+    the bits of the batch's: its ``*``, ``+`` and sqrt round correctly
+    in both.
     """
     eps = model.epsilon
     # Equal bit for bit to the potential's where(om >= eps/2, eps - om,

@@ -195,7 +195,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, text", [
         ("seed_001_path.csv", "t,x,v,omega,eta\r\n0,1,two,0.5,0\r\n"),
         ("seed_001_aux.csv", "t,f_minus\n0,0\n"),  # fewer rows than the path
-    ], ids=["unparseable-path", "short-aux"])
+        ("max_field_norm.json", None),  # deleted: no norm to replay the paths with
+    ], ids=["unparseable-path", "short-aux", "no-field-norm"])
     def test_certify_bad_seed_file(self, tmp_path, capsys, name, text):
         datum = json.loads(write_config(tmp_path).read_text())["datum"]
         datum["grid"] = [3, 3, 3, 3]
@@ -203,10 +204,26 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert dispatch(["simulate", "--config", str(cfg), "--seed-report",
                          "--output-dir", str(out)]) == EXIT_OK
-        (out / name).write_text(text)
+        if text is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_text(text)
         capsys.readouterr()
         assert dispatch(["certify", "--path", str(out)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+    def test_certify_without_seeds(self, tmp_path, capsys):
+        # A run without --seed-report has no seed paths and no field norm:
+        # there is nothing to replay.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(write_config(tmp_path, datum=datum, T=0.02)),
+                         "--output-dir", str(out)]) == EXIT_OK
+        assert not (out / "max_field_norm.json").exists()
+        capsys.readouterr()
+        assert dispatch(["certify", "--path", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []
 
 
 class TestSubcommands:

@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -398,7 +399,8 @@ class TestAtRest:
     def test_substep_count(self, tan1):
         # ceil(0.01 * freq(0.02) / WALL_RESOLUTION) with freq(0.02) ~ 28.2
         ctl = StepControl(dt=0.01)
-        assert trajectory._substeps_scalar(tan1, 0.02, 0.0, 0.01, ctl, np.tan) == 6
+        fh = trajectory._force_scalar(tan1, 0.02, np.tan)
+        assert trajectory._substeps_scalar(tan1, 0.02, 0.0, fh, 0.01, ctl) == 6
 
     # At rest (exact) and moving: toward a wall, hot enough that steps
     # near the wall are halved, and two seeds on which math.tan and
@@ -501,7 +503,8 @@ class TestBatchIndependence:
         counts = []
         for x, _, om, et in self.ROWS:
             e1 = et + 0.5 * dt * snap.pm(x, om)[1]
-            counts.append(trajectory._substeps_scalar(tan1, om, e1, dt, ctl, np.tan))
+            fh = trajectory._force_scalar(tan1, om, np.tan)
+            counts.append(trajectory._substeps_scalar(tan1, om, e1, fh, dt, ctl))
         assert min(counts) == 1
         assert any(100 <= m <= trajectory.MAX_SUBSTEPS for m in counts)
         assert max(counts) > trajectory.MAX_SUBSTEPS
@@ -549,15 +552,21 @@ class TestBatchIndependence:
     def test_screen_changes_no_bit(self, tan1, dt, monkeypatch):
         # The one-substep screen clears the three midpoint rows and leaves
         # the five wall rows to the full wall count; switched off, every
-        # row takes it, and the step comes out the same.
+        # row takes it, and the step comes out the same.  The spy counts
+        # the batch's calls only, not the fallback rows' one-row counts.
         snap = build_field(Ensemble([-0.3, 0.1, 0.4], [0, 0, 0], [0.45, 0.5, 0.6], [0, 0, 0],
                                     [0.2, 0.3, 0.1]))
         ctl = StepControl(dt=abs(dt))
         lo, hi = tan1.guard, tan1.epsilon - tan1.guard
         counted = []
         wall = trajectory._wall_substeps
-        monkeypatch.setattr(trajectory, "_wall_substeps",
-                            lambda *a: counted.append(a[1].size) or wall(*a))
+
+        def spy(*a):
+            if sys._getframe(1).f_code is trajectory._substeps_batch.__code__:
+                counted.append(a[1].size)
+            return wall(*a)
+
+        monkeypatch.setattr(trajectory, "_wall_substeps", spy)
         on = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
         monkeypatch.setattr(trajectory, "_one_substep_threshold", lambda eps, dt: None)
         off = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
@@ -775,10 +784,11 @@ class TestLoneRow:
     TABLE = TestTail.table()
 
     @staticmethod
-    def run(rows, model, dt, ctl):
-        """Two steps of integrate_batch from t = 0: the (n, 6) state and
-        closing pair after each step, the (step, omega) of each row handed
-        to the scalar fallback, and an underflow's message and time."""
+    def run(rows, model, dt, ctl, n_steps):
+        """n_steps steps of integrate_batch from t = 0: the (n, 6) state
+        and closing pair after each step, the (step, omega) of each row
+        handed to the scalar fallback, and an underflow's message and
+        time."""
         steps, handed = [], []
         advance, scalar = trajectory._advance_batch, trajectory._advance_scalar
 
@@ -795,26 +805,43 @@ class TestLoneRow:
         with mock.patch.object(trajectory, "_advance_batch", step), \
                 mock.patch.object(trajectory, "_advance_scalar", spy):
             try:
-                integrate_batch(rows, TestTail.SNAP, model, 0.0, 2.0 * dt, ctl)
+                integrate_batch(rows, TestTail.SNAP, model, 0.0, n_steps * dt, ctl)
             except StepUnderflowError as exc:
                 return steps, handed, (str(exc), exc.time)
         return steps, handed, None
 
-    @given(law=hs.sampled_from(["tangent", "cubic", "table"]), backward=hs.booleans(),
+    @given(law=hs.sampled_from(["tangent", "mid", "cubic", "table"]), backward=hs.booleans(),
            rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
                          min_size=2, max_size=12))
     # Tangent rows 5e-5 .. 3e-3 from a wall, which take tens to thousands
     # of substeps in the batch's tail.
     @example(law="tangent", backward=False,
              rows=[(0.3, 0.0), (-0.35, 0.15), (0.4, -0.25), (-0.5, -0.3), (0.6, 0.2)])
+    # Mid-range rows on which a step with math.tan for np.tan departs
+    # from the batch within the 20 steps, from the first to the 18th.
+    @example(law="mid", backward=False,
+             rows=[(0.15, 0.19), (-0.37, 0.13), (0.15, -0.14), (-0.15, -0.14), (-0.12, 0.86),
+                   (0.07, -0.73)])
+    @example(law="mid", backward=True,
+             rows=[(-0.25, -0.36), (0.4, -0.03), (0.03, 0.85), (-0.28, -0.65), (0.77, 0.02),
+                   (-0.15, 0.18)])
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_rows_step_as_lone_rows(self, law, backward, rows):
+        n_steps = 2
         if law == "tangent":
             # Wall distances 1e-6 .. 0.5 at either wall, |eta| <= 2.
             model, ctl = tangent_model(1.0), StepControl(dt=2.5e-3)
             om = [10.0 ** (-6.0 + 5.7 * abs(a)) for a, _ in rows]
             om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
             eta = [2.0 * b for _, b in rows]
+        elif law == "mid":
+            # Wall distances 0.05 .. 0.45, |eta| <= 0.25.  A last-bit
+            # change of the force moves eta only where the kick is not
+            # small against it, so these rows take 20 steps.
+            model, ctl, n_steps = tangent_model(1.0), StepControl(dt=2.5e-3), 20
+            om = [0.05 + 0.4 * abs(a) for a, _ in rows]
+            om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
+            eta = [0.25 * b for _, b in rows]
         elif law == "cubic":
             model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
             om = [0.5 + 0.45 * a for a, _ in rows]
@@ -826,12 +853,12 @@ class TestLoneRow:
             eta = [3.0 * b for _, b in rows]
         z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
         dt = -ctl.dt if backward else ctl.dt
-        steps, handed, err = self.run(z, model, dt, ctl)
-        alone = [self.run(z[i:i + 1], model, dt, ctl) for i in range(len(z))]
+        steps, handed, err = self.run(z, model, dt, ctl, n_steps)
+        alone = [self.run(z[i:i + 1], model, dt, ctl, n_steps) for i in range(len(z))]
         # The batch stops at the first row, in row order, to underflow at
         # the earliest step; every row completed the steps before it.
         fails = [(len(s), i, e) for i, (s, _, e) in enumerate(alone) if e is not None]
-        k_stop, i_stop, want_err = min(fails) if fails else (2, len(z), None)
+        k_stop, i_stop, want_err = min(fails) if fails else (n_steps, len(z), None)
         assert err == want_err and len(steps) == k_stop
         for k, got in enumerate(steps):
             for i, (s, _, _) in enumerate(alone):
@@ -909,24 +936,32 @@ class TestOneSubstepScreen:
                                                  ulps):
         # _substeps_scalar runs the screen in math; switched off, every
         # row takes the full count, and each count (or the error a NaN
-        # row or a row on a wall raises) is the same.
+        # row raises) is the same.  Each is also _substeps_batch on the
+        # row as a one-row array, through the same int().
         model = tangent_model(eps)
         dt = -(10.0 ** log_dt) if backward else 10.0 ** log_dt
         ctl = StepControl(dt=abs(dt))
         om, e1 = self.rows(eps, dt, fracs, etas, ulps)
 
-        def counts():
-            out = []
-            for o, e in zip(om, e1):
-                try:
-                    out.append(trajectory._substeps_scalar(model, o, e, dt, ctl, math.tan))
-                except (ValueError, OverflowError) as exc:
-                    out.append(type(exc))
-            return out
+        def count(thunk):
+            try:
+                return int(thunk())
+            except (ValueError, OverflowError) as exc:
+                return type(exc)
 
-        on = counts()
-        with mock.patch.object(trajectory, "_one_substep_threshold", lambda eps, dt: None):
-            assert counts() == on
+        def counts():
+            return [count(lambda: trajectory._substeps_scalar(
+                model, o, e, trajectory._force_scalar(model, o, np.tan), dt, ctl))
+                for o, e in zip(om, e1)]
+
+        with np.errstate(all="ignore"):
+            on = counts()
+            singles = [(np.array([o]), np.array([e])) for o, e in zip(om, e1)]
+            batch = [count(lambda: trajectory._substeps_batch(
+                model, o, e, trajectory._force_array(model, o), dt, ctl)[0]) for o, e in singles]
+            with mock.patch.object(trajectory, "_one_substep_threshold", lambda eps, dt: None):
+                assert counts() == on
+        assert on == batch
 
     def test_threshold(self):
         # |dt| * freq(u*) / WALL_RESOLUTION is 1/2, and U(u*) is the bond
