@@ -14,6 +14,7 @@ import argparse
 import json
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .field import ConstantField, ParticleState, write_table, zero_field
 from .hooke import balance_points, validate_model
 from .picard import dump_iteration_log, iterate
 from .simulator import RunConfig, dump_diagnostics_csv, run
-from .trajectory import StepControl, TrajectoryPath, detect_events, integrate
+from .trajectory import TrajectoryPath, detect_events, integrate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,7 +93,9 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}")
                             for k in ("x", "v", "omega", "eta")))
     T = _number(spec.get("T", cfg.T), "trajectory.T")
-    control = StepControl(dt=_number(spec.get("dt", cfg.dt_macro), "trajectory.dt"))
+    control = cfg.build_control()
+    if "dt" in spec:
+        control = replace(control, dt=_number(spec["dt"], "trajectory.dt"))
     fld = spec.get("field", {})
     kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
     if kind == "zero":

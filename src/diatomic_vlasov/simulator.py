@@ -155,6 +155,9 @@ class RunConfig:
     def build_control(self) -> StepControl:
         base = {"dt": self.dt_macro}
         base.update(self.control)
+        for key, val in base.items():
+            if not isinstance(val, (int, float)):
+                raise ConfigError(f"control.{key} must be a number, got {val!r}")
         return StepControl(**base)
 
     def build_datum(self):

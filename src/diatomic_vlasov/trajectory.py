@@ -14,11 +14,10 @@ scale, the pair takes m uniform velocity-Verlet substeps sized so each
 substep respects the same bound, and under the tangent law as many as it
 takes to resolve the stiffest local frequency the step can reach.  Rows
 provably far enough from the walls skip that frequency count, because
-their m is the impulse count alone.  A batch sub-cycles in numpy passes
-over its rows while more than TAIL_ROWS of them still step, then
-finishes each remaining row alone in the scalar step's substep loop;
-both loops do a lone row's arithmetic with the same bond-force bits, so
-where the switch falls changes no result.  A batch of one row, such as
+their m is the impulse count alone.  A batch takes the first substep
+of every row in numpy, then finishes each row that needs more alone in
+the scalar step's substep loop, with the bond-force bits of numpy's
+arrays, so batching changes no result.  A batch of one row, such as
 ``integrate``'s, steps in Python floats with those bits.  Every path
 counts its substeps with the one wall term, ``_wall_substeps``.  A step
 whose drift would leave the bond domain is retried at dt/2, down to
@@ -62,12 +61,6 @@ WALL_RESOLUTION = 0.05
 # Relative head-room of the one-substep screen's travel bound (see
 # _wall_substeps).
 SCREEN_MARGIN = 1e-6
-# Members of a sub-cycle that _advance_batch finishes one by one in
-# _substep_loop rather than in numpy passes over them.  A pass costs about
-# 11 us of numpy call overhead at any width, an interpreted substep of one
-# row about 0.5 us, so they break even near 20 rows; 16 leaves room for
-# each row's entry into the loop (2-core VM, Python 3.11, numpy 2.4).
-TAIL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -188,9 +181,8 @@ def _substep_loop(om, e, d, k0, m, tan, model: HookeModel, lo, hi, eta_scale):
     as omega leaves (lo, hi) or |force|*|d| exceeds eta_scale.
 
     ``tan`` evaluates the tangent law: ``math.tan`` in the halving
-    fallback, ``np.tan`` in ``_advance_batch``'s tail and lone row, where
-    it gives the bits of its array passes.  A custom law is called on the
-    float.
+    fallback, ``np.tan`` in ``_advance_batch``, where it gives the bits
+    of its array substep 0.  A custom law is called on the float.
     """
     tangent = model.kind is _hooke.HookeKind.TANGENT
     # The forces of _force_scalar and _force_array, constants hoisted.
@@ -304,8 +296,8 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     under the frozen field ``field_provider``.
 
     Forward (t1 > t0) or backward (t1 < t0).  Vectorized along the batch:
-    each step sub-cycles the members in one loop over prefixes of them
-    ordered by substep count, and finishes the last few alone (see
+    each step kicks, counts substeps and takes the first substep of every
+    member in numpy, and sub-cycles the rest of each member alone (see
     ``_advance_batch``); a row comes out bit-for-bit as it would alone,
     and a batch of one row steps in Python floats with those bits.
     Members whose step is rejected fall back to scalar halving with
@@ -370,31 +362,23 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     in ``_wall_substeps``), so the impulse bound alone sets its m, bit for
     bit as the full count would.  Bonds near the midpoint all clear.
 
-    Substep 0 runs in place on every row; only rows with
-    1 < m <= MAX_SUBSTEPS that pass it are gathered for the rest.
-    Ordered by m, descending, the rows still stepping at substep k are a
-    prefix, so each pass works on slices with a per-row substep d = dt/m,
-    and the rows whose last substep is k take the closing half kick; their
-    results are scattered back.  A pass costs about 11 us of numpy call
-    overhead whatever its width, so the passes stop at the first substep
-    kstop that at most TAIL_ROWS rows reach, and each of those rows
-    finishes substeps kstop .. m-1 alone in ``_substep_loop``, the scalar
-    step's loop, called with ``np.tan`` (the tail).  The arithmetic per row
-    is that of a lone row in either loop, and ``np.tan`` gives a Python
-    float the bits it gives an array, so batching, and where the tail
-    starts, changes no result.  Rows past MAX_SUBSTEPS, and rows whose
-    substeps leave the bond domain or break the impulse bound, are redone
-    by ``_advance_scalar`` (same contract, with halving) from their
-    opening pair, and its closing pair replaces theirs; a tail row fails
-    at its first failing substep, or is skipped when its passes already
-    failed.  That fallback keeps ``math.tan``, whose bits the ``wall``
-    references pin.
+    Substep 0 runs in place on every row; each row with
+    1 < m <= MAX_SUBSTEPS that passes it takes substeps 1 .. m-1 alone
+    in ``_substep_loop``, the scalar step's loop, called with ``np.tan``.
+    The arithmetic per row is that of a lone row, and ``np.tan`` gives a
+    Python float the bits it gives an array, so batching changes no
+    result.  Rows past MAX_SUBSTEPS, and rows whose substeps leave the
+    bond domain or break the impulse bound, are redone by
+    ``_advance_scalar`` (same contract, with halving) from their opening
+    pair, and its closing pair replaces theirs; a row fails at its first
+    failing substep.  That fallback keeps ``math.tan``, whose bits the
+    ``wall`` references pin.
 
-    A lone row skips the passes, which cost about 50 us a step against
-    10-15 us for its float step (2-core VM, Python 3.11, numpy 2.4): it
-    runs ``_step_once`` with ``np.tan``, the bits of the passes and the
-    tail, and the fallback where that rejects the step.  Its substep
-    count is ``_substeps_scalar``, the batch's count on one row.
+    A lone row skips the numpy step, which costs about 55 us against
+    20 us for its float step (2 rows against 1, mid-range, 2-core VM,
+    Python 3.11, numpy 2.4): it runs ``_step_once`` with ``np.tan``, the
+    bits of the batch, and the fallback where that rejects the step.  Its
+    substep count is ``_substeps_scalar``, the batch's count on one row.
     """
     if pair is None:
         pair = snap.pm(z[:, 0], z[:, 2])
@@ -431,55 +415,15 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     bad |= ~inside | (np.abs(f0) * np.abs(d) > control.eta_scale)
     ee += np.where(m > 1, d, hd) * f0
 
-    idx = np.nonzero((m > 1) & ~bad)[0]
-    if idx.size:
-        idx = idx[np.argsort(-m[idx], kind="stable")]
-        ms, ds, hds = m[idx], d[idx], hd[idx]
-        oo, es = o[idx], ee[idx]
-        # The bond-domain and impulse tests run once, after the loop, on
-        # the extremes of omega and the largest |force| over the
-        # substeps.  They fail exactly the rows a test at every substep
-        # would: minimum and maximum carry a NaN omega through, fmax
-        # skips a NaN force as the comparison does, and rounding
-        # |force| * |d| is monotone in |force|.
-        lo_s, hi_s, top_s = oo.copy(), oo.copy(), np.abs(f0[idx])
-        # The passes stop at the first substep, kstop, that at most
-        # TAIL_ROWS members reach; live[k]: members with more than k
-        # substeps.
-        kstop = int(ms[TAIL_ROWS]) if TAIL_ROWS < ms.size else 1
-        live = np.searchsorted(-ms, -np.arange(kstop + 1), side="left").tolist()
-        n = -1
-        for k in range(1, kstop):
-            if live[k] != n:
-                n = live[k]
-                on, dn, en = oo[:n], ds[:n], es[:n]
-                lo_n, hi_n, f_n = lo_s[:n], hi_s[:n], top_s[:n]
-            n1 = live[k + 1]
-            on += dn * en
-            np.minimum(lo_n, on, out=lo_n)
-            np.maximum(hi_n, on, out=hi_n)
-            if custom:
-                np.copyto(on, mid, where=~((on > lo) & (on < hi)))
-            fhk = _force_array(model, on)
-            np.fmax(f_n, np.abs(fhk), out=f_n)
-            if n1 == n:
-                en += dn * fhk
-            else:
-                es[:n1] += ds[:n1] * fhk[:n1]
-                # Members whose last substep is k close with a half kick.
-                es[n1:n] += hds[n1:n] * fhk[n1:]
-        fail = ~((lo_s > lo) & (hi_s < hi)) | (top_s * np.abs(ds) > control.eta_scale)
-        # The tail: members still stepping at kstop that pass so far
-        # finish alone, and fail at their first failing substep.
-        for j in np.flatnonzero(~fail[:live[kstop]]).tolist():
-            done = _substep_loop(float(oo[j]), float(es[j]), float(ds[j]), kstop,
-                                 int(ms[j]), np.tan, model, lo, hi, control.eta_scale)
-            if done is None:
-                fail[j] = True
-            else:
-                oo[j], es[j] = done
-        o[idx], ee[idx] = oo, es
-        bad[idx] = fail
+    # Every row with more than one substep that passed substep 0 finishes
+    # alone, failing at its first failing substep.
+    for i in np.flatnonzero((m > 1) & ~bad).tolist():
+        done = _substep_loop(float(o[i]), float(ee[i]), float(d[i]), 1, int(m[i]), np.tan,
+                             model, lo, hi, control.eta_scale)
+        if done is None:
+            bad[i] = True
+        else:
+            o[i], ee[i] = done
 
     x1 = np.add(x, dt * v1, out=out[:, 0])
     fp2, fm2 = snap.pm(x1, o)

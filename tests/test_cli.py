@@ -106,6 +106,14 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["trajectory", "simulate"])
+    def test_bad_control_value(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, control={"eta_scale": "abc"},
+                           trajectory={"seed": {"omega": 0.6}})
+        code = dispatch([command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "control.eta_scale" in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", [1.5, 0.0, -0.2])
     def test_trajectory_seed_outside_bond_domain(self, tmp_path, capsys, omega):
         seed = {"x": 0.0, "v": 0.0, "omega": omega, "eta": 0.0}
@@ -147,6 +155,34 @@ class TestExitCodes:
         assert any(type(f) is int and f > 0 for f in work)
         firsts = [c["first_violation"] for r in reports for c in r["checks"]]
         assert all(f is None or type(f) is int for f in firsts)
+
+    @pytest.mark.parametrize("T, code", [(10.0, EXIT_NUMERICAL), (0.1, EXIT_OK)])
+    def test_bounds_without_confinement(self, tmp_path, capsys, T, code):
+        # A linear force tabulated on [0.01, 0.99] is a finite well: its
+        # potential never reaches the level a long horizon asks for.
+        w = np.linspace(0.01, 0.99, 50)
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, -(w - 0.5) * 4.0]))
+        cfg = write_config(tmp_path, T=T, hooke={"kind": "table", "epsilon": 1.0,
+                                                 "table_path": str(tmp_path / "law.txt")})
+        assert dispatch(["bounds", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "bounds")]) == code
+        assert ("no confinement interval" in capsys.readouterr().err) == (code != EXIT_OK)
+
+    def test_simulate_seed_violation(self, tmp_path, capsys):
+        # At amplitude 40 the field outgrows the bound that c_safety 0.9
+        # certifies, so every tracked seed fails the field-norm check.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum.update(amplitude=40.0, grid=[3, 3, 3, 3])
+        cfg = write_config(tmp_path, datum=datum, c_safety=0.9, T=0.1)
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(cfg), "--seed-report",
+                         "--output-dir", str(out)]) == EXIT_VIOLATION
+        assert "certificate violations among tracked seeds" in capsys.readouterr().err
+        reports = json.loads((out / "cert_reports.json").read_text())
+        assert reports
+        for rep in reports:
+            assert [c["name"] for c in rep["checks"] if not c["passed"]] == \
+                ["field_norm_precondition"]
 
     def test_validate_hooke_violation(self, tmp_path, capsys):
         # The tangent law shifted by 0.1 fails H2 (zero at the midpoint)
@@ -251,7 +287,7 @@ class TestSubcommands:
 
     def test_trajectory_balance_level(self, tmp_path, capsys):
         seed = {"omega": 0.7, "eta": 0.3}
-        cfg = write_config(tmp_path, trajectory={
+        cfg = write_config(tmp_path, control={}, trajectory={
             "seed": seed, "T": 1.0, "dt": 1e-3, "balance_level": 0.8,
             "field": {"kind": "constant", "f_minus": 0.5}})
         out = tmp_path / "traj"
@@ -265,6 +301,29 @@ class TestSubcommands:
         assert [r[1] for r in rows] == ["exit", "stopping", "return"]
         assert [(float(t), kind, float(om), float(eta)) for t, kind, om, eta in rows] == \
             [(e.time, e.kind.value, e.state.omega, e.state.eta) for e in ref.events]
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_trajectory_takes_the_control_section(self, tmp_path, capsys, dt):
+        # trajectory.dt, when given, overrides control.dt; every other
+        # control key applies as in simulate.
+        control = {"dt": 2e-3, "eta_scale": 1e-4, "event_eta_tol": 0.05}
+        spec = {"seed": {"omega": 0.7, "eta": 0.3}, "T": 1.0, "balance_level": 0.8,
+                "field": {"kind": "constant", "f_minus": 0.5}}
+        if dt is not None:
+            spec["dt"] = dt
+        cfg = write_config(tmp_path, control=control, trajectory=spec)
+        out = tmp_path / "traj"
+        assert dispatch(["trajectory", "--config", str(cfg),
+                         "--output-dir", str(out)]) == EXIT_OK
+        model = tangent_model(1.0)
+        ref = integrate(ParticleState(0.0, 0.0, 0.7, 0.3), ConstantField(0.0, 0.5), model,
+                        0.0, 1.0, StepControl(**{**control, "dt": dt or control["dt"]}),
+                        balance=balance_points(model, 0.8))
+        assert ref.events
+        ref.dump_csv(tmp_path / "path.csv")
+        ref.dump_events_csv(tmp_path / "events.csv")
+        for name in ("path.csv", "events.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_bounds_writes_certificate(self, tmp_path, capsys):
         out = tmp_path / "bounds"

@@ -55,6 +55,12 @@ def cubic_model():
     return custom_model(1.0, cubic)
 
 
+def tangent_table():
+    """The tangent law tabulated on [0.001, 0.999]."""
+    grid = np.linspace(0.001, 0.999, 999)
+    return table_model(1.0, grid, -np.tan(np.pi * (grid - 0.5)))
+
+
 def push(st, provider, model, dt):
     """One step: the final state of ``integrate`` over [0, dt]."""
     path = integrate(st, provider, model, 0.0, dt, StepControl(dt=dt))
@@ -601,8 +607,8 @@ class TestBatchIndependence:
             alone, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
             np.testing.assert_array_equal(out[i], alone[0])
 
-    # Rows with m = 2 or 3 that pass substep 0 and fail at substep 1, so
-    # the extremes the gathered rows carry must reach the tests.
+    # Rows with m = 2 or 3 that pass substep 0 and fail at substep 1, in
+    # the per-row loop.
     LATE_ROWS = np.array([
         [0.0, 0.1, 0.5, 0.1],     # m = 1
         [0.0, 0.0, 0.85, 3.4],    # breaks the impulse bound forward
@@ -628,9 +634,9 @@ class TestBatchIndependence:
 
 
 def test_np_tan_on_floats_equals_np_tan_on_arrays():
-    # _advance_batch's tail finishes rows with np.tan on Python floats
-    # where its passes use np.tan on arrays; its bits rest on the two
-    # agreeing, whatever the array's length and alignment.
+    # _advance_batch takes substep 0 with np.tan on arrays and the rest of
+    # each row's sub-cycle with np.tan on Python floats; its bits rest on
+    # the two agreeing, whatever the array's length and alignment.
     rng = np.random.default_rng(11)
     half_pi = 0.5 * math.pi
     args = np.concatenate([
@@ -643,136 +649,8 @@ def test_np_tan_on_floats_equals_np_tan_on_arrays():
             arr = args[start:start + n]
             alone = np.array([np.tan(float(a)) for a in arr])
             assert np.array_equal(alone.view(np.uint64), np.tan(arr).view(np.uint64)), (
-                f"premise of _advance_batch's tail broken: np.tan on Python floats differs "
-                f"from np.tan on an array of length {n} at {arr.tolist()}")
-
-
-class TestTail:
-    """Where the sub-cycle leaves its numpy passes for the per-row loop
-    changes no bit: every row ends in the same state with the same
-    closing pair, and the same rows go to the scalar fallback, whether
-    no row, every row or any number between finishes in the tail."""
-
-    SNAP = build_field(Ensemble([-0.3, 0.1, 0.4], [0, 0, 0], [0.45, 0.5, 0.6], [0, 0, 0],
-                                [0.2, 0.3, 0.1]))
-
-    @staticmethod
-    def step(rows, snap, model, dt, ctl, tail):
-        """_advance_batch with TAIL_ROWS = tail: the bytes of the state and
-        of the closing pair and the omegas handed to the scalar fallback,
-        or the underflow message."""
-        lo, hi = model.domain
-        handed = []
-        scalar = trajectory._advance_scalar
-
-        def spy(*args):
-            if len(args) == 9:  # called by _advance_batch, not a halving
-                handed.append(args[2])
-            return scalar(*args)
-
-        with mock.patch.object(trajectory, "TAIL_ROWS", tail), \
-                mock.patch.object(trajectory, "_advance_scalar", spy):
-            try:
-                out, (fp, fm) = trajectory._advance_batch(rows, snap, model, dt, ctl, lo, hi)
-            except StepUnderflowError as exc:
-                return str(exc), handed
-        return out.tobytes("F"), fp.tobytes(), fm.tobytes(), handed
-
-    def assert_tails_agree(self, rows, snap, model, dt, ctl, tails):
-        want = self.step(rows, snap, model, dt, ctl, 0)
-        for tail in tails:
-            assert self.step(rows, snap, model, dt, ctl, tail) == want, f"TAIL_ROWS={tail}"
-        return want
-
-    @staticmethod
-    def table():
-        # The tangent law tabulated on [0.001, 0.999].
-        grid = np.linspace(0.001, 0.999, 999)
-        return table_model(1.0, grid, -np.tan(np.pi * (grid - 0.5)))
-
-    # Table law, eta_scale 0.02: m = 1 near the midpoint, tens of
-    # substeps near the walls; rows heading out fail the impulse bound.
-    TABLE_ROWS = np.array([
-        [0.0, 0.1, 0.5, 0.1],
-        [0.1, 0.0, 0.97, 0.0],
-        [0.2, 0.0, 0.03, -0.4],
-        [0.3, 0.0, 0.97, 0.4],
-        [0.4, 0.0, 0.9, -0.2],
-        [0.5, 0.0, 0.1, 0.3],
-        [0.6, 0.0, 0.985, -0.5],
-    ])
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("case", ["rows", "cubic", "late", "table"])
-    def test_no_tail_and_all_tail_agree(self, tan1, case, sign):
-        if case == "rows":
-            rows, model, ctl = TestBatchIndependence.ROWS, tan1, StepControl(dt=2.5e-3)
-        elif case == "table":
-            rows, model, ctl = self.TABLE_ROWS, self.table(), StepControl(dt=0.05, eta_scale=0.02)
-        else:
-            rows = (TestBatchIndependence.CUBIC_ROWS if case == "cubic"
-                    else TestBatchIndependence.LATE_ROWS)
-            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=2.0)
-        want = self.assert_tails_agree(rows, self.SNAP, model, sign * ctl.dt, ctl,
-                                       [len(rows) + 1, 1, 3, trajectory.TAIL_ROWS])
-        assert want[-1], "no row reached the fallback"
-
-    # Cubic law, eta_scale 0.05, substep counts 1, 28, 28, 64, 4, 2, 2.
-    # With TAIL_ROWS = 3 the passes stop at substep 4: row 2 fails the
-    # impulse bound at substep 1, in the passes; row 1 fails it at
-    # substep 6, in the tail; row 3 finishes in the tail.  Backward, eta
-    # is mirrored.
-    CROSS_ROWS = np.array([
-        [0.0, 0.1, 0.5, 0.1],
-        [0.1, 0.0, 0.8, 0.5],
-        [0.2, 0.0, 0.8, 1.25],
-        [0.3, 0.0, 0.9, -0.3],
-        [0.4, 0.0, 0.65, 0.0],
-        [0.5, 0.0, 0.62, 0.0],
-        [0.6, 0.0, 0.38, 0.0],
-    ])
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_rows_fail_before_and_after_the_crossover(self, sign):
-        rows = self.CROSS_ROWS * [1.0, 1.0, 1.0, sign]
-        model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
-        loops = []
-        loop = trajectory._substep_loop
-
-        def spy(om, e, d, k0, m, tan, *rest):
-            done = loop(om, e, d, k0, m, tan, *rest)
-            if tan is np.tan:
-                loops.append((k0, m, done is None))
-            return done
-
-        with mock.patch.object(trajectory, "_substep_loop", spy):
-            want = self.assert_tails_agree(rows, self.SNAP, model, sign * ctl.dt, ctl, [3])
-        assert want[-1] == [0.8, 0.8]
-        # Row 2 failed in the passes and is skipped; rows 3 and 1 finish
-        # in the tail from substep 4, and row 1 fails there.
-        assert loops == [(4, 64, False), (4, 28, True)]
-
-    @given(law=hs.sampled_from(["tangent", "cubic"]), backward=hs.booleans(),
-           tail=hs.integers(0, 25),
-           rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
-                         min_size=1, max_size=16))
-    @example(law="cubic", backward=False, tail=2,
-             rows=[(0.0, 0.0), (0.67, 0.2), (0.67, 0.5), (0.89, -0.12), (0.33, 0.0)])
-    @settings(derandomize=True, max_examples=40, deadline=None)
-    def test_mixed_rows(self, law, backward, tail, rows):
-        if law == "tangent":
-            # Wall distances 1e-6 .. 0.5 at either wall, |eta| <= 2.
-            model, ctl = tangent_model(1.0), StepControl(dt=2.5e-3)
-            om = [10.0 ** (-6.0 + 5.7 * abs(a)) for a, _ in rows]
-            om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
-            eta = [2.0 * b for _, b in rows]
-        else:
-            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
-            om = [0.5 + 0.45 * a for a, _ in rows]
-            eta = [2.5 * b for _, b in rows]
-        z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
-        dt = -ctl.dt if backward else ctl.dt
-        self.assert_tails_agree(z, self.SNAP, model, dt, ctl, [tail])
+                f"premise of _advance_batch's sub-cycle broken: np.tan on Python floats "
+                f"differs from np.tan on an array of length {n} at {arr.tolist()}")
 
 
 class TestLoneRow:
@@ -781,10 +659,12 @@ class TestLoneRow:
     with the same state and closing pair, the same omegas handed to the
     ``math`` fallback and the same underflow, message and time."""
 
-    TABLE = TestTail.table()
+    SNAP = build_field(Ensemble([-0.3, 0.1, 0.4], [0, 0, 0], [0.45, 0.5, 0.6], [0, 0, 0],
+                                [0.2, 0.3, 0.1]))
+    TABLE = tangent_table()
 
-    @staticmethod
-    def run(rows, model, dt, ctl, n_steps):
+    @classmethod
+    def run(cls, rows, model, dt, ctl, n_steps):
         """n_steps steps of integrate_batch from t = 0: the (n, 6) state
         and closing pair after each step, the (step, omega) of each row
         handed to the scalar fallback, and an underflow's message and
@@ -805,16 +685,106 @@ class TestLoneRow:
         with mock.patch.object(trajectory, "_advance_batch", step), \
                 mock.patch.object(trajectory, "_advance_scalar", spy):
             try:
-                integrate_batch(rows, TestTail.SNAP, model, 0.0, n_steps * dt, ctl)
+                integrate_batch(rows, cls.SNAP, model, 0.0, n_steps * dt, ctl)
             except StepUnderflowError as exc:
                 return steps, handed, (str(exc), exc.time)
         return steps, handed, None
+
+    @classmethod
+    def assert_rows_step_alone(cls, z, model, dt, ctl, n_steps):
+        """Each row of z steps n_steps as it does alone; returns the
+        batch's (step, omega) handed to the scalar fallback."""
+        steps, handed, err = cls.run(z, model, dt, ctl, n_steps)
+        alone = [cls.run(z[i:i + 1], model, dt, ctl, n_steps) for i in range(len(z))]
+        # The batch stops at the first row, in row order, to underflow at
+        # the earliest step; every row completed the steps before it.
+        fails = [(len(s), i, e) for i, (s, _, e) in enumerate(alone) if e is not None]
+        k_stop, i_stop, want_err = min(fails) if fails else (n_steps, len(z), None)
+        assert err == want_err and len(steps) == k_stop
+        for k, got in enumerate(steps):
+            for i, (s, _, _) in enumerate(alone):
+                assert got[i].tobytes() == s[k][0].tobytes(), f"row {i}, step {k}"
+        want = sorted((k, i, om) for i, (_, h, _) in enumerate(alone) for k, om in h
+                      if (k, i) <= (k_stop, i_stop))
+        assert handed == [(k, om) for k, _, om in want]
+        return handed
+
+    # Table law, eta_scale 0.02: m = 1 near the midpoint, tens of
+    # substeps near the walls; rows heading out fail the impulse bound.
+    TABLE_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],
+        [0.1, 0.0, 0.97, 0.0],
+        [0.2, 0.0, 0.03, -0.4],
+        [0.3, 0.0, 0.97, 0.4],
+        [0.4, 0.0, 0.9, -0.2],
+        [0.5, 0.0, 0.1, 0.3],
+        [0.6, 0.0, 0.985, -0.5],
+    ])
+
+    # Cubic law, eta_scale 0.05, substep counts 1, 28, 28, 64, 4, 2, 2:
+    # row 2 fails the impulse bound at substep 1, row 1 at substep 6, and
+    # row 3 passes all 64.  Backward, eta is mirrored.
+    CROSS_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],
+        [0.1, 0.0, 0.8, 0.5],
+        [0.2, 0.0, 0.8, 1.25],
+        [0.3, 0.0, 0.9, -0.3],
+        [0.4, 0.0, 0.65, 0.0],
+        [0.5, 0.0, 0.62, 0.0],
+        [0.6, 0.0, 0.38, 0.0],
+    ])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("case", ["rows", "cubic", "late", "table", "cross"])
+    def test_fixed_rows_step_as_lone_rows(self, tan1, case, sign):
+        if case == "rows":
+            rows, model, ctl = TestBatchIndependence.ROWS, tan1, StepControl(dt=2.5e-3)
+        elif case == "table":
+            rows, model, ctl = self.TABLE_ROWS, self.TABLE, StepControl(dt=0.05, eta_scale=0.02)
+        elif case == "cross":
+            rows = self.CROSS_ROWS * [1.0, 1.0, 1.0, sign]
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+        else:
+            rows = (TestBatchIndependence.CUBIC_ROWS if case == "cubic"
+                    else TestBatchIndependence.LATE_ROWS)
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=2.0)
+        handed = self.assert_rows_step_alone(rows, model, sign * ctl.dt, ctl, 2)
+        assert handed, "no row reached the fallback"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_enter_the_substep_loop_once(self, sign):
+        # Every row with m > 1 that passes substep 0 finishes its sub-cycle
+        # in one _substep_loop call from substep 1; rows 1 and 2 fail
+        # there and go to the fallback.
+        rows = self.CROSS_ROWS * [1.0, 1.0, 1.0, sign]
+        model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+        lo, hi = model.domain
+        loops, handed = [], []
+        loop, scalar = trajectory._substep_loop, trajectory._advance_scalar
+
+        def loop_spy(om, e, d, k0, m, tan, *rest):
+            done = loop(om, e, d, k0, m, tan, *rest)
+            if tan is np.tan:  # not the fallback's math.tan
+                loops.append((k0, m, done is None))
+            return done
+
+        def scalar_spy(*args):
+            if len(args) == 9:  # called by _advance_batch, not a halving
+                handed.append(args[2])
+            return scalar(*args)
+
+        with mock.patch.object(trajectory, "_substep_loop", loop_spy), \
+                mock.patch.object(trajectory, "_advance_scalar", scalar_spy):
+            trajectory._advance_batch(rows, self.SNAP, model, sign * ctl.dt, ctl, lo, hi)
+        assert loops == [(1, 28, True), (1, 28, True), (1, 64, False), (1, 4, False),
+                         (1, 2, False), (1, 2, False)]
+        assert handed == [0.8, 0.8]
 
     @given(law=hs.sampled_from(["tangent", "mid", "cubic", "table"]), backward=hs.booleans(),
            rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
                          min_size=2, max_size=12))
     # Tangent rows 5e-5 .. 3e-3 from a wall, which take tens to thousands
-    # of substeps in the batch's tail.
+    # of substeps in the per-row loop.
     @example(law="tangent", backward=False,
              rows=[(0.3, 0.0), (-0.35, 0.15), (0.4, -0.25), (-0.5, -0.3), (0.6, 0.2)])
     # Mid-range rows on which a step with math.tan for np.tan departs
@@ -853,19 +823,36 @@ class TestLoneRow:
             eta = [3.0 * b for _, b in rows]
         z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
         dt = -ctl.dt if backward else ctl.dt
-        steps, handed, err = self.run(z, model, dt, ctl, n_steps)
-        alone = [self.run(z[i:i + 1], model, dt, ctl, n_steps) for i in range(len(z))]
-        # The batch stops at the first row, in row order, to underflow at
-        # the earliest step; every row completed the steps before it.
-        fails = [(len(s), i, e) for i, (s, _, e) in enumerate(alone) if e is not None]
-        k_stop, i_stop, want_err = min(fails) if fails else (n_steps, len(z), None)
-        assert err == want_err and len(steps) == k_stop
-        for k, got in enumerate(steps):
-            for i, (s, _, _) in enumerate(alone):
-                assert got[i].tobytes() == s[k][0].tobytes(), f"row {i}, step {k}"
-        want = sorted((k, i, om) for i, (_, h, _) in enumerate(alone) for k, om in h
-                      if (k, i) <= (k_stop, i_stop))
-        assert handed == [(k, om) for k, _, om in want]
+        self.assert_rows_step_alone(z, model, dt, ctl, n_steps)
+
+
+class TestTail:
+    """The per-row tail of a step: after substep 0, each row with more
+    than one substep finishes its sub-cycle alone in ``_substep_loop``,
+    so one step of a mixed batch, with any number of such rows, gives
+    each row the bits it gets alone."""
+
+    @given(law=hs.sampled_from(["tangent", "cubic"]), backward=hs.booleans(),
+           rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
+                         min_size=1, max_size=16))
+    # Cubic rows with 1 to 65 substeps; rows 1 and 2 fail mid-cycle.
+    @example(law="cubic", backward=False,
+             rows=[(0.0, 0.0), (0.67, 0.2), (0.67, 0.5), (0.89, -0.12), (0.33, 0.0)])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_mixed_rows(self, law, backward, rows):
+        if law == "tangent":
+            # Wall distances 1e-6 .. 0.5 at either wall, |eta| <= 2.
+            model, ctl = tangent_model(1.0), StepControl(dt=2.5e-3)
+            om = [10.0 ** (-6.0 + 5.7 * abs(a)) for a, _ in rows]
+            om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
+            eta = [2.0 * b for _, b in rows]
+        else:
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+            om = [0.5 + 0.45 * a for a, _ in rows]
+            eta = [2.5 * b for _, b in rows]
+        z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
+        dt = -ctl.dt if backward else ctl.dt
+        TestLoneRow.assert_rows_step_alone(z, model, dt, ctl, 1)
 
 
 class TestOneSubstepScreen:
