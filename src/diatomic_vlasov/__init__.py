@@ -2,9 +2,10 @@
 
 A weighted-particle solver for the kinetic density of bonded atom pairs,
 the self-consistent step field it generates, characteristic integration
-with oscillation-event detection, every a-priori bound of the underlying
-analysis as a machine-checkable certificate, and the fixed-point
-(frozen-field) construction of the solution on short horizons.
+with oscillation-event detection, the a-priori bounds of the underlying
+analysis as a certificate that sampled paths are checked against, and
+the fixed-point (frozen-field) construction of the solution on short
+horizons.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,6 @@ from .errors import (
     RangeError,
     StepUnderflowError,
     ToleranceError,
-    VacuousBoundError,
 )
 from .hooke import (
     BalancePoints,
@@ -66,14 +66,11 @@ from .bounds import (
     chaotic_bound,
     confinement_time,
     displacement_bound,
-    drift_rate_bound,
     excursion_envelope,
     global_envelope,
     gronwall_constants,
     omega_confinement,
     phase_bound,
-    return_time_lower_bound,
-    turning_point_band,
 )
 from .datum import BumpDatum, sample_datum
 from .picard import (

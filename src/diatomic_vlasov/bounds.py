@@ -7,9 +7,9 @@ the phase and displacement bounds they imply, and the largest horizon t0
 for which trajectories started in the band provably stay in the wider
 half-band.  The long-time family controls excursions beyond the balance
 points: a linear-in-time bound inside the chaotic interval, an energy
-envelope on each excursion, return-time and drift-rate bounds through the
-potential inverse, and a global envelope plus a confinement interval for
-the bond length over any horizon.
+envelope on each excursion, and, through the potential inverse, a global
+envelope plus a confinement interval for the bond length over any
+horizon.
 
 Both families share the naming C1/C2 in their usual statements; on the
 certificate the long-time pair is ``C1_exc`` / ``C2_exc`` to keep them
@@ -18,8 +18,8 @@ apart.
 ``certify`` replays a sampled trajectory against a certificate.  The
 certificate never consumes path data for its constants (no circularity):
 it is built from the initial support box and the force model alone.
-Vacuous bounds (nonpositive denominators) are reported explicitly, never
-silently folded into pass/fail.
+A nonpositive excursion denominator raises InvalidCError rather than
+giving a vacuous constant.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hooke as _hooke
-from .errors import InvalidCError, NoConfinementError, RangeError, VacuousBoundError
+from .errors import InvalidCError, NoConfinementError, RangeError
 from .hooke import BalancePoints, Branch, HookeModel
 from .trajectory import EventKind, TrajectoryPath
 
@@ -45,9 +45,6 @@ __all__ = [
     "displacement_bound",
     "confinement_time",
     "excursion_envelope",
-    "turning_point_band",
-    "return_time_lower_bound",
-    "drift_rate_bound",
     "chaotic_bound",
     "global_envelope",
     "omega_confinement",
@@ -162,45 +159,6 @@ def excursion_envelope(H1: float, p) -> float:
     return math.sqrt(H1 ** 2 + 4.0 * p.epsilon * p.C)
 
 
-def _gap(p: BoundParameters, level: float) -> float:
-    """hinv(level) - Omega_M: how far past the right balance point the
-    potential reaches ``level``."""
-    return _hooke.inverse_potential(p.model, level, Branch.RIGHT) - p.balance.omega_M
-
-
-def turning_point_band(H1: float, p: BoundParameters) -> tuple[float, float]:
-    """Band that contains the potential level at the excursion's turning
-    point: [max(0, H1**2/2 + I_M - eps C), H1**2/2 + I_M + eps C]."""
-    mid = 0.5 * H1 * H1 + p.I_M
-    return max(0.0, mid - p.epsilon * p.C), mid + p.epsilon * p.C
-
-
-def return_time_lower_bound(H1: float, p: BoundParameters) -> float:
-    """Lower bound on the excursion duration,
-    2 (hinv(H1**2/2 + I_M - eps C) - Omega_M) / sqrt(H1**2 + 4 eps C);
-    reported as 0 when vacuous (nonpositive numerator)."""
-    level = 0.5 * H1 * H1 + p.I_M - p.epsilon * p.C
-    if level <= 0.0:
-        return 0.0
-    num = _gap(p, level)
-    if num <= 0.0:
-        return 0.0
-    return 2.0 * num / excursion_envelope(H1, p)
-
-
-def drift_rate_bound(H1: float, p: BoundParameters) -> float:
-    """Bound on the per-excursion speed change rate,
-    2 eps C / (hinv(H1**2/2 + I_M - eps C) - Omega_M).
-    Raises VacuousBoundError when the denominator is nonpositive."""
-    level = 0.5 * H1 * H1 + p.I_M - p.epsilon * p.C
-    if level <= 0.0:
-        raise VacuousBoundError("potential level below the balance level; bound vacuous")
-    den = _gap(p, level)
-    if den <= 0.0:
-        raise VacuousBoundError("nonpositive denominator; bound vacuous")
-    return 2.0 * p.epsilon * p.C / den
-
-
 def chaotic_bound(H1: float, t_minus_t1, C: float):
     """Linear-in-time bound 2C(t - t1) + |H1| valid while the bond stays
     between the balance points; ``t_minus_t1`` may be an array of elapsed
@@ -220,7 +178,7 @@ def global_envelope(p: BoundParameters, eta_M: float, T: float) -> tuple[float, 
         raise RangeError("T must be nonnegative")
     level = p.epsilon * p.C + p.I_M
     try:
-        den = _gap(p, level)
+        den = _hooke.inverse_potential(p.model, level, Branch.RIGHT) - p.balance.omega_M
     except RangeError as exc:
         raise InvalidCError(f"potential never reaches the excursion level: {exc}") from exc
     if den <= 0.0:

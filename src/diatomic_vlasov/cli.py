@@ -32,7 +32,7 @@ from .errors import (
 from .field import ConstantField, ParticleState, write_table, zero_field
 from .hooke import balance_points, validate_model
 from .picard import dump_iteration_log, iterate
-from .simulator import RunConfig, dump_diagnostics_csv, run
+from .simulator import RunConfig, _number, dump_diagnostics_csv, run
 from .trajectory import TrajectoryPath, detect_events, integrate
 
 EXIT_OK = 0
@@ -60,12 +60,6 @@ def _load_config(path: str, overrides) -> RunConfig:
         except json.JSONDecodeError:
             raw[key] = val
     return RunConfig.from_dict(raw)
-
-
-def _number(val, name: str) -> float:
-    if not isinstance(val, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {val!r}")
-    return float(val)
 
 
 def _out_dir(cfg: RunConfig, arg: str | None) -> Path:

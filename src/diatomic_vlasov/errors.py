@@ -50,10 +50,5 @@ class NoConfinementError(DiatomicVlasovError):
     confinement interval exists (finite-well custom models)."""
 
 
-class VacuousBoundError(DiatomicVlasovError):
-    """A bound's hypothesis fails (nonpositive denominator); the bound is
-    vacuous and deliberately not folded into pass/fail logic."""
-
-
 class ConfigError(DiatomicVlasovError):
     """A run configuration is malformed or violates an invariant."""

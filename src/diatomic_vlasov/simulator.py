@@ -82,6 +82,14 @@ _TRAJECTORY_KEYS = {"seed", "T", "dt", "field", "balance_level"}
 _BOUNDS_KEYS = {"support_box", "epsilon0", "R", "C_minus", "C", "T"}
 
 
+def _number(val, name: str) -> float:
+    """``val`` as a float; ConfigError naming ``name`` unless it is an int
+    or a float (a bool is neither here)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    return float(val)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration; unknown keys are rejected on load."""
@@ -124,8 +132,8 @@ class RunConfig:
         cfg = cls(**{k: raw[k] for k in raw})
         for f in fields(cls):
             val = getattr(cfg, f.name)
-            if f.type in ("float", "int") and not isinstance(val, (int, float)):
-                raise ConfigError(f"{f.name} must be a number, got {val!r}")
+            if f.type == "float":
+                _number(val, f.name)
             least = 1 if f.name == "probe_grid" else 0
             if f.type == "int" and (type(val) is not int or val < least):
                 raise ConfigError(f"{f.name} must be an integer >= {least}, got {val!r}")
@@ -142,7 +150,7 @@ class RunConfig:
 
     def build_model(self) -> HookeModel:
         kind = self.hooke.get("kind", "tangent")
-        eps = float(self.hooke.get("epsilon", 1.0))
+        eps = _number(self.hooke.get("epsilon", 1.0), "hooke.epsilon")
         if kind == "tangent":
             return tangent_model(eps)
         if kind == "table":
@@ -155,10 +163,7 @@ class RunConfig:
     def build_control(self) -> StepControl:
         base = {"dt": self.dt_macro}
         base.update(self.control)
-        for key, val in base.items():
-            if not isinstance(val, (int, float)):
-                raise ConfigError(f"control.{key} must be a number, got {val!r}")
-        return StepControl(**base)
+        return StepControl(**{k: _number(val, f"control.{k}") for k, val in base.items()})
 
     def build_datum(self):
         """(BumpDatum, box, grid) for bump data, or a particle Ensemble."""
@@ -170,20 +175,22 @@ class RunConfig:
             return Ensemble.load_csv(path)
         if kind != "bumps":
             raise ConfigError(f"unknown datum kind {kind!r}")
+        axes = ("x", "v", "omega", "eta")
         try:
-            centers = tuple(float(self.datum["centers"][a]) for a in ("x", "v", "omega", "eta"))
-            widths = tuple(float(self.datum["widths"][a]) for a in ("x", "v", "omega", "eta"))
+            centers = tuple(_number(self.datum["centers"][a], f"datum.centers.{a}") for a in axes)
+            widths = tuple(_number(self.datum["widths"][a], f"datum.widths.{a}") for a in axes)
         except KeyError as exc:
             raise ConfigError(f"bump datum needs centers/widths per axis: {exc}") from exc
-        amp = float(self.datum.get("amplitude", 1.0))
+        amp = _number(self.datum.get("amplitude", 1.0), "datum.amplitude")
         datum = BumpDatum(centers=centers, widths=widths, amplitude=amp)
         box = self.datum.get("box")
         if box is None:
             box = datum.support()
         else:
-            box = tuple((float(a), float(b)) for a, b in
-                        (box[ax] for ax in ("x", "v", "omega", "eta")))
-        grid = tuple(int(n) for n in self.datum.get("grid", (8, 8, 8, 8)))
+            box = tuple(tuple(_number(c, f"datum.box.{ax}") for c in box[ax]) for ax in axes)
+        grid = tuple(self.datum.get("grid", (8, 8, 8, 8)))
+        if any(type(n) is not int or n < 1 for n in grid):
+            raise ConfigError(f"datum.grid must hold integers >= 1, got {list(grid)!r}")
         return datum, box, grid
 
 
@@ -291,9 +298,7 @@ def run(config: RunConfig):
         p = certificate_parameters(model, support0, ens.total_mass, config.c_safety)
         cert = build_certificate(p, support0, config.T)
 
-    n_tracked = config.tracked_boundary + config.tracked_interior
-    tracked = _tracked_seeds(support0, config.tracked_boundary,
-                             config.tracked_interior) if n_tracked > 0 else None
+    tracked = _tracked_seeds(support0, config.tracked_boundary, config.tracked_interior)
 
     series: list[Diagnostics] = []
     snapshots_dumped = []
@@ -314,22 +319,20 @@ def run(config: RunConfig):
             snapshots_dumped.append((k, ens_k))
         return snap
 
-    ens, record = _march(ens, config.T, config.dt_macro, model, control, visit,
-                         tracked)
+    ens, (t_all, s_all, fm_all) = _march(ens, config.T, config.dt_macro, model, control,
+                                         visit, tracked)
 
     tracked_paths: list[TrajectoryPath] = []
     cert_reports = []
-    if record is not None:
-        t_all, s_all, fm_all = record
-        for i in range(s_all.shape[1]):
-            path = TrajectoryPath(
-                t=t_all, x=s_all[:, i, 0], v=s_all[:, i, 1],
-                omega=s_all[:, i, 2], eta=s_all[:, i, 3],
-                f_minus=fm_all[:, i], max_field_norm=max_norm, control=control)
-            if cert is not None:
-                path.events = detect_events(path, cert.balance)
-                cert_reports.append(certify(path, cert))
-            tracked_paths.append(path)
+    for i in range(s_all.shape[1]):
+        path = TrajectoryPath(
+            t=t_all, x=s_all[:, i, 0], v=s_all[:, i, 1],
+            omega=s_all[:, i, 2], eta=s_all[:, i, 3],
+            f_minus=fm_all[:, i], max_field_norm=max_norm, control=control)
+        if cert is not None:
+            path.events = detect_events(path, cert.balance)
+            cert_reports.append(certify(path, cert))
+        tracked_paths.append(path)
 
     return RunResult(final=ens, series=series, tracked_paths=tracked_paths,
                      certificate=cert, cert_reports=cert_reports, config=config,
@@ -337,39 +340,31 @@ def run(config: RunConfig):
 
 
 def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
-           control: StepControl, visit, tracked: np.ndarray | None = None):
+           control: StepControl, visit, tracked: np.ndarray = np.empty((0, 4))):
     """Advance an ensemble over the macro grid of [0, T], one
     ``integrate_batch`` call per macro step.
 
     At each macro time t_k, ``visit(k, ens_k)`` returns the frozen field
     of the step from t_k (unused at T).  ``tracked`` seeds, an (m, 4)
-    array, ride stacked under the particles, and only their rows are
-    recorded.  Returns (ens_T, None), or with seeds (ens_T, (t, samples,
-    f_minus)) over [0, T], samples of shape (s, m, 4).
+    array (m may be 0), ride stacked under the particles, and only their
+    rows are recorded.  Returns (ens_T, (t, samples, f_minus)) over
+    [0, T], samples of shape (s, m, 4).
     """
     n = len(ens)
     targets = _time_grid(0.0, T, dt_macro)
-    z = _coords(ens)
-    if tracked is not None:
-        z = np.vstack([z, tracked])
-        parts = ([], [], [])  # t, samples, f_minus
+    z = np.vstack([_coords(ens), tracked])
+    parts = ([], [], [])  # t, samples, f_minus
     t = 0.0
     for k, target in enumerate(targets):
         field = visit(k, ens)
-        if tracked is None:
-            z = integrate_batch(z, field, model, t, target, control)
-        else:
-            z, *rec = integrate_batch(z, field, model, t, target, control,
-                                      record=slice(n, None))
-            # Keep [t_k, t_{k+1}): the next step opens at t_{k+1}, and its
-            # f_minus there comes from the next step's field.
-            for acc, a in zip(parts, rec):
-                acc.append(a[:-1])
+        z, *rec = integrate_batch(z, field, model, t, target, control, record=slice(n, None))
+        # Keep [t_k, t_{k+1}): the next step opens at t_{k+1}, and its
+        # f_minus there comes from the next step's field.
+        for acc, a in zip(parts, rec):
+            acc.append(a[:-1])
         t = target
         ens = ens.with_coords(z[:n, 0], z[:n, 1], z[:n, 2], z[:n, 3], time=t)
     visit(len(targets), ens)
-    if tracked is None:
-        return ens, None
     return ens, tuple(np.concatenate(acc + [a[-1:]]) for acc, a in zip(parts, rec))
 
 

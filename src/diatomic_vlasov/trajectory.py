@@ -61,6 +61,8 @@ WALL_RESOLUTION = 0.05
 # Relative head-room of the one-substep screen's travel bound (see
 # _wall_substeps).
 SCREEN_MARGIN = 1e-6
+# Event-location tolerance as a fraction of dt.
+EVENT_TIME_TOL_FACTOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,12 @@ class StepControl:
     dt            base step; also the path sampling interval.
     eta_scale     bound on |Fh|*substep, the impulse one inner substep may
                   impart to eta; controls sub-cycling near the walls.
-    event_time_tol_factor   event-location tolerance as a fraction of dt.
     event_eta_tol tangency threshold: |eta| below this at a balance-point
                   touch is classified as a turning event.
     """
 
     dt: float = 1e-3
     eta_scale: float = 0.25
-    event_time_tol_factor: float = 1e-3
     event_eta_tol: float = 1e-7
 
     def __post_init__(self):
@@ -88,7 +88,7 @@ class StepControl:
 
     @property
     def event_time_tol(self) -> float:
-        return self.event_time_tol_factor * self.dt
+        return EVENT_TIME_TOL_FACTOR * self.dt
 
 
 class EventKind(enum.Enum):

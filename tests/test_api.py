@@ -1,4 +1,5 @@
-"""Export lists name only what their modules define."""
+"""Export lists name only what their modules define, and every error
+class is raised."""
 
 import ast
 import importlib
@@ -33,3 +34,25 @@ def test_package_imports_are_exported():
             unlisted += [f"{node.module}.{a.name}" for a in node.names
                          if a.name not in exported]
     assert not unlisted, f"imported but not in __all__: {unlisted}"
+
+
+def test_every_error_class_is_raised():
+    # An error class counts if some ``raise`` under the package names it,
+    # or names a class derived from it.
+    src = Path(diatomic_vlasov.__file__).parent
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse((src / "errors.py").read_text()).body
+             if isinstance(node, ast.ClassDef)}
+    live = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name in bases:
+                    live.add(name)
+    for name in reversed(list(bases)):  # each base is defined above its subclasses
+        if name in live:
+            live.update(bases[name])
+    unraised = sorted(set(bases) - live)
+    assert not unraised, f"errors.py classes never raised: {unraised}"

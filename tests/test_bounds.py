@@ -15,7 +15,6 @@ from diatomic_vlasov import (
     ParticleState,
     RangeError,
     StepControl,
-    VacuousBoundError,
     balance_points,
     build_certificate,
     certify,
@@ -23,7 +22,6 @@ from diatomic_vlasov import (
     confinement_time,
     detect_events,
     displacement_bound,
-    drift_rate_bound,
     excursion_envelope,
     global_envelope,
     gronwall_constants,
@@ -32,9 +30,7 @@ from diatomic_vlasov import (
     omega_confinement,
     phase_bound,
     potential_to_midpoint,
-    return_time_lower_bound,
     tangent_model,
-    turning_point_band,
     zero_field,
 )
 from diatomic_vlasov.hooke import Branch
@@ -137,92 +133,6 @@ class TestExcursionEnvelope:
             env = excursion_envelope(h1, p)
             assert env * env - h1 * h1 == pytest.approx(4.0, rel=1e-12)
             assert env >= abs(h1)
-
-
-class TestTurningPointBand:
-    def test_clamped_lower_end(self):
-        lo, hi = turning_point_band(0.0, params())
-        assert lo == 0.0
-        assert hi == pytest.approx(LN2_OVER_2PI + 1.0, rel=1e-12)
-
-    def test_reference_band(self):
-        lo, hi = turning_point_band(2.0, params())
-        assert lo == pytest.approx(2.0 + LN2_OVER_2PI - 1.0, rel=1e-10)
-        assert hi == pytest.approx(2.0 + LN2_OVER_2PI + 1.0, rel=1e-10)
-        assert lo == pytest.approx(1.1103, abs=1e-4)
-        assert hi == pytest.approx(3.1103, abs=1e-4)
-
-    def test_width(self):
-        p = params()
-        for h1 in (1.5, 2.0, 3.0):
-            lo, hi = turning_point_band(h1, p)
-            assert hi - lo == pytest.approx(2.0, rel=1e-12)
-
-    def test_contains_actual_turning_level(self):
-        # integrate an excursion and check the turning-point potential
-        c = 0.1
-        p = params(c_minus=c, c=c)
-        bal = balance_points(p.model, c)
-        prov = ConstantField(0.0, c)
-        h1 = 0.2
-        path = integrate(ParticleState(0, 0, bal.omega_M, h1), prov, p.model,
-                         0.0, 1.9, StepControl(dt=1e-3), balance=bal)
-        turn = np.max(path.omega)
-        lo, hi = turning_point_band(h1, p)
-        level = potential_to_midpoint(p.model, turn)
-        assert lo - 1e-6 <= level <= hi + 1e-6
-
-
-class TestReturnTime:
-    def test_vacuous_reports_zero(self):
-        # tiny H1: level below the balance potential makes the bound empty
-        assert return_time_lower_bound(0.1, params()) == 0.0
-
-    def test_composed_value(self):
-        # H1=3: level = 4.5 + I_M - 1; compose the potential inverse by hand
-        p = params()
-        level = 4.5 + LN2_OVER_2PI - 1.0
-        turn = inverse_potential(p.model, level, Branch.RIGHT)
-        expect = 2.0 * (turn - 0.75) / math.sqrt(9.0 + 4.0)
-        assert return_time_lower_bound(3.0, p) == pytest.approx(expect, rel=1e-10)
-
-    def test_monotone_once_active(self):
-        # increasing just above activation (the inverse-potential numerator
-        # dominates there; for larger H1 the envelope denominator wins)
-        p = params()
-        vals = [return_time_lower_bound(h, p) for h in np.linspace(1.5, 2.0, 11)]
-        assert all(v > 0 for v in vals)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_actual_return_respects_bound(self):
-        c = 0.1
-        p = params(c_minus=c, c=c)
-        bal = balance_points(p.model, c)
-        prov = ConstantField(0.0, c)
-        h1 = 1.0
-        path = integrate(ParticleState(0, 0, bal.omega_M, h1), prov, p.model,
-                         0.0, 3.0, StepControl(dt=1e-3), balance=bal)
-        exit_t = path.events[0].time
-        ret_t = next(e.time for e in path.events
-                     if e.kind.value == "return" and e.boundary == "omega_M")
-        assert ret_t - exit_t >= return_time_lower_bound(h1, p) - 1e-6
-
-
-class TestDriftRate:
-    def test_vacuous_raises(self):
-        with pytest.raises(VacuousBoundError):
-            drift_rate_bound(0.1, params())
-
-    def test_active_beyond_threshold(self):
-        # H1^2 >= 4 eps C guarantees a positive denominator
-        p = params()
-        val = drift_rate_bound(2.0, p)
-        assert val > 0.0
-
-    def test_decreases_with_h1(self):
-        p = params()
-        vals = [drift_rate_bound(h, p) for h in (2.0, 3.0, 4.0, 6.0)]
-        assert np.all(np.diff(vals) < 0)
 
 
 class TestChaoticBound:

@@ -64,11 +64,15 @@ class TestSimulateCertify:
 
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, frobnicate=1)
-        code = dispatch(["simulate", "--config", str(cfg),
-                         "--output-dir", str(tmp_path / "run")])
-        assert code == EXIT_CONFIG
-        assert "frobnicate" in capsys.readouterr().err
+        # event_time_tol_factor is a constant of the integrator, not a key.
+        for over, key in (({"frobnicate": 1}, "frobnicate"),
+                          ({"control": {"event_time_tol_factor": 1e-3}},
+                           "event_time_tol_factor")):
+            cfg = write_config(tmp_path, **over)
+            code = dispatch(["simulate", "--config", str(cfg),
+                             "--output-dir", str(tmp_path / "run")])
+            assert code == EXIT_CONFIG
+            assert key in capsys.readouterr().err
 
     def test_simulate_without_datum(self, tmp_path, capsys):
         cfg = write_config(tmp_path, datum=None)
@@ -103,6 +107,39 @@ class TestExitCodes:
     def test_bad_section(self, tmp_path, capsys, section, spec, needle):
         cfg = write_config(tmp_path, **{section: spec})
         code = dispatch([section, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert needle in capsys.readouterr().err
+
+    BAD_NUMBERS = [
+        ("bounds", ("hooke", "epsilon"), "abc", "hooke.epsilon must be a number"),
+        ("bounds", ("hooke", "epsilon"), True, "hooke.epsilon must be a number"),
+        ("bounds", ("datum", "amplitude"), "big", "datum.amplitude must be a number"),
+        ("bounds", ("datum", "centers", "x"), "abc", "datum.centers.x must be a number"),
+        ("bounds", ("datum", "widths", "eta"), True, "datum.widths.eta must be a number"),
+        ("bounds", ("datum", "box"),
+         {"x": [-1, 1], "v": [-1, 1], "omega": ["a", 0.6], "eta": [-1, 1]},
+         "datum.box.omega must be a number"),
+        ("bounds", ("datum", "grid"), ["a", 3, 3, 3], "datum.grid must hold integers"),
+        ("bounds", ("datum", "grid"), [3.5, 3, 3, 3], "datum.grid must hold integers"),
+        ("bounds", ("T",), True, "T must be a number"),
+        ("bounds", ("bounds", "C"), True, "bounds.C must be a number"),
+        ("trajectory", ("trajectory", "T"), True, "trajectory.T must be a number"),
+        ("trajectory", ("control", "eta_scale"), True, "control.eta_scale must be a number"),
+    ]
+
+    @pytest.mark.parametrize("command, keys, val, needle", BAD_NUMBERS, ids=[
+        f"{command}-{'.'.join(keys)}={json.dumps(val)}" for command, keys, val, _ in BAD_NUMBERS])
+    def test_bad_config_number(self, tmp_path, capsys, command, keys, val, needle):
+        # A bool is not a number, and every message names its key.
+        raw = json.loads(write_config(tmp_path, trajectory={"seed": {"omega": 0.6}},
+                                      bounds={}).read_text())
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = val
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        code = dispatch([command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert needle in capsys.readouterr().err
 
