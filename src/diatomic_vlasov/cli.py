@@ -32,7 +32,8 @@ from .errors import (
 from .field import ConstantField, ParticleState, write_table, zero_field
 from .hooke import balance_points, validate_model
 from .picard import dump_iteration_log, iterate
-from .simulator import RunConfig, _number, dump_diagnostics_csv, run
+from .simulator import (_AXES, RunConfig, _number, _unknown_keys, dump_diagnostics_csv,
+                        run)
 from .trajectory import TrajectoryPath, detect_events, integrate
 
 EXIT_OK = 0
@@ -84,21 +85,22 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     seed = spec.get("seed")
     if not isinstance(seed, dict) or "omega" not in seed:
         raise ConfigError("trajectory runs need a trajectory.seed object with omega")
-    state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}")
-                            for k in ("x", "v", "omega", "eta")))
+    _unknown_keys(seed, _AXES, "trajectory.seed")
+    state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}") for k in _AXES))
     T = _number(spec.get("T", cfg.T), "trajectory.T")
     control = cfg.build_control()
     if "dt" in spec:
         control = replace(control, dt=_number(spec["dt"], "trajectory.dt"))
     fld = spec.get("field", {})
     kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
+    if kind not in ("zero", "constant"):
+        raise ConfigError(f"trajectory.field needs kind zero or constant, got {fld!r}")
+    _unknown_keys(fld, ("kind", "f_plus", "f_minus"), "trajectory.field")
     if kind == "zero":
         field = zero_field()
-    elif kind == "constant":
+    else:
         field = ConstantField(*(_number(fld.get(k, 0.0), f"trajectory.field.{k}")
                                 for k in ("f_plus", "f_minus")))
-    else:
-        raise ConfigError(f"trajectory.field needs kind zero or constant, got {fld!r}")
     balance = None
     if "balance_level" in spec:
         balance = balance_points(model, _number(spec["balance_level"], "trajectory.balance_level"))

@@ -12,7 +12,10 @@ Wasserstein-1 distance of the charge measures).  On horizons below the
 certified confinement time the distances contract super-geometrically
 (factorial-decay signature), and the discrete map reaches an exact fixed
 point: once a round rebuilds the field history it was pushed under, the
-remaining records are filled in without recomputing them.
+remaining records are filled in without recomputing them.  Early times
+settle first, so before that point each round rebuilds an ever longer
+prefix of the history it was pushed under, and the next round's push
+starts where that prefix ends, from this round's state there.
 
 A field history is a plain list of snapshots: the one built at each
 macro time t_k of [0, T], then the one at T.  Between macro times it is
@@ -89,23 +92,41 @@ def support_bounds(ensemble: Ensemble) -> SupportBounds:
                          Peta=max(abs(et_lo), abs(et_hi)))
 
 
-def _push_collect(ens: Ensemble, prev: list, model: HookeModel, T: float,
-                  dt_macro: float, control: StepControl):
-    """Push an ensemble from 0 to T under the field history ``prev`` over
-    the macro grid (``simulator._march``), building the pushed iterate's
-    history at each macro time and unioning support bounds along the
-    way."""
-    hist = []
-    supp = support_bounds(ens)
+def _push_collect(start, prev: list, model: HookeModel, T: float, dt_macro: float,
+                  control: StepControl):
+    """Push the datum to T under the field history ``prev`` over the macro
+    grid (``simulator._march``), building the pushed iterate's history at
+    each macro time and unioning support bounds along the way.
+
+    ``start`` is (k0, ens_k0, supp): the push resumes at macro step k0
+    from the state that the round which built ``prev`` had there, supp
+    being the support union of its states before t_k0, whose snapshots
+    are prev[:k0].  Round 1 starts at (0, datum, the datum's support).
+
+    Each snapshot hist[k] is compared (``FieldSnapshot.same_field``) with
+    the field that governed step k, prev[min(k, len(prev) - 1)].  While
+    every comparison so far has held, the next round, pushed under hist,
+    reaches this round's state at t_k, so the last such (k, ens_k, supp)
+    is kept as its start: references only, no copy.  Returns (ens_T,
+    hist, supp, fixed, resume); ``fixed`` says that every comparison held
+    and hist is as long as prev, that is, hist is prev's fixed point.
+    """
+    k0, ens, supp = start
+    hist = prev[:k0]
+    resume, held = start, True
 
     def visit(k: int, ens_k: Ensemble):
-        nonlocal supp
+        nonlocal supp, resume, held
+        if held:
+            resume = (k, ens_k, supp)
         hist.append(build_field(ens_k))
         supp = supp.union(support_bounds(ens_k))
-        return prev[min(k, len(prev) - 1)]
+        field = prev[min(k, len(prev) - 1)]
+        held = held and hist[k].same_field(field)
+        return field
 
-    moved, _ = _march(ens, T, dt_macro, model, control, visit)
-    return moved, hist, supp
+    moved, _ = _march(ens, T, dt_macro, model, control, visit, k0=k0)
+    return moved, hist, supp, held and len(hist) == len(prev), resume
 
 
 def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
@@ -120,17 +141,26 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     characteristics under their respective histories.  Stops after
     ``n_max`` rounds or once the estimate drops below ``tol``.
 
-    Two rules skip work whose result is already known bit for bit; every
-    round is deterministic, so both are exact:
+    Three rules skip work whose result is already known bit for bit;
+    every round is deterministic, so all three are exact:
 
     - Fixed point.  When round n's history hist_n equals the history
-      hist_{n-1} it was pushed under (``_same_history``), round n+1 would
-      push the same particles under the same field and rebuild hist_n,
-      the same support and the same probes; both of its backward pushes
+      hist_{n-1} it was pushed under (as many snapshots, pairwise
+      ``FieldSnapshot.same_field``), round n+1 would push the same
+      particles under the same field and rebuild hist_n, the same
+      support and the same probes; both of its backward pushes
       would then repeat round n's, so its delta is max|vals_n - vals_n|
       (0.0, or NaN where round n's values are NaN) and its exact
       distances are 0.0.  By induction every later record is the same,
       so they are filled in without pushing.
+    - Equal prefix.  When hist_n[j] equals the field that governed round
+      n's step j for every j < k, round n+1's steps 0 .. k-1 run under
+      the fields of round n's, so by induction on j its state at t_k,
+      its snapshots hist_{n+1}[0..k-1] and its support union over those
+      states are round n's, bit for bit.  Round n+1's push starts at the
+      largest such k (at most the last macro time) from round n's state
+      there (``_push_collect``); the fixed point is the case where the
+      prefix is the whole history and both are as long.
     - Equal probes.  Round n evaluates f_{n-1} under hist_{n-2}, which
       round n-1 already did at its own probes.  When the probes are
       equal, round n-1's values are reused.  (``==`` misses only the
@@ -144,6 +174,7 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     hist_prev = [build_field(ens0)]  # fields of f_0 (time-frozen datum)
     hist_prev2 = None
     supp0 = support_bounds(ens0)
+    start = (0, ens0, supp0)
 
     records: list[IterationRecord] = []
     if n_max <= 0:
@@ -161,8 +192,8 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             vals_prev = vals_n
             z_dist = w1 = 0.0
         else:
-            moved, hist_n, supp_n = _push_collect(ens0, hist_prev, model, T,
-                                                  dt_macro, control)
+            moved, hist_n, supp_n, fixed, start = _push_collect(
+                start, hist_prev, model, T, dt_macro, control)
             probes_last, vals_last = probes, vals_n
             probes = sobol_box(probe_grid,
                                [-supp_n.Px, -supp_n.Pv, supp_n.Pomega_minus, -supp_n.Peta],
@@ -180,7 +211,6 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             z_dist = float(np.max(np.abs(z_n - z_prev)))
             w1 = field_w1(snap_n, snap_prev)
             z_prev, snap_prev = z_n, snap_n
-            fixed = _same_history(hist_n, hist_prev)
         delta = float(np.max(np.abs(vals_n - vals_prev)))
 
         sup_f, sup_pm = _history_norms(hist_prev)
@@ -209,12 +239,6 @@ def _backward_values(datum: BumpDatum, probes: np.ndarray, hist: list,
         for k in range(len(times) - 2, -1, -1):
             z = integrate_batch(z, hist[k], model, times[k + 1], times[k], control)
     return datum.value(*z.T)
-
-
-def _same_history(a: list, b: list) -> bool:
-    """True when two field histories serve the same field at every time:
-    as many snapshots, pairwise equal (``FieldSnapshot.same_field``)."""
-    return len(a) == len(b) and all(p.same_field(q) for p, q in zip(a, b))
 
 
 def _history_norms(hist: list) -> tuple[float, float]:

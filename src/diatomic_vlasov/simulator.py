@@ -82,6 +82,27 @@ _TRAJECTORY_KEYS = {"seed", "T", "dt", "field", "balance_level"}
 _BOUNDS_KEYS = {"support_box", "epsilon0", "R", "C_minus", "C", "T"}
 
 
+_AXES = ("x", "v", "omega", "eta")
+
+
+def _datum_axes(datum: dict, key: str) -> list:
+    """(name, entry) for the x, v, omega and eta entries of ``datum[key]``,
+    named datum.key.axis; ConfigError naming the key unless it is an
+    object with exactly those keys."""
+    val = datum.get(key)
+    if not isinstance(val, dict) or set(val) != set(_AXES):
+        raise ConfigError(f"bump datum needs datum.{key} as an object with keys "
+                          f"{', '.join(_AXES)}; got {val!r}")
+    return [(f"datum.{key}.{a}", val[a]) for a in _AXES]
+
+
+def _unknown_keys(section: dict, allowed, name: str) -> None:
+    """ConfigError naming the keys of ``section`` outside ``allowed``."""
+    bad = set(section) - set(allowed)
+    if bad:
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(bad)}")
+
+
 def _number(val, name: str) -> float:
     """``val`` as a float; ConfigError naming ``name`` unless it is an int
     or a float (a bool is neither here)."""
@@ -124,9 +145,7 @@ class RunConfig:
             sub = raw.get(key, {})
             if not isinstance(sub, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            bad = set(sub) - allowed
-            if bad:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
+            _unknown_keys(sub, allowed, key)
         if "hooke" not in raw:
             raise ConfigError("config needs a 'hooke' section")
         cfg = cls(**{k: raw[k] for k in raw})
@@ -175,22 +194,24 @@ class RunConfig:
             return Ensemble.load_csv(path)
         if kind != "bumps":
             raise ConfigError(f"unknown datum kind {kind!r}")
-        axes = ("x", "v", "omega", "eta")
-        try:
-            centers = tuple(_number(self.datum["centers"][a], f"datum.centers.{a}") for a in axes)
-            widths = tuple(_number(self.datum["widths"][a], f"datum.widths.{a}") for a in axes)
-        except KeyError as exc:
-            raise ConfigError(f"bump datum needs centers/widths per axis: {exc}") from exc
+        centers = tuple(_number(c, name) for name, c in _datum_axes(self.datum, "centers"))
+        widths = tuple(_number(w, name) for name, w in _datum_axes(self.datum, "widths"))
         amp = _number(self.datum.get("amplitude", 1.0), "datum.amplitude")
         datum = BumpDatum(centers=centers, widths=widths, amplitude=amp)
-        box = self.datum.get("box")
-        if box is None:
+        if self.datum.get("box") is None:
             box = datum.support()
         else:
-            box = tuple(tuple(_number(c, f"datum.box.{ax}") for c in box[ax]) for ax in axes)
-        grid = tuple(self.datum.get("grid", (8, 8, 8, 8)))
-        if any(type(n) is not int or n < 1 for n in grid):
-            raise ConfigError(f"datum.grid must hold integers >= 1, got {list(grid)!r}")
+            box = []
+            for name, pair in _datum_axes(self.datum, "box"):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
+                box.append(tuple(_number(c, name) for c in pair))
+            box = tuple(box)
+        grid = self.datum.get("grid", (8, 8, 8, 8))
+        if not isinstance(grid, (list, tuple)) or len(grid) != len(_AXES) or \
+                any(type(n) is not int or n < 1 for n in grid):
+            raise ConfigError(f"datum.grid must hold integers >= 1, one per axis, got {grid!r}")
+        grid = tuple(grid)
         return datum, box, grid
 
 
@@ -340,22 +361,28 @@ def run(config: RunConfig):
 
 
 def _march(ens: Ensemble, T: float, dt_macro: float, model: HookeModel,
-           control: StepControl, visit, tracked: np.ndarray = np.empty((0, 4))):
+           control: StepControl, visit, tracked: np.ndarray = np.empty((0, 4)),
+           k0: int = 0):
     """Advance an ensemble over the macro grid of [0, T], one
     ``integrate_batch`` call per macro step.
 
-    At each macro time t_k, ``visit(k, ens_k)`` returns the frozen field
-    of the step from t_k (unused at T).  ``tracked`` seeds, an (m, 4)
-    array (m may be 0), ride stacked under the particles, and only their
-    rows are recorded.  Returns (ens_T, (t, samples, f_minus)) over
-    [0, T], samples of shape (s, m, 4).
+    ``ens`` is the state at macro time t_{k0} (t_0 = 0), and the march
+    takes steps k0 .. K-1 of the K macro steps from there: a start
+    k0 > 0 resumes a march whose first k0 steps are known, and k0 = K
+    takes no step.  At each macro time t_k, k >= k0, ``visit(k, ens_k)``
+    returns the frozen field of the step from t_k (unused at T).
+    ``tracked`` seeds, an (m, 4) array (m may be 0) at t_{k0}, ride
+    stacked under the particles, and only their rows are recorded.
+    Returns (ens_T, (t, samples, f_minus)) over [t_{k0}, T], samples of
+    shape (s, m, 4); all three are empty when no step is taken.
     """
-    n = len(ens)
+    n, m = len(ens), len(tracked)
     targets = _time_grid(0.0, T, dt_macro)
     z = np.vstack([_coords(ens), tracked])
     parts = ([], [], [])  # t, samples, f_minus
-    t = 0.0
-    for k, target in enumerate(targets):
+    rec = (np.empty(0), np.empty((0, m, 4)), np.empty((0, m)))
+    t = targets[k0 - 1] if k0 else 0.0
+    for k, target in enumerate(targets[k0:], start=k0):
         field = visit(k, ens)
         z, *rec = integrate_batch(z, field, model, t, target, control, record=slice(n, None))
         # Keep [t_k, t_{k+1}): the next step opens at t_{k+1}, and its

@@ -11,6 +11,7 @@ import pytest
 import diatomic_vlasov
 from diatomic_vlasov import (
     ConstantField,
+    FieldSnapshot,
     ParticleState,
     StepControl,
     balance_points,
@@ -103,6 +104,9 @@ class TestExitCodes:
         ("trajectory", {"seed": {"omega": 0.6}, "field": "zero"}, "trajectory.field"),
         ("bounds", {"support_box": [-1, 1, -1, 1, 0.4, 0.6, -1, 1], "C": 3.0}, "C_minus"),
         ("bounds", {"C": "abc"}, "bounds.C"),
+        ("trajectory", {"seed": {"omega": 0.5, "vv": 3.0}}, "vv"),
+        ("trajectory", {"seed": {"omega": 0.5},
+                        "field": {"kind": "constant", "fminus": 2.0}}, "fminus"),
     ])
     def test_bad_section(self, tmp_path, capsys, section, spec, needle):
         cfg = write_config(tmp_path, **{section: spec})
@@ -121,6 +125,21 @@ class TestExitCodes:
          "datum.box.omega must be a number"),
         ("bounds", ("datum", "grid"), ["a", 3, 3, 3], "datum.grid must hold integers"),
         ("bounds", ("datum", "grid"), [3.5, 3, 3, 3], "datum.grid must hold integers"),
+        ("bounds", ("datum", "box"), {"x": [-1, 1], "v": [-1, 1], "omega": [0.4, 0.6]},
+         "datum.box as an object with keys x, v, omega, eta"),
+        ("bounds", ("datum", "box"),
+         {"x": [-1, 1], "v": [-1, 1], "omega": [0.4, 0.6], "eta": [-1, 1], "zeta": [0, 1]},
+         "datum.box as an object"),
+        ("bounds", ("datum", "box"),
+         {"x": [-1, 1], "v": [-1, 1], "omega": [0.4, 0.6], "eta": [-1, 0, 1]},
+         "datum.box.eta must be a pair of numbers"),
+        ("bounds", ("datum", "box"), {"x": [-1, 1], "v": 1.0, "omega": [0.4, 0.6], "eta": [-1, 1]},
+         "datum.box.v must be a pair of numbers"),
+        ("bounds", ("datum", "grid"), 8, "datum.grid must hold integers"),
+        ("bounds", ("datum", "grid"), [3, 3, 3], "datum.grid must hold integers"),
+        ("bounds", ("datum", "centers"), [0.0, 0.0, 0.5, 0.0], "datum.centers as an object"),
+        ("bounds", ("datum", "widths"), {"x": 0.5, "v": 0.3, "omega": 0.08},
+         "datum.widths as an object"),
         ("bounds", ("T",), True, "T must be a number"),
         ("bounds", ("bounds", "C"), True, "bounds.C must be a number"),
         ("trajectory", ("trajectory", "T"), True, "trajectory.T must be a number"),
@@ -130,7 +149,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, keys, val, needle", BAD_NUMBERS, ids=[
         f"{command}-{'.'.join(keys)}={json.dumps(val)}" for command, keys, val, _ in BAD_NUMBERS])
     def test_bad_config_number(self, tmp_path, capsys, command, keys, val, needle):
-        # A bool is not a number, and every message names its key.
+        # A bool is not a number, a datum section of the wrong shape is
+        # no datum, and every message names its key.
         raw = json.loads(write_config(tmp_path, trajectory={"seed": {"omega": 0.6}},
                                       bounds={}).read_text())
         node = raw
@@ -439,7 +459,8 @@ class TestSubcommands:
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
         assert rows[-1] == "5,0,0"
 
-        monkeypatch.setattr(picard, "_same_history", lambda a, b: False)
+        # No snapshot comparison holds: no stop, every push from t = 0.
+        monkeypatch.setattr(FieldSnapshot, "same_field", lambda self, other: False)
         full, full_stdout = picard_run("full")
         assert len(pushes) - n_fast == 5
         for name in ("iteration_log.csv", "iteration_distances.csv"):

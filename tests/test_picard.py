@@ -1,3 +1,7 @@
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from diatomic_vlasov import (
     BumpDatum,
     ConfigError,
     Ensemble,
+    FieldSnapshot,
     StepControl,
     build_field,
     confinement_time,
@@ -16,10 +21,13 @@ from diatomic_vlasov import (
     tangent_model,
     zero_field,
 )
-from diatomic_vlasov import picard
+from diatomic_vlasov import picard, simulator
+from diatomic_vlasov.cli import dispatch
 from diatomic_vlasov.datum import sobol_box
 from diatomic_vlasov.picard import iterate
 from helpers import solve_linear
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def small_datum(amp=4.0):
@@ -164,9 +172,8 @@ class TestIterate:
 
 
 class _NoArrayEqual:
-    """numpy for ``picard`` with ``array_equal`` always False: neither the
-    fixed-point stop nor the probe reuse can fire, so every round is
-    computed in full."""
+    """numpy for ``picard`` with ``array_equal`` always False: the probe
+    reuse cannot fire."""
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -176,12 +183,34 @@ class _NoArrayEqual:
         return False
 
 
+def no_comparison(monkeypatch):
+    """No snapshot equals another: every push starts at t = 0 and the
+    fixed-point stop cannot fire."""
+    monkeypatch.setattr(FieldSnapshot, "same_field", lambda self, other: False)
+
+
 def full_rounds(monkeypatch):
+    """Every round computed in full: no resume, stop or probe reuse."""
     monkeypatch.setattr(picard, "np", _NoArrayEqual())
+    no_comparison(monkeypatch)
+
+
+def no_stop(monkeypatch):
+    """The fixed-point stop cannot fire; pushes still resume, so a round
+    after the fixed point starts at the last macro time and pushes no
+    step."""
+    push = picard._push_collect
+
+    def pushed(*args):
+        moved, hist, supp, _, resume = push(*args)
+        return moved, hist, supp, False, resume
+
+    monkeypatch.setattr(picard, "_push_collect", pushed)
 
 
 class TestSkippedWork:
-    """The fixed-point stop and the probe reuse change no record."""
+    """The fixed-point stop, the resumed pushes and the probe reuse change
+    no record."""
 
     KW = dict(T=0.02, n_max=6, probe_grid=512, control=StepControl(dt=0.004),
               dt_macro=0.004)
@@ -212,11 +241,14 @@ class TestSkippedWork:
     def test_records_equal_full_run(self, monkeypatch, tol):
         fast = self.run(tol=tol)
         with monkeypatch.context() as mp:
-            mp.setattr(picard, "_same_history", lambda a, b: False)
-            no_stop = self.run(tol=tol)
+            no_stop(mp)
+            resumed = self.run(tol=tol)
+        with monkeypatch.context() as mp:
+            no_comparison(mp)
+            from_zero = self.run(tol=tol)
         full_rounds(monkeypatch)
         full = self.run(tol=tol)
-        assert repr(fast) == repr(full) == repr(no_stop)
+        assert repr(fast) == repr(full) == repr(resumed) == repr(from_zero)
         # Round 3, the first filled-in record, is the first with delta 0.
         assert len(full) == {0.0: 6, 1e-20: 3, 1e-3: 2}[tol]
 
@@ -226,7 +258,7 @@ class TestSkippedWork:
         assert [r.n for r in recs] == [1, 2, 3, 4, 5, 6]
 
     def test_probe_reuse_fires(self, monkeypatch, counts):
-        monkeypatch.setattr(picard, "_same_history", lambda a, b: False)
+        no_stop(monkeypatch)
         self.run()
         # Round 1 needs one backward push; every later round reuses the
         # previous round's values at its (equal) probes.
@@ -237,16 +269,11 @@ class TestSkippedWork:
         assert counts == {"forward": 6, "backward": 11}
 
     def test_exact_distances_vanish_from_the_stop(self, monkeypatch):
-        stops = []
-        same = picard._same_history
-
-        def spy(a, b):
-            stops.append(same(a, b))
-            return stops[-1]
-
-        monkeypatch.setattr(picard, "_same_history", spy)
+        pushes, push = [], picard._push_collect
+        monkeypatch.setattr(picard, "_push_collect",
+                            lambda *args: pushes.append(push(*args)) or pushes[-1])
         recs = self.run()
-        first = stops.index(True)  # the round whose history repeats
+        first = [p[3] for p in pushes].index(True)  # the round whose history repeats
         assert recs[0].z_dist > 0.0 and recs[0].field_w1 > 0.0
         for r in recs[first:]:
             assert r.z_dist == 0.0 and r.field_w1 == 0.0
@@ -261,40 +288,118 @@ class TestSkippedWork:
         assert repr(self.run(n_max=n_max)) == repr(fast)
         assert len(fast) == 1
 
-    def test_same_history(self):
-        ens = sample_datum(small_datum(), BOX, (4, 4, 4, 4), epsilon=1.0)
-
-        def history(n=3, bump=False):
-            hist = [build_field(ens) for _ in range(n)]
-            if bump:
-                hist[-1]._values[1, 0] = np.nextafter(hist[-1]._values[1, 0], np.inf)
-            return hist
-
-        assert picard._same_history(history(), history())
+    def test_same_history(self, monkeypatch):
+        # A push is at the fixed point when the history it builds has as
+        # many snapshots as the one it was pushed under, pairwise equal.
+        ens0 = sample_datum(small_datum(), BOX, (8, 8, 8, 8), epsilon=1.0)
+        start = (0, ens0, support_bounds(ens0))
+        args = (tangent_model(1.0), self.KW["T"], self.KW["dt_macro"], self.KW["control"])
         # f_0's one-snapshot history never matches a pushed one.
-        assert not picard._same_history(history(), history(n=1))
-        assert not picard._same_history(history(n=2), history())
-        assert not picard._same_history(history(), history(bump=True))
+        moved, hist1, _, fixed, _ = picard._push_collect(start, [build_field(ens0)], *args)
+        assert not fixed and len(hist1) == 6
+        _, _, _, fixed, resume = picard._push_collect(start, hist1, *args)
+        assert fixed and resume[0] == 5
+        assert not picard._push_collect(start, hist1[:-1], *args)[3]
+        # One bit off in the last snapshot, which governs no step, ends
+        # the stop but not the resume.
+        last = build_field(moved)
+        last._values[1, 0] = np.nextafter(last._values[1, 0], np.inf)
+        _, _, _, fixed, resume = picard._push_collect(start, hist1[:-1] + [last], *args)
+        assert not fixed and resume[0] == 5
+        # A comparison that fails midway ends the prefix there.
+        calls, same = iter(range(6)), FieldSnapshot.same_field
+        monkeypatch.setattr(FieldSnapshot, "same_field",
+                            lambda a, b: next(calls) != 2 and same(a, b))
+        _, _, _, fixed, resume = picard._push_collect(start, hist1, *args)
+        assert not fixed and resume[0] == 2
 
     def test_round_one_never_stops(self, monkeypatch, counts):
         # Velocities so small that no x moves by a bit: round 1 rebuilds
         # f_0's field at every macro time, yet it is compared with f_0's
         # one-snapshot history and pushes on; round 2 then repeats it.
+        # Round 2 starts at the last macro time and pushes no step.
         box = (BOX[0], (-1e-20, 1e-20), BOX[2], BOX[3])
         seen = []
-        same = picard._same_history
+        push = picard._push_collect
 
-        def spy(a, b):
-            seen.append((len(a), len(b), same(a, b)))
-            return seen[-1][2]
+        def spy(start, prev, *args):
+            out = push(start, prev, *args)
+            seen.append((start[0], len(out[1]), len(prev), out[3]))
+            return out
 
-        monkeypatch.setattr(picard, "_same_history", spy)
+        monkeypatch.setattr(picard, "_push_collect", spy)
         recs = iterate(small_datum(), box, (4, 4, 4, 4), tangent_model(1.0), T=1e-10,
                        n_max=4, probe_grid=64, control=StepControl(dt=5e-11),
                        dt_macro=5e-11)
-        assert seen == [(3, 1, False), (3, 3, True)]
+        assert seen == [(0, 3, 1, False), (2, 3, 3, True)]
         assert counts["forward"] == 2 and len(recs) == 4
         assert recs[0].field_w1 == 0.0
+
+
+class TestResume:
+    """Each forward push starts at the first macro step whose field differs
+    from the last round's, from the last round's state there."""
+
+    KW = dict(n_max=6, probe_grid=64, control=StepControl(dt=0.005), dt_macro=0.01)
+
+    @pytest.fixture()
+    def pushes(self, monkeypatch):
+        """[start step, macro steps pushed] of each forward push."""
+        rounds = []
+        march, batch = picard._march, simulator.integrate_batch
+
+        def spy_march(*args, k0=0, **kw):
+            rounds.append([k0, 0])
+            return march(*args, k0=k0, **kw)
+
+        def spy_batch(*args, **kw):
+            rounds[-1][1] += 1
+            return batch(*args, **kw)
+
+        monkeypatch.setattr(picard, "_march", spy_march)
+        monkeypatch.setattr(simulator, "integrate_batch", spy_batch)
+        return rounds
+
+    @pytest.mark.parametrize("grid, T, want", [
+        (6, 0.3, [[0, 30], [1, 29], [3, 27], [22, 8]]),
+        # Round 2 agrees on every step but not on the snapshot at T, so
+        # round 3 starts at T, pushes nothing and reaches the fixed point.
+        (8, 0.1, [[0, 10], [1, 9], [10, 0]]),
+    ])
+    def test_pushed_steps_and_records(self, monkeypatch, pushes, grid, T, want):
+        def run():
+            return iterate(small_datum(), BOX, (grid,) * 4, tangent_model(1.0), T=T,
+                           **self.KW)
+
+        recs = run()
+        assert pushes == want
+        pushes.clear()
+        no_comparison(monkeypatch)
+        assert repr(run()) == repr(recs)
+        assert pushes == [[0, round(T / 0.01)]] * 6
+
+    @pytest.mark.parametrize("variant", range(4))
+    def test_benchmark_outputs_unchanged(self, tmp_path, monkeypatch, capsys, pushes,
+                                         variant):
+        # The picard workload's smoke configs, whose round 2 starts at
+        # step 1, write the same bytes with every push from t = 0.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(workloads.config("picard", variant, smoke=True)))
+
+        def picard_run(name):
+            assert dispatch(["picard", "--config", str(cfg),
+                             "--output-dir", str(tmp_path / name)]) == 0
+            return capsys.readouterr().out
+
+        resumed = picard_run("resumed")
+        assert [k0 for k0, _ in pushes] == [0, 1]
+        no_comparison(monkeypatch)
+        assert picard_run("from_zero") == resumed
+        for name in ("iteration_log.csv", "iteration_distances.csv"):
+            assert (tmp_path / "resumed" / name).read_bytes() == \
+                (tmp_path / "from_zero" / name).read_bytes()
 
 
 class TestBackwardWalk:
