@@ -17,7 +17,6 @@ from .errors import (
     EmptyEnsembleError,
     InvalidCError,
     NoConfinementError,
-    QuadratureError,
     RangeError,
     StepUnderflowError,
     ToleranceError,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 from dataclasses import replace
@@ -87,10 +88,10 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
         raise ConfigError("trajectory runs need a trajectory.seed object with omega")
     _unknown_keys(seed, _AXES, "trajectory.seed")
     state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}") for k in _AXES))
-    T = _number(spec.get("T", cfg.T), "trajectory.T")
+    T = float(spec.get("T", cfg.T))
     control = cfg.build_control()
     if "dt" in spec:
-        control = replace(control, dt=_number(spec["dt"], "trajectory.dt"))
+        control = replace(control, dt=float(spec["dt"]))
     fld = spec.get("field", {})
     kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
     if kind not in ("zero", "constant"):
@@ -215,6 +216,8 @@ def _load_columns(path: Path, ncols: int) -> np.ndarray:
 
 
 def _cmd_certify(args) -> int:
+    if not (math.isfinite(args.slack) and args.slack >= 0.0):
+        raise ConfigError(f"--slack must be finite and >= 0, got {args.slack!r}")
     rundir = Path(args.path)
     manifest_file = rundir / "manifest.json"
     manifest = _read_json(manifest_file, "run manifest")

@@ -9,10 +9,6 @@ class DomainError(DiatomicVlasovError):
     """An argument lies outside the bond-length domain (0, epsilon)."""
 
 
-class QuadratureError(DiatomicVlasovError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class RangeError(DiatomicVlasovError):
     """A requested potential level exceeds the supremum on the branch."""
 

@@ -7,13 +7,13 @@ The built-in tangent law is
 
     force(omega) = -tan(pi/epsilon * (omega - epsilon/2)).
 
-Custom laws are supported as callables or as two-column tables with
-monotone cubic interpolation.  scipy loads only for these table and
-custom models, on first use (PCHIP for tables, adaptive quadrature for
-callables); the tangent law needs numpy alone.  Four structural
-hypotheses are checked by ``validate_model`` rather than assumed:
-monotone decrease, midpoint zero, odd symmetry about the midpoint, and
-convex/concave split.
+Custom laws are supported as callables with their antiderivative or as
+two-column tables with monotone cubic interpolation, whose exact
+antiderivative stands in.  scipy loads only for table models, on first
+use (PCHIP); the tangent law and custom callables need numpy alone.
+Four structural hypotheses are checked by ``validate_model`` rather than
+assumed: monotone decrease, midpoint zero, odd symmetry about the
+midpoint, and convex/concave split.
 
 All root finding here is plain bracketing bisection.  Newton-type
 iterations are deliberately avoided: the force diverges at the walls, so
@@ -29,12 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    QuadratureError,
-    RangeError,
-    ToleranceError,
-)
+from .errors import DomainError, RangeError, ToleranceError
 
 __all__ = [
     "Branch",
@@ -58,8 +53,6 @@ __all__ = [
 GUARD_FRACTION = 1e-9
 # Absolute bisection tolerance, as a fraction of epsilon.
 ROOT_TOL_FRACTION = 1e-12
-# Relative tolerance for adaptive quadrature on custom models.
-QUAD_RTOL = 1e-10
 
 
 class HookeKind(enum.Enum):
@@ -78,10 +71,10 @@ class Branch(enum.Enum):
 class HookeModel:
     """A bonding-force law on (0, epsilon).
 
-    ``force_fn`` is only set for custom models; the tangent law is
-    closed-form.  Custom callables must accept numpy arrays.  ``hull`` is
-    the tabulated range of a table model (see ``domain``) and
-    ``antiderivative`` the exact antiderivative of its interpolated force.
+    ``force_fn`` and ``antiderivative`` (any antiderivative of the force)
+    are set only for custom models, and both must accept numpy arrays;
+    the tangent law is closed-form.  ``hull`` is the tabulated range of a
+    table model (see ``domain``).
     """
 
     epsilon: float
@@ -93,8 +86,9 @@ class HookeModel:
     def __post_init__(self):
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.kind is HookeKind.CUSTOM and self.force_fn is None:
-            raise DomainError("custom models need a force callable")
+        if self.kind is HookeKind.CUSTOM and (self.force_fn is None
+                                              or self.antiderivative is None):
+            raise DomainError("custom models need a force callable and its antiderivative")
 
     @property
     def guard(self) -> float:
@@ -150,9 +144,11 @@ def tangent_model(epsilon: float = 1.0) -> HookeModel:
     return HookeModel(epsilon=float(epsilon), kind=HookeKind.TANGENT)
 
 
-def custom_model(epsilon: float, force_fn: Callable) -> HookeModel:
-    """Wrap a user force law."""
-    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM, force_fn=force_fn)
+def custom_model(epsilon: float, force_fn: Callable, antiderivative: Callable) -> HookeModel:
+    """Wrap a user force law and an antiderivative of it, which gives the
+    potentials."""
+    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM, force_fn=force_fn,
+                      antiderivative=antiderivative)
 
 
 def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeModel:
@@ -240,33 +236,17 @@ def potential_to_midpoint(model: HookeModel, x):
     (0, epsilon).
 
     Restricted to the right branch this is the outward potential well; on
-    the left branch the mirror well.  A table model takes A(epsilon/2) -
-    A(x) from the exact antiderivative A of its interpolant; custom
-    callables are integrated by adaptive quadrature to relative 1e-10.
+    the left branch the mirror well.  A custom model takes A(epsilon/2) -
+    A(x) from its antiderivative A (for a table, the interpolant's).
     """
     w = _check_domain(model, x)
     if model.kind is HookeKind.TANGENT:
         out = _tangent_potential(model, w)
-    elif model.antiderivative is not None:
-        out = model.antiderivative(model.midpoint) - model.antiderivative(w)
     else:
-        out = np.array([_quad_potential(model, float(v))
-                        for v in np.ravel(w)]).reshape(w.shape)
+        out = model.antiderivative(model.midpoint) - model.antiderivative(w)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def _quad_potential(model: HookeModel, xv: float) -> float:
-    if xv == model.midpoint:
-        return 0.0
-    from scipy import integrate
-    val, err = integrate.quad(lambda y: model.force_fn(y), xv, model.midpoint,
-                            epsabs=0.0, epsrel=QUAD_RTOL, limit=200)
-    if not math.isfinite(val) or (val != 0.0 and abs(err) > 10 * QUAD_RTOL * abs(val) + 1e-14):
-        raise QuadratureError(
-            f"quadrature did not converge at x={xv!r} (estimate {val!r}, error {err!r})")
-    return val
 
 
 def _bisect(fn, lo: float, hi: float, tol: float, max_iter: int = 300) -> float:
@@ -295,12 +275,12 @@ def _bisect(fn, lo: float, hi: float, tol: float, max_iter: int = 300) -> float:
 
 
 def _potential_unguarded(model: HookeModel, x: float) -> float:
-    # Potential evaluation used only inside inverse lookups, where the
-    # probe point may come arbitrarily close to a wall.
+    # Potential evaluation used only inside inverse lookups.  A tangent
+    # probe may come arbitrarily close to a wall, past the guard band; a
+    # custom probe stays between the midpoint and an end of ``domain``.
     if model.kind is HookeKind.TANGENT:
         return float(_tangent_potential(model, x))
-    lo, hi = model.domain
-    return potential_to_midpoint(model, min(max(x, lo), hi))
+    return potential_to_midpoint(model, x)
 
 
 def inverse_potential(model: HookeModel, value: float, branch: Branch) -> float:

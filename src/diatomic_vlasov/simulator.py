@@ -84,6 +84,10 @@ _BOUNDS_KEYS = {"support_box", "epsilon0", "R", "C_minus", "C", "T"}
 
 _AXES = ("x", "v", "omega", "eta")
 
+# Most steps one horizon may take (T over its step), so that no config
+# asks for a time grid too long to build.
+MAX_STEPS = 10**7
+
 
 def _datum_axes(datum: dict, key: str) -> list:
     """(name, entry) for the x, v, omega and eta entries of ``datum[key]``,
@@ -156,8 +160,17 @@ class RunConfig:
             least = 1 if f.name == "probe_grid" else 0
             if f.type == "int" and (type(val) is not int or val < least):
                 raise ConfigError(f"{f.name} must be an integer >= {least}, got {val!r}")
-        if not (cfg.T > 0.0 and cfg.dt_macro > 0.0):
-            raise ConfigError("T and dt_macro must be positive")
+        dt = cfg.control.get("dt", cfg.dt_macro)
+        traj_T, traj_dt = cfg.trajectory.get("T", cfg.T), cfg.trajectory.get("dt", dt)
+        # An absent key takes a value checked before it, under its own name.
+        for name, val in (("T", cfg.T), ("dt_macro", cfg.dt_macro), ("control.dt", dt),
+                          ("trajectory.T", traj_T), ("trajectory.dt", traj_dt)):
+            if not (math.isfinite(_number(val, name)) and val > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {val!r}")
+        for name, span, step in (("T/dt_macro", cfg.T, cfg.dt_macro), ("T/control.dt", cfg.T, dt),
+                                 ("trajectory.T/dt", traj_T, traj_dt)):
+            if span / step > MAX_STEPS:
+                raise ConfigError(f"{name} is {span / step!r}, over the cap of {MAX_STEPS} steps")
         return cfg
 
     def effective(self) -> dict:

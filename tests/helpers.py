@@ -15,6 +15,14 @@ class SegmentOutOfRangeError(DiatomicVlasovError):
     """A diagnostic segment lies outside the sampled path range."""
 
 
+def force_free_model():
+    """A custom law with no bond force, so a flat potential."""
+    def zero(w):
+        return np.zeros_like(np.asarray(w, dtype=float))
+
+    return hooke.custom_model(1.0, zero, zero)
+
+
 def energy_residual(path, segment: tuple[float, float], model) -> float:
     """Defect of the oscillatory energy balance over a path segment.
 

@@ -181,7 +181,8 @@ class TestGlobalEnvelope:
     def test_finite_well_invalid(self):
         # linear force: wells hold at most 1/8 of potential, below eps*C + I_M
         from diatomic_vlasov import custom_model
-        m = custom_model(1.0, lambda w: 0.5 - np.asarray(w, dtype=float))
+        m = custom_model(1.0, lambda w: 0.5 - np.asarray(w, dtype=float),
+                         lambda w: 0.5 * w - 0.5 * np.asarray(w, dtype=float) ** 2)
         p = params(model=m, c=0.3)
         with pytest.raises(InvalidCError):
             global_envelope(p, 1.0, 1.0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from diatomic_vlasov import (
     zero_field,
 )
 from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, dispatch
+from diatomic_vlasov.field import write_table
 
 
 def write_config(tmp_path, **over):
@@ -194,9 +196,11 @@ class TestExitCodes:
         assert err.rstrip().endswith("; in the step from t=0.0")
 
     def test_certify_violation(self, tmp_path, capsys):
-        # Wide bonds over T = 1.5 change eta sign, and with slack -0.8 some
-        # seeds pass the work bound on their first segment and fail it on
-        # a later one, so first_violation is a segment start past 0.
+        # Wide bonds over T = 1.5 change eta sign.  With every f_minus
+        # scaled by C*eps / (C*eps - 0.8), a segment's work exceeds C*eps
+        # where it exceeded C*eps - 0.8, and some seeds pass the work bound
+        # on their first segment and fail it on a later one, so
+        # first_violation is a segment start past 0.
         datum = json.loads(write_config(tmp_path).read_text())["datum"]
         datum["widths"] = {"x": 0.5, "v": 0.3, "omega": 0.3, "eta": 1.5}
         datum["grid"] = [3, 3, 3, 3]
@@ -204,8 +208,14 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert dispatch(["simulate", "--config", str(cfg), "--seed-report",
                          "--output-dir", str(out)]) == EXIT_OK
+        cert = json.loads((out / "manifest.json").read_text())["certificate"]
+        c_eps = cert["C"] * cert["epsilon"]
+        assert c_eps > 0.8
+        for aux in out.glob("seed_*_aux.csv"):
+            t, fm = np.loadtxt(aux, delimiter=",", skiprows=1, unpack=True)
+            write_table(aux, ["t", "f_minus"], [t, fm * (c_eps / (c_eps - 0.8))], end="\n")
         capsys.readouterr()
-        assert dispatch(["certify", "--path", str(out), "--slack=-0.8"]) == EXIT_VIOLATION
+        assert dispatch(["certify", "--path", str(out)]) == EXIT_VIOLATION
         reports = json.loads(capsys.readouterr().out)
         work = [c["first_violation"] for r in reports for c in r["checks"]
                 if c["name"] == "work_bound"]
@@ -304,6 +314,39 @@ class TestExitCodes:
         capsys.readouterr()
         assert dispatch(["certify", "--path", str(out)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, over, key", [
+        ("simulate", {"T": 1e308}, "T/dt_macro"),
+        ("simulate", {"T": math.inf}, "T"),
+        ("picard", {"T": 1e308}, "T/dt_macro"),
+        ("picard", {"T": math.inf}, "T"),
+        ("simulate", {"control": {"dt": math.inf}}, "control.dt"),
+        ("trajectory", {"trajectory": {"seed": {"omega": 0.6}, "T": 1e308}}, "trajectory.T/dt"),
+        ("trajectory", {"trajectory": {"seed": {"omega": 0.6}, "T": math.inf}}, "trajectory.T"),
+        ("trajectory", {"trajectory": {"seed": {"omega": 0.6}, "T": math.nan}}, "trajectory.T"),
+        ("trajectory", {"trajectory": {"seed": {"omega": 0.6}, "dt": math.inf}}, "trajectory.dt"),
+    ], ids=["simulate-T-huge", "simulate-T-inf", "picard-T-huge", "picard-T-inf",
+            "control-dt-inf", "trajectory-T-huge", "trajectory-T-inf", "trajectory-T-nan",
+            "trajectory-dt-inf"])
+    def test_time_inputs_finite_and_capped(self, tmp_path, capsys, command, over, key):
+        # Unchecked, these end in a traceback (math.ceil of an infinite step
+        # count) or, for control.dt = inf, in one step per macro step.
+        cfg = write_config(tmp_path, **over)
+        assert dispatch([command, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config error: {key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slack", ["inf", "nan", "-1e-3"])
+    def test_certify_slack_finite_and_nonnegative(self, tmp_path, capsys, slack):
+        # Unchecked, infinite slack passes every seed report.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(write_config(tmp_path, datum=datum, T=0.02)),
+                         "--seed-report", "--output-dir", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert dispatch(["certify", "--path", str(out), f"--slack={slack}"]) == EXIT_CONFIG
+        assert "--slack must be finite and >= 0" in capsys.readouterr().err
 
     def test_certify_without_seeds(self, tmp_path, capsys):
         # A run without --seed-report has no seed paths and no field norm:
@@ -551,18 +594,38 @@ print(json.dumps({"codes": codes,
 """
 
 
-def dispatch_fresh(argvs):
+# Builds a custom callable law (linear force, potential (w - 1/2)**2 / 2),
+# takes potentials and an inverse, and prints the inverse and the scipy
+# modules then loaded, as JSON.
+_CUSTOM_LAW_SCRIPT = """
+import json, sys
+import numpy as np
+from diatomic_vlasov import Branch, custom_model, inverse_potential, potential_to_midpoint
+law = custom_model(1.0, lambda w: 0.5 - w, lambda w: 0.5 * w - 0.5 * w * w)
+potential_to_midpoint(law, np.array([0.2, 0.7]))
+print(json.dumps({"x": inverse_potential(law, 0.02, Branch.RIGHT),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def run_fresh(script, *args):
+    """The JSON that ``script`` prints, run in a fresh interpreter."""
     src = str(Path(diatomic_vlasov.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout)
 
 
+def dispatch_fresh(argvs):
+    return run_fresh(_DISPATCH_SCRIPT, json.dumps(argvs))
+
+
 class TestDefaultPathImports:
-    """The tangent-law path runs on numpy alone; scipy loads only for
-    table and custom force laws.  Reads module names, not timings."""
+    """The tangent-law path and custom callable laws run on numpy alone;
+    scipy loads only for table force laws.  Reads module names, not
+    timings."""
 
     def test_tangent_law_subcommands_load_no_scipy(self, tmp_path):
         datum = json.loads(write_config(tmp_path).read_text())["datum"]
@@ -591,3 +654,8 @@ class TestDefaultPathImports:
         got = dispatch_fresh([["bounds", "--config", str(cfg)]])
         assert got["codes"] == [EXIT_OK]
         assert "scipy.interpolate" in got["scipy"]
+
+    def test_custom_law_loads_no_scipy(self):
+        got = run_fresh(_CUSTOM_LAW_SCRIPT)
+        assert got["x"] == pytest.approx(0.7, abs=1e-11)
+        assert got["scipy"] == []

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from diatomic_vlasov import (
     Branch,
     DomainError,
+    HookeKind,
+    HookeModel,
     RangeError,
     balance_points,
     custom_model,
@@ -102,9 +104,22 @@ class TestPotential:
         slopes = np.diff(np.log(errs)) / np.diff(np.log([1e-3, 5e-4, 2.5e-4]))
         assert np.all(np.abs(slopes - 2.0) < 0.2)
 
-    def test_custom_quadrature_matches_tangent(self):
-        m = custom_model(1.0, lambda w: -np.tan(np.pi * (w - 0.5)))
-        assert potential_to_midpoint(m, 0.75) == pytest.approx(LN2_OVER_2PI, rel=1e-9)
+    def test_custom_antiderivative_matches_tangent(self, tan1):
+        # The tangent law as a callable with its antiderivative log(cos)/pi.
+        m = custom_model(1.0, lambda w: -np.tan(np.pi * (w - 0.5)),
+                         lambda w: np.log(np.cos(np.pi * (w - 0.5))) / np.pi)
+        # Both forms agree to a few ulps (at most 2.4e-15 relative here);
+        # 1e-13 leaves a margin.  Points next to the midpoint are left out,
+        # where log(cos) cancels and only an absolute bound would hold.
+        w = np.array([0.01, 0.05, 0.12, 0.25, 0.4, 0.5, 0.6, 0.75, 0.88, 0.99])
+        np.testing.assert_allclose(potential_to_midpoint(m, w),
+                                   potential_to_midpoint(tan1, w), rtol=1e-13, atol=0.0)
+        assert potential_to_midpoint(m, 0.75) == pytest.approx(LN2_OVER_2PI, rel=1e-13)
+
+    @pytest.mark.parametrize("given", ["force_fn", "antiderivative"])
+    def test_custom_model_needs_both_callables(self, given):
+        with pytest.raises(DomainError, match="force callable and its antiderivative"):
+            HookeModel(1.0, HookeKind.CUSTOM, **{given: lambda w: 0.5 - w})
 
 
 class TestInversePotential:
@@ -128,7 +143,8 @@ class TestInversePotential:
         assert 0.5 < x < 1.0
 
     def test_finite_well_range_error(self):
-        m = custom_model(1.0, lambda w: 0.5 - w)  # linear, bounded well
+        # linear, bounded well
+        m = custom_model(1.0, lambda w: 0.5 - w, lambda w: 0.5 * w - 0.5 * w * w)
         with pytest.raises(RangeError):
             inverse_potential(m, 10.0, Branch.RIGHT)
 
@@ -167,19 +183,22 @@ class TestValidateModel:
         assert validate_model(tan1, 1024).passed
 
     def test_sign_flipped_fails_monotonicity(self):
-        m = custom_model(1.0, lambda w: np.tan(np.pi * (w - 0.5)))
+        m = custom_model(1.0, lambda w: np.tan(np.pi * (w - 0.5)),
+                         lambda w: -np.log(np.cos(np.pi * (w - 0.5))) / np.pi)
         rep = validate_model(m, 64)
         assert not rep.passed
         assert "H1" in rep.failures
 
     def test_shifted_fails_midpoint_and_symmetry(self):
-        m = custom_model(1.0, lambda w: -np.tan(np.pi * (w - 0.5)) + 0.1)
+        m = custom_model(1.0, lambda w: -np.tan(np.pi * (w - 0.5)) + 0.1,
+                         lambda w: np.log(np.cos(np.pi * (w - 0.5))) / np.pi + 0.1 * w)
         rep = validate_model(m, 64)
         assert rep.failures == ("H2", "H3")
 
     def test_concave_convex_swap_fails_h4(self):
         # odd, decreasing, midpoint-zero, but wrong curvature split
-        m = custom_model(1.0, lambda w: -np.sin(np.pi * (w - 0.5)))
+        m = custom_model(1.0, lambda w: -np.sin(np.pi * (w - 0.5)),
+                         lambda w: np.cos(np.pi * (w - 0.5)) / np.pi)
         rep = validate_model(m, 128)
         assert "H4" in rep.failures
 
@@ -211,14 +230,14 @@ class TestTableModel:
 
     def test_potential_from_the_exact_antiderivative(self):
         # On this table, quadrature of the interpolated force fails to
-        # converge where inverse_potential looks (QuadratureError).
+        # converge where inverse_potential looks.
         om = np.linspace(0.01, 0.99, 99)
         m = table_model(1.0, om, -np.tan(np.pi * (om - 0.5)))
         x = inverse_potential(m, 1.0, Branch.RIGHT)
         assert x == pytest.approx(0.98611, abs=1e-5)
         assert potential_to_midpoint(m, x) == pytest.approx(1.0, rel=1e-11)
-        # Where quadrature of the same force converges (a custom model
-        # takes it, and raises where it does not), both agree.
+        # Where quadrature of the same force converges, both agree.
         pts = np.array([0.02, 0.1, 0.3, 0.45, 0.5, 0.7, 0.98])
-        want = potential_to_midpoint(custom_model(1.0, m.force_fn), pts)
+        want = [quad(m.force_fn, p, 0.5, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                for p in pts]
         np.testing.assert_allclose(potential_to_midpoint(m, pts), want, rtol=1e-9, atol=1e-15)

@@ -14,7 +14,6 @@ from diatomic_vlasov import (
     StepControl,
     build_field,
     confinement_time,
-    custom_model,
     integrate_batch,
     sample_datum,
     support_bounds,
@@ -25,7 +24,7 @@ from diatomic_vlasov import picard, simulator
 from diatomic_vlasov.cli import dispatch
 from diatomic_vlasov.datum import sobol_box
 from diatomic_vlasov.picard import iterate
-from helpers import solve_linear
+from helpers import force_free_model, solve_linear
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,7 +73,7 @@ class TestSupportBounds:
 
     def test_free_streaming_growth(self):
         # force-free custom model: the x extent grows by exactly Pv * T
-        model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
+        model = force_free_model()
         ens = Ensemble([0.0, 0.1], [-0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0])
         s0 = support_bounds(ens)
         moved, _ = solve_linear(ens, zero_field(), model, T=1.0,
@@ -85,7 +84,7 @@ class TestSupportBounds:
 
 class TestSolveLinear:
     def test_free_streaming_transport(self):
-        model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
+        model = force_free_model()
         ens = Ensemble([0.0, 1.0], [0.3, -0.2], [0.45, 0.55], [0.02, -0.03],
                        [0.5, 0.5])
         moved, _ = solve_linear(ens, zero_field(), model, T=2.0,

@@ -46,6 +46,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             base_config(hooke={"kind": "tangent", "epsilon": 1.0, "zeta": 2})
 
+    @pytest.mark.parametrize("over, key", [
+        ({"dt_macro": 1e-300}, "T/dt_macro"),
+        ({"control": {"dt": 1e-300}}, "T/control.dt"),
+        ({"trajectory": {"dt": 1e-300}}, "trajectory.T/dt"),
+        ({"trajectory": {"T": 1e3, "dt": 1e-5}}, "trajectory.T/dt"),
+    ])
+    def test_step_count_capped(self, over, key):
+        # Unchecked, dt_macro = 1e-300 asks for about 3e299 step targets.
+        with pytest.raises(ConfigError, match=f"^{key} is .* over the cap of 10000000 steps"):
+            base_config(**over)
+
     def test_effective_echoes_defaults(self):
         eff = base_config().effective()
         assert eff["c_safety"] == 1.5

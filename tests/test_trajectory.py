@@ -32,7 +32,7 @@ from diatomic_vlasov import (
     tangent_model,
     zero_field,
 )
-from helpers import SegmentOutOfRangeError, energy_residual
+from helpers import SegmentOutOfRangeError, energy_residual, force_free_model
 
 
 def reference_bond_orbit(model_eps, omega0, eta0, t_eval, f_minus=0.0):
@@ -52,7 +52,7 @@ def cubic_model():
         u = np.asarray(w, dtype=float) - 0.5
         return -1000.0 * u * u * u
 
-    return custom_model(1.0, cubic)
+    return custom_model(1.0, cubic, lambda w: -250.0 * (np.asarray(w, dtype=float) - 0.5) ** 4)
 
 
 def tangent_table():
@@ -76,7 +76,7 @@ class TestPush:
 
     def test_constant_fplus_ballistic(self):
         # bond force off: splitting is exact for a constant push
-        model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
+        model = force_free_model()
         prov = ConstantField(f_plus=0.3, f_minus=0.0)
         st = ParticleState(x=1.0, v=0.2, omega=0.5, eta=0.0)
         dt = 0.05
@@ -93,7 +93,7 @@ class TestPush:
     def test_underflow_when_drift_must_exit(self):
         # force-free custom model: nothing stops the drift, so halving
         # bottoms out and the step reports a blow-up candidate
-        model = custom_model(1.0, lambda w: np.zeros_like(np.asarray(w, dtype=float)))
+        model = force_free_model()
         st = ParticleState(0.0, 0.0, 0.95, 1.0)
         msg = r"at dt=9\.765625e-05: omega=0\.99990234375 .*; in the step from t=0\.0$"
         with pytest.raises(StepUnderflowError, match=msg) as exc:
