@@ -64,6 +64,14 @@ def _load_config(path: str, overrides) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+def _finite(val, name: str) -> float:
+    """``_number`` that is also finite; ConfigError naming ``name``."""
+    x = _number(val, name)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    return x
+
+
 def _out_dir(cfg: RunConfig, arg: str | None) -> Path:
     out = Path(arg or cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +108,7 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     if kind == "zero":
         field = zero_field()
     else:
-        field = ConstantField(*(_number(fld.get(k, 0.0), f"trajectory.field.{k}")
+        field = ConstantField(*(_finite(fld.get(k, 0.0), f"trajectory.field.{k}")
                                 for k in ("f_plus", "f_minus")))
     balance = None
     if "balance_level" in spec:
@@ -117,12 +125,14 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
 def _bound_parameters(cfg: RunConfig, model) -> tuple[BoundParameters, tuple, float]:
     spec = dict(cfg.bounds)
     box = spec.pop("support_box", None)
-    T = _number(spec.pop("T", cfg.T), "bounds.T")
-    given = {k: _number(val, f"bounds.{k}") for k, val in spec.items()}
+    T = _finite(spec.pop("T", cfg.T), "bounds.T")
+    if T < 0.0:
+        raise ConfigError(f"bounds.T must be >= 0, got {T!r}")
+    given = {k: _finite(val, f"bounds.{k}") for k, val in spec.items()}
     if box:
         if not isinstance(box, list) or len(box) != 8 or not {"C_minus", "C"} <= set(given):
             raise ConfigError("bounds.support_box needs 8 numbers, bounds.C_minus and bounds.C")
-        box = tuple(_number(c, "bounds.support_box") for c in box)
+        box = tuple(_finite(c, "bounds.support_box") for c in box)
         return certificate_parameters(model, box, **given), box, T
     built = cfg.build_datum()
     ens = sample_datum(*built, model.epsilon) if isinstance(built, tuple) else built
@@ -133,11 +143,20 @@ def _bound_parameters(cfg: RunConfig, model) -> tuple[BoundParameters, tuple, fl
 def _cmd_bounds(cfg: RunConfig, args) -> int:
     model = cfg.build_model()
     p, box, T = _bound_parameters(cfg, model)
-    cert = build_certificate(p, box, T)
-    print(cert.to_json(indent=2))
+    # Finite inputs can still overflow: x_bound grows as C*T**2.
+    try:
+        cert = build_certificate(p, box, T)
+    except OverflowError as exc:
+        raise ConfigError(f"bounds.T = {T!r} overflows the certificate: {exc}") from exc
+    try:
+        text = cert.to_json(indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"bounds.T = {T!r} gives a certificate with constants that are not "
+                          "finite") from exc
+    print(text)
     if args.output_dir:
         out = _out_dir(cfg, args.output_dir)
-        (out / "certificate.json").write_text(cert.to_json(indent=2))
+        (out / "certificate.json").write_text(text)
     return EXIT_OK
 
 
@@ -176,11 +195,15 @@ def _write_run_outputs(result, out: Path, seed_report: bool) -> None:
         else:
             ens.dump_csv(out / f"ensemble_{k:06d}.csv")
     if seed_report:
+        ts = None
         for i, path in enumerate(result.tracked_paths):
-            path.dump_csv(out / f"seed_{i:03d}_path.csv")
+            if path.t is not ts:
+                # The seeds share one time grid: format it once.
+                ts, t_text = path.t, np.array(["%.17g" % t for t in path.t.tolist()])
+            path.dump_csv(out / f"seed_{i:03d}_path.csv", t=t_text)
             path.dump_events_csv(out / f"seed_{i:03d}_events.csv")
             write_table(out / f"seed_{i:03d}_aux.csv", ["t", "f_minus"],
-                        [path.t, path.f_minus], end="\n")
+                        [t_text, path.f_minus], end="\n")
         reports = [r.to_dict() for r in result.cert_reports]
         (out / "cert_reports.json").write_text(json.dumps(reports, indent=2))
         (out / "max_field_norm.json").write_text(json.dumps(

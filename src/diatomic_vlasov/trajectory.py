@@ -130,9 +130,12 @@ class TrajectoryPath:
         return ParticleState(x=float(self.x[i]), v=float(self.v[i]),
                              omega=float(self.omega[i]), eta=float(self.eta[i]))
 
-    def dump_csv(self, path) -> None:
+    def dump_csv(self, path, t=None) -> None:
+        """Write t, x, v, omega, eta; ``t``, when given, is the t column
+        as written, such as its strings formatted once for paths that
+        share it."""
         write_table(path, ["t", "x", "v", "omega", "eta"],
-                    [self.t, self.x, self.v, self.omega, self.eta])
+                    [self.t if t is None else t, self.x, self.v, self.omega, self.eta])
 
     def dump_events_csv(self, path) -> None:
         evs = self.events
@@ -258,8 +261,12 @@ def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepCont
 
 def _time_grid(lo: float, hi: float, dt: float) -> list[float]:
     """Step targets across [lo, hi], in either direction: n equal steps of
-    at most dt (to 1e-12 relative), the last landing exactly on hi."""
-    n = max(1, math.ceil(abs(hi - lo) / dt - 1e-12))
+    at most dt (to 1e-12 relative), the last landing exactly on hi.
+    Raises DomainError when n is not finite."""
+    n = abs(hi - lo) / dt - 1e-12
+    if not math.isfinite(n):
+        raise DomainError(f"cannot step from {lo!r} to {hi!r} in steps of at most {dt!r}")
+    n = max(1, math.ceil(n))
     return [lo + k * (hi - lo) / n for k in range(1, n)] + [hi]
 
 
@@ -304,7 +311,8 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     ``math.tan`` (the ``wall`` references pin its bits) for that step only,
     so lockstep sampling is preserved.  The field pair is
     queried once per call: a step's closing pair, taken at the states it
-    returns, is the next step's opening pair.  The state is held in an
+    returns, is the next step's opening pair, and its closing bond force
+    is likewise the next step's opening force.  The state is held in an
     (n, 4) Fortran-order array, so each of its columns is contiguous.
     With ``record=True`` returns (final, t_samples, samples, f_minus)
     where samples has shape (n_samples, n, 4) and f_minus from the same
@@ -326,13 +334,14 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
                           "the guarded bond domain or a non-finite coordinate")
     rows = np.arange(*record.indices(len(z))) if isinstance(record, slice) else slice(None)
     snap = field_provider
-    pair = snap.pm(z[:, 0], z[:, 2])
+    pair, fh = snap.pm(z[:, 0], z[:, 2]), None
     ts = [t0]
     recs = [z[rows]] if record else None
     fmr = [pair[1][rows]] if record else None
     for target in _time_grid(t0, t1, control.dt) if t1 != t0 else []:
         try:
-            z, pair = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi, pair)
+            z, pair, fh = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi,
+                                         pair, fh)
         except StepUnderflowError as exc:
             exc.time = float(ts[-1])
             raise
@@ -346,13 +355,21 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
 
 
 def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
-                   pair=None):
+                   pair=None, fh=None):
     """One kick-drift-kick step for every row of z.
 
     ``pair`` is the opening field pair (fp, fm) at the rows of z, queried
-    here when None.  Returns (z_next, (fp2, fm2)): the advanced rows as an
-    (n, 4) Fortran-order array and the closing pair at them, which is the
-    next step's opening pair under the same snapshot.
+    here when None, and ``fh`` the opening bond force
+    ``_force_array(model, z[:, 2])``, evaluated here when None; under the
+    tangent law its array is reused for the closing force.  Returns
+    (z_next, (fp2, fm2), fh2): the advanced rows as an (n, 4)
+    Fortran-order array, the closing pair at them and the closing force
+    ``_force_array(model, z_next[:, 2])``, which are the next step's
+    opening pair and force under the same snapshot.  A row that took one
+    substep closes at substep 0's omega, so its closing force is substep
+    0's; the rows that went on to ``_substep_loop`` or the fallback have
+    theirs evaluated again, on those rows only.  The step computes in
+    place, in its output and a few scratch arrays, and does not write z.
 
     Each row gets its own substep count m from the impulse bound and, for
     the tangent law, the stiffest frequency the step can reach
@@ -379,6 +396,8 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     Python 3.11, numpy 2.4): it runs ``_step_once`` with ``np.tan``, the
     bits of the batch, and the fallback where that rejects the step.  Its
     substep count is ``_substeps_scalar``, the batch's count on one row.
+    It evaluates its opening force in floats, so it ignores ``fh`` and
+    returns None for fh2.
     """
     if pair is None:
         pair = snap.pm(z[:, 0], z[:, 2])
@@ -387,37 +406,46 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
         opening = (float(pair[0][0]), float(pair[1][0]))
         state, (fp2, fm2) = (_step_once(*row, snap, model, dt, control, opening, np.tan)
                              or _advance_scalar(*row, snap, model, dt, control, opening))
-        return np.array([state]), (np.array([fp2]), np.array([fm2]))
+        return np.array([state]), (np.array([fp2]), np.array([fm2])), None
     x, v, om, et = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
     fp, fm = pair
-    v1 = v + 0.5 * dt * fp
-    e1 = et + 0.5 * dt * fm
+    hdt = 0.5 * dt
+    out = np.empty(z.shape, order="F")
+    # The half-kicked v and eta start in their output columns.
+    v1 = np.multiply(fp, hdt, out=out[:, 1])
+    v1 += v
+    ee = np.multiply(fm, hdt, out=out[:, 3])
+    ee += et
 
-    fh = _force_array(model, om)
-    m = np.minimum(_substeps_batch(model, om, e1, fh, dt, control),
-                   2.0 * MAX_SUBSTEPS).astype(np.int64)
+    if fh is None:
+        fh = _force_array(model, om)
+    tmp = _substeps_batch(model, om, ee, fh, dt, control)
+    m = np.minimum(tmp, 2.0 * MAX_SUBSTEPS, out=tmp).astype(np.int64)
     bad = m > MAX_SUBSTEPS
+    multi = m > 1
     d = dt / m
     hd = 0.5 * d
     mid = 0.5 * model.epsilon
     custom = model.kind is not _hooke.HookeKind.TANGENT
 
-    out = np.empty(z.shape, order="F")
     # Substep 0 runs and is tested in place on every row; rows that fail
     # it, like rows past MAX_SUBSTEPS, are redone below.
-    ee = e1 + hd * fh
-    o = np.add(om, d * ee, out=out[:, 2])
+    ee += np.multiply(hd, fh, out=tmp)
+    o = np.add(om, np.multiply(d, ee, out=tmp), out=out[:, 2])
     inside = (o > lo) & (o < hi)
     if custom:
         # A custom force may be undefined outside the band.
         np.copyto(o, mid, where=~inside)
-    f0 = _force_array(model, o)
-    bad |= ~inside | (np.abs(f0) * np.abs(d) > control.eta_scale)
-    ee += np.where(m > 1, d, hd) * f0
+    # The opening force is spent: its array takes the closing one.
+    f0 = _force_array(model, o, out=fh)
+    np.abs(f0, out=tmp)
+    tmp *= np.abs(d)
+    bad |= ~inside | (tmp > control.eta_scale)
+    ee += np.multiply(np.where(multi, d, hd), f0, out=tmp)
 
     # Every row with more than one substep that passed substep 0 finishes
     # alone, failing at its first failing substep.
-    for i in np.flatnonzero((m > 1) & ~bad).tolist():
+    for i in np.flatnonzero(multi & ~bad).tolist():
         done = _substep_loop(float(o[i]), float(ee[i]), float(d[i]), 1, int(m[i]), np.tan,
                              model, lo, hi, control.eta_scale)
         if done is None:
@@ -425,16 +453,22 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
         else:
             o[i], ee[i] = done
 
-    x1 = np.add(x, dt * v1, out=out[:, 0])
+    x1 = np.multiply(v1, dt, out=out[:, 0])
+    x1 += x
     fp2, fm2 = snap.pm(x1, o)
-    np.add(v1, 0.5 * dt * fp2, out=out[:, 1])
-    np.add(ee, 0.5 * dt * fm2, out=out[:, 3])
+    v1 += np.multiply(fp2, hdt, out=tmp)
+    ee += np.multiply(fm2, hdt, out=tmp)
 
     for i in np.nonzero(bad)[0]:
         out[i], (fp2[i], fm2[i]) = _advance_scalar(
             float(x[i]), float(v[i]), float(om[i]), float(et[i]), snap, model, dt,
             control, (float(fp[i]), float(fm[i])))
-    return out, (fp2, fm2)
+    # f0 is the closing force of the rows that took one substep; the
+    # others moved on, and their force is taken again at their new omega.
+    moved = np.flatnonzero(multi | bad)
+    if moved.size:
+        f0[moved] = _force_array(model, out[moved, 2])
+    return out, (fp2, fm2), f0
 
 
 def _substeps_batch(model: HookeModel, om: np.ndarray, e1: np.ndarray, fh: np.ndarray,
@@ -447,7 +481,11 @@ def _substeps_batch(model: HookeModel, om: np.ndarray, e1: np.ndarray, fh: np.nd
     The wall term is evaluated only on the rows the one-substep screen
     cannot clear; its docstring proves that the screen changes no count.
     """
-    m = np.maximum(1, np.ceil(np.abs(fh) * abs(dt) / control.eta_scale))
+    m = np.abs(fh)
+    m *= abs(dt)
+    m /= control.eta_scale
+    np.ceil(m, out=m)
+    np.maximum(m, 1, out=m)
     if model.kind is not _hooke.HookeKind.TANGENT:
         return m
     eps = model.epsilon
@@ -462,8 +500,11 @@ def _substeps_batch(model: HookeModel, om: np.ndarray, e1: np.ndarray, fh: np.nd
         reach += 2.0 * pot
         np.sqrt(reach, out=reach)
         reach *= abs(dt) * math.sqrt(1.0 + SCREEN_MARGIN)
+        u_now = np.subtract(eps, om)
+        np.minimum(om, u_now, out=u_now)
+        u_now -= u_star
         # Not (>=) rather than (<): a NaN row fails the screen.
-        rest = np.nonzero(~(np.minimum(om, eps - om) - u_star >= reach))[0]
+        rest = np.nonzero(~(u_now >= reach))[0]
     if rest.size:
         m[rest] = np.maximum(m[rest], _wall_substeps(model, om[rest], e1[rest], dt))
     return m
@@ -542,9 +583,14 @@ def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.
     return np.ceil(abs(dt) * freq / WALL_RESOLUTION)
 
 
-def _force_array(model: HookeModel, om: np.ndarray) -> np.ndarray:
+def _force_array(model: HookeModel, om: np.ndarray, out=None) -> np.ndarray:
+    """The bond force at om; the tangent law writes it to ``out`` when
+    given."""
     if model.kind is _hooke.HookeKind.TANGENT:
-        return -np.tan(np.pi / model.epsilon * (om - 0.5 * model.epsilon))
+        f = np.subtract(om, 0.5 * model.epsilon, out=out)
+        f *= np.pi / model.epsilon
+        np.tan(f, out=f)
+        return np.negative(f, out=f)
     return np.asarray(model.force_fn(om), dtype=float)
 
 
@@ -612,23 +658,22 @@ def detect_events(path: TrajectoryPath, balance: BalancePoints) -> list[Oscillat
     elif abs(st0.omega - om_m) <= g0:
         classify_touch(float(path.t[0]), st0, "omega_m")
 
-    gm = path.omega - om_m
-    gM = path.omega - om_M
-    h = path.eta
-    for i in range(len(path) - 1):
-        for which, g in (("omega_m", gm), ("omega_M", gM)):
-            if g[i] == 0.0 and i > 0:
-                continue  # already handled as the endpoint of the previous pair
-            if g[i] * g[i + 1] < 0.0 or (g[i] != 0.0 and g[i + 1] == 0.0):
-                level = om_m if which == "omega_m" else om_M
-                tq = _locate(path, i, lambda s, lv=level: s.omega - lv, time_tol)
-                classify_touch(tq, _interp_state(path, i, tq), which)
-        if h[i] * h[i + 1] < 0.0 or (h[i] != 0.0 and h[i + 1] == 0.0):
+    # Interval i holds a sign change of g, or g reaches 0 at its end (a
+    # zero at its start was the end of interval i - 1).  Row-major order
+    # visits each interval's omega_m, omega_M and eta tests in turn.
+    gs = np.stack([path.omega - om_m, path.omega - om_M, path.eta], axis=1)
+    flags = (gs[:-1] * gs[1:] < 0.0) | ((gs[:-1] != 0.0) & (gs[1:] == 0.0))
+    for i, j in zip(*(k.tolist() for k in np.nonzero(flags))):
+        if j == 2:
             tq = _locate(path, i, lambda s: s.eta, time_tol)
             st = _interp_state(path, i, tq)
             if not (om_m < st.omega < om_M):
                 events.append(OscillationEvent(
                     kind=EventKind.STOPPING_TIME, time=tq, state=st))
+        else:
+            which, level = ("omega_m", om_m) if j == 0 else ("omega_M", om_M)
+            tq = _locate(path, i, lambda s: s.omega - level, time_tol)
+            classify_touch(tq, _interp_state(path, i, tq), which)
 
     events.sort(key=lambda e: e.time)
     return events

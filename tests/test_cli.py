@@ -20,6 +20,7 @@ from diatomic_vlasov import (
     tangent_model,
     zero_field,
 )
+from diatomic_vlasov import cli
 from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, dispatch
 from diatomic_vlasov.field import write_table
 
@@ -109,6 +110,9 @@ class TestExitCodes:
         ("trajectory", {"seed": {"omega": 0.5, "vv": 3.0}}, "vv"),
         ("trajectory", {"seed": {"omega": 0.5},
                         "field": {"kind": "constant", "fminus": 2.0}}, "fminus"),
+        ("trajectory", {"seed": {"omega": 0.6},
+                        "field": {"kind": "constant", "f_minus": math.nan}},
+         "trajectory.field.f_minus must be finite"),
     ])
     def test_bad_section(self, tmp_path, capsys, section, spec, needle):
         cfg = write_config(tmp_path, **{section: spec})
@@ -336,6 +340,28 @@ class TestExitCodes:
                          "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"config error: {key} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds, key", [
+        ({"T": math.inf}, "bounds.T"),
+        ({"T": 1e308}, "bounds.T"),
+        ({"T": 1e200}, "bounds.T"),
+        ({"T": math.nan}, "bounds.T"),
+        ({"T": -1.0}, "bounds.T"),
+        ({"C_minus": math.inf}, "bounds.C_minus"),
+        ({"R": math.inf}, "bounds.R"),
+        ({"support_box": [-1, 1, -1, math.inf, 0.4, 0.6, -1, 1], "C_minus": 1.0, "C": 3.0},
+         "bounds.support_box"),
+    ], ids=["T-inf", "T-1e308", "T-1e200", "T-nan", "T-negative", "C_minus-inf", "R-inf",
+            "support_box-inf"])
+    def test_bounds_numbers_finite(self, tmp_path, capsys, bounds, key):
+        # Unchecked, these print a certificate holding Infinity (exit 0),
+        # raise OverflowError (T = 1e200), fail as numerical (T = NaN) or
+        # go unnamed (T = -1).
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        cfg = write_config(tmp_path, datum=datum, bounds=bounds)
+        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: {key} " in capsys.readouterr().err
+
     @pytest.mark.parametrize("slack", ["inf", "nan", "-1e-3"])
     def test_certify_slack_finite_and_nonnegative(self, tmp_path, capsys, slack):
         # Unchecked, infinite slack passes every seed report.
@@ -360,6 +386,81 @@ class TestExitCodes:
         capsys.readouterr()
         assert dispatch(["certify", "--path", str(out)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == []
+
+
+class TestConfigSweep:
+    """Every leaf and section of a smoke config, set to each of a fixed set
+    of bad values, ends in an exit code under each command that reads it,
+    never in a traceback."""
+
+    BASE = {
+        "hooke": {"kind": "tangent", "epsilon": 1.0},
+        "datum": {"kind": "bumps",
+                  "centers": {"x": 0.0, "v": 0.0, "omega": 0.5, "eta": 0.0},
+                  "widths": {"x": 0.5, "v": 0.3, "omega": 0.08, "eta": 0.3},
+                  "amplitude": 4.0, "grid": [2, 2, 2, 2]},
+        "T": 0.02, "dt_macro": 0.02,
+        "control": {"dt": 0.02, "eta_scale": 0.25, "event_eta_tol": 1e-7},
+        "tracked_boundary": 1, "tracked_interior": 1, "n_max": 2, "probe_grid": 8,
+        "c_safety": 1.5, "snapshot_every": 1, "picard_tol": 0.0,
+        "continuation_margin": 0.01, "detj_seeds": 1, "detj_every": 1,
+        "trajectory": {"seed": {"omega": 0.6, "eta": 0.1}, "T": 0.02, "dt": 0.02,
+                       "field": {"kind": "constant", "f_plus": 0.1, "f_minus": 0.1},
+                       "balance_level": 2.0},
+        "bounds": {"T": 0.02, "C": 3.0, "C_minus": 1.0, "R": 1.0, "epsilon0": 0.1,
+                   "support_box": [-1, 1, -1, 1, 0.4, 0.6, -1, 1]},
+    }
+    # Sizes allocate or run long rather than fail, so they stay out.
+    SIZES = {("datum", "grid"), ("probe_grid",), ("tracked_boundary",),
+             ("tracked_interior",), ("n_max",)}
+    BAD = [None, [], {}, "x", -1, 0, 1.5, True, math.nan, 1e308, [1, 2], {"a": 1}]
+    COMMANDS = ("simulate", "bounds", "picard", "trajectory")
+    # The commands that read each top-level key beyond the load check,
+    # which every command runs; the rest are read by all four.
+    READERS = {"datum": ("simulate", "bounds", "picard"), "dt_macro": ("simulate", "picard"),
+               "control": ("simulate", "picard", "trajectory"),
+               "c_safety": ("simulate", "bounds"), "snapshot_every": ("simulate",),
+               "continuation_margin": ("simulate",), "detj_seeds": ("simulate",),
+               "detj_every": ("simulate",), "picard_tol": ("picard",),
+               "trajectory": ("trajectory",), "bounds": ("bounds",)}
+
+    @classmethod
+    def keys(cls, node, path=()):
+        """Key paths of every section and leaf under ``node``."""
+        if path and path not in cls.SIZES:
+            yield path
+        if isinstance(node, dict):
+            for key, val in node.items():
+                yield from cls.keys(val, path + (key,))
+
+    # Huge finite inputs (1e308) overflow numpy arithmetic on the way to a
+    # numerical failure; the warning is not what this test checks.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_every_bad_value_exits(self, tmp_path, monkeypatch, capsys):
+        # One parser serves every call: building it is most of a call's
+        # time when the config is rejected.
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        cfg, out = tmp_path / "config.json", str(tmp_path / "out")
+        escaped, calls = [], 0
+        for keys in self.keys(self.BASE):
+            for val in self.BAD:
+                raw = json.loads(json.dumps(self.BASE))
+                node = raw
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = val
+                cfg.write_text(json.dumps(raw))
+                for command in self.READERS.get(keys[0], self.COMMANDS):
+                    calls += 1
+                    try:
+                        code = dispatch([command, "--config", str(cfg), "--output-dir", out])
+                    except Exception as exc:  # a traceback: the finding itself
+                        code = repr(exc)
+                    if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VIOLATION):
+                        escaped.append((".".join(keys), val, command, code))
+                capsys.readouterr()
+        assert calls > 1000 and escaped == []
 
 
 class TestSubcommands:

@@ -1,6 +1,7 @@
 import csv
 import math
 import sys
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -319,6 +320,85 @@ class TestEvents:
         assert returns.size > 1
 
 
+def events_by_loop(path, balance):
+    """detect_events with the per-interval Python scan it replaced: the
+    reference for its numpy scan."""
+    if len(path) == 0:
+        return []
+    eta_tol = path.control.event_eta_tol
+    time_tol = max(path.control.event_time_tol, 1e-15)
+    om_m, om_M = balance.omega_m, balance.omega_M
+    events = []
+
+    def classify_touch(t, st, which):
+        outward = st.eta > eta_tol if which == "omega_M" else st.eta < -eta_tol
+        inward = st.eta < -eta_tol if which == "omega_M" else st.eta > eta_tol
+        if outward:
+            kind = EventKind.EXIT_CHAOTIC
+        elif inward:
+            kind = EventKind.RETURN_TIME
+        else:
+            kind = EventKind.STOPPING_TIME
+        events.append(OscillationEvent(kind=kind, time=t, state=st, boundary=which))
+
+    st0 = path.state_at(0)
+    g0 = 1e-9 * max(1.0, om_M)
+    if abs(st0.omega - om_M) <= g0:
+        classify_touch(float(path.t[0]), st0, "omega_M")
+    elif abs(st0.omega - om_m) <= g0:
+        classify_touch(float(path.t[0]), st0, "omega_m")
+
+    gm = path.omega - om_m
+    gM = path.omega - om_M
+    h = path.eta
+    for i in range(len(path) - 1):
+        for which, g in (("omega_m", gm), ("omega_M", gM)):
+            if g[i] == 0.0 and i > 0:
+                continue  # already handled as the endpoint of the previous pair
+            if g[i] * g[i + 1] < 0.0 or (g[i] != 0.0 and g[i + 1] == 0.0):
+                level = om_m if which == "omega_m" else om_M
+                tq = trajectory._locate(path, i, lambda s, lv=level: s.omega - lv, time_tol)
+                classify_touch(tq, trajectory._interp_state(path, i, tq), which)
+        if h[i] * h[i + 1] < 0.0 or (h[i] != 0.0 and h[i + 1] == 0.0):
+            tq = trajectory._locate(path, i, lambda s: s.eta, time_tol)
+            st = trajectory._interp_state(path, i, tq)
+            if not (om_m < st.omega < om_M):
+                events.append(OscillationEvent(
+                    kind=EventKind.STOPPING_TIME, time=tq, state=st))
+
+    events.sort(key=lambda e: e.time)
+    return events
+
+
+class TestEventScan:
+    """detect_events flags its intervals in numpy and finds the events of
+    the Python scan, in the same order, on paths with exact zeros of each
+    test, touches at the first and later samples, and NaN."""
+
+    BAL = balance_points(tangent_model(1.0), 1.0)  # (0.25, 0.75)
+    OMEGAS = [BAL.omega_m, BAL.omega_M, 0.5, 0.2, 0.8, BAL.omega_m + 1e-3,
+              BAL.omega_M - 1e-3, math.nan]
+    ETAS = [0.0, 0.5, -0.5, 1e-9, -1e-9, math.nan]
+
+    @staticmethod
+    def key(events):
+        return [(e.kind, repr(e.time), repr(astuple(e.state)), e.boundary) for e in events]
+
+    @given(samples=hs.lists(hs.tuples(hs.integers(0, 7), hs.integers(0, 5)), max_size=14))
+    @example(samples=[(1, 0), (1, 0), (4, 1), (1, 2), (2, 0)])  # touches at i = 0 and i > 0
+    @example(samples=[(0, 3), (2, 0), (3, 4), (0, 0), (7, 1), (0, 5)])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_scan_equals_loop(self, samples):
+        n = len(samples)
+        om = np.array([self.OMEGAS[i] for i, _ in samples])
+        eta = np.array([self.ETAS[j] for _, j in samples])
+        path = trajectory.TrajectoryPath(
+            t=0.01 * np.arange(n), x=np.zeros(n), v=np.zeros(n), omega=om, eta=eta,
+            f_minus=np.zeros(n), max_field_norm=0.0, control=StepControl(dt=0.01))
+        got = detect_events(path, self.BAL)
+        assert self.key(got) == self.key(events_by_loop(path, self.BAL))
+
+
 class TestJacobian:
     def test_identity_at_t0(self, tan1, control):
         st = ParticleState(0.0, 0.0, 0.6, 0.1)
@@ -515,10 +595,10 @@ class TestBatchIndependence:
         assert any(100 <= m <= trajectory.MAX_SUBSTEPS for m in counts)
         assert max(counts) > trajectory.MAX_SUBSTEPS
 
-        out, _ = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        out, _, _ = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
         assert fallback
         for i, row in enumerate(self.ROWS):
-            alone, _ = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi)
+            alone, _, _ = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi)
             np.testing.assert_array_equal(out[i], alone[0])
             # The scalar step uses math.tan, which may differ from np.tan
             # in the last bit, so it agrees to rounding only.
@@ -577,7 +657,7 @@ class TestBatchIndependence:
         monkeypatch.setattr(trajectory, "_one_substep_threshold", lambda eps, dt: None)
         off = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
         assert counted == [5, 8]
-        for got, want in zip((on[0], *on[1]), (off[0], *off[1]), strict=True):
+        for got, want in zip((on[0], *on[1], on[2]), (off[0], *off[1], off[2]), strict=True):
             np.testing.assert_array_equal(got, want)
 
     # Cubic bond law: np and scalar evaluation agree bitwise, so the batch
@@ -599,12 +679,12 @@ class TestBatchIndependence:
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.domain
-        out, _ = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
+        out, _, _ = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
         assert len(fallback) == 2
         for i, row in enumerate(self.CUBIC_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
             np.testing.assert_array_equal(out[i], step[0])
-            alone, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
+            alone, _, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
             np.testing.assert_array_equal(out[i], alone[0])
 
     # Rows with m = 2 or 3 that pass substep 0 and fail at substep 1, in
@@ -626,7 +706,7 @@ class TestBatchIndependence:
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.domain
-        out, _ = trajectory._advance_batch(self.LATE_ROWS, snap, model, dt, ctl, lo, hi)
+        out, _, _ = trajectory._advance_batch(self.LATE_ROWS, snap, model, dt, ctl, lo, hi)
         assert fallback == ([0.85, 0.06, 0.94] if dt > 0 else [0.15, 0.06, 0.94])
         for i, row in enumerate(self.LATE_ROWS):
             step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
@@ -673,9 +753,9 @@ class TestLoneRow:
         advance, scalar = trajectory._advance_batch, trajectory._advance_scalar
 
         def step(*args):
-            out, pair = advance(*args)
+            out, pair, fh = advance(*args)
             steps.append(np.column_stack([out, *pair]))
-            return out, pair
+            return out, pair, fh
 
         def spy(*args):
             if len(args) == 9:  # called by _advance_batch, not a halving
@@ -853,6 +933,136 @@ class TestTail:
         z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
         dt = -ctl.dt if backward else ctl.dt
         TestLoneRow.assert_rows_step_alone(z, model, dt, ctl, 1)
+
+
+class TestCarriedForce:
+    """A step's closing bond force is ``_force_array`` at its closing
+    omegas, bit for bit, whether a row took one substep, finished in
+    ``_substep_loop`` or was redone by the fallback; so a step opened with
+    that force equals one that evaluates its opening force afresh."""
+
+    SNAP = TestLoneRow.SNAP
+    # The tangent law tabulated on 8 points.
+    GRID8 = np.linspace(0.02, 0.98, 8)
+    TABLE8 = table_model(1.0, GRID8, -np.tan(np.pi * (GRID8 - 0.5)))
+    # Table law, eta_scale 0.02, dt 0.05: rows 0 and 5 take one substep,
+    # two rows finish in the loop and three go to the fallback.
+    TABLE8_ROWS = np.array([
+        [0.0, 0.1, 0.5, 0.1],
+        [0.1, 0.0, 0.9, 0.0],
+        [0.2, 0.0, 0.1, -0.4],
+        [0.3, 0.0, 0.95, 0.6],
+        [0.4, 0.0, 0.05, -0.8],
+        [0.5, 0.0, 0.52, 0.05],
+    ])
+
+    @classmethod
+    def step(cls, z, model, dt, ctl, *opening):
+        """_advance_batch's result, or the message of its underflow."""
+        lo, hi = model.domain
+        try:
+            return trajectory._advance_batch(z, cls.SNAP, model, dt, ctl, lo, hi, *opening)
+        except StepUnderflowError as exc:
+            return str(exc)
+
+    @classmethod
+    def check(cls, z, model, dt, ctl):
+        """Steps z twice, the second time with and without the carried
+        force; returns the omegas of the first step's loop rows and of its
+        fallback rows."""
+        loops, handed = [], []
+        loop, scalar = trajectory._substep_loop, trajectory._advance_scalar
+
+        def loop_spy(om, e, d, k0, m, tan, *rest):
+            if tan is np.tan:  # not the fallback's math.tan
+                loops.append(om)
+            return loop(om, e, d, k0, m, tan, *rest)
+
+        def scalar_spy(*args):
+            if len(args) == 9:  # called by _advance_batch, not a halving
+                handed.append(args[2])
+            return scalar(*args)
+
+        with mock.patch.object(trajectory, "_substep_loop", loop_spy), \
+                mock.patch.object(trajectory, "_advance_scalar", scalar_spy):
+            first = cls.step(z, model, dt, ctl)
+        if isinstance(first, str):
+            return loops, handed
+        out, pair, fh = first
+        assert fh.tobytes() == trajectory._force_array(model, out[:, 2]).tobytes()
+        carried = cls.step(out, model, dt, ctl, pair, fh)
+        fresh = cls.step(out, model, dt, ctl, pair)
+        if isinstance(fresh, str):
+            assert carried == fresh
+        else:
+            for got, want in zip((carried[0], *carried[1], carried[2]),
+                                 (fresh[0], *fresh[1], fresh[2]), strict=True):
+                assert got.tobytes() == want.tobytes()
+        return loops, handed
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("law", ["tangent", "table8", "cubic"])
+    def test_fixed_rows(self, tan1, law, sign):
+        # Each batch mixes loop rows, fallback rows and, in row 0 at the
+        # midpoint, a row that takes one substep.
+        if law == "tangent":
+            rows, model, ctl = TestBatchIndependence.ROWS, tan1, StepControl(dt=2.5e-3)
+        elif law == "table8":
+            rows = self.TABLE8_ROWS * [1.0, 1.0, 1.0, sign]
+            model, ctl = self.TABLE8, StepControl(dt=0.05, eta_scale=0.02)
+        else:
+            rows = TestLoneRow.CROSS_ROWS * [1.0, 1.0, 1.0, sign]
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+        loops, handed = self.check(rows, model, sign * ctl.dt, ctl)
+        assert loops and handed and rows[0, 2] == 0.5
+
+    @given(law=hs.sampled_from(["tangent", "table8", "cubic"]), backward=hs.booleans(),
+           rows=hs.lists(hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
+                         min_size=2, max_size=12))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_random_rows(self, law, backward, rows):
+        if law == "tangent":
+            # Wall distances 1e-6 .. 0.5 at either wall, |eta| <= 2.
+            model, ctl = tangent_model(1.0), StepControl(dt=2.5e-3)
+            om = [10.0 ** (-6.0 + 5.7 * abs(a)) for a, _ in rows]
+            om = [u if a >= 0.0 else 1.0 - u for u, (a, _) in zip(om, rows)]
+            eta = [2.0 * b for _, b in rows]
+        elif law == "table8":
+            model, ctl = self.TABLE8, StepControl(dt=0.05, eta_scale=0.02)
+            om = [0.5 + 0.47 * a for a, _ in rows]
+            eta = [b for _, b in rows]
+        else:
+            model, ctl = cubic_model(), StepControl(dt=0.05, eta_scale=0.05)
+            om = [0.5 + 0.45 * a for a, _ in rows]
+            eta = [2.5 * b for _, b in rows]
+        z = np.array([[0.1 * i, 0.0, o, e] for i, (o, e) in enumerate(zip(om, eta))])
+        self.check(z, model, -ctl.dt if backward else ctl.dt, ctl)
+
+
+class TestInputContract:
+    """integrate_batch writes nothing to a float64 Fortran-order input and
+    returns no view of it, also when it takes no step."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("t1", [0.01, 0.0])
+    @pytest.mark.parametrize("n_rows", [8, 1])
+    def test_input_untouched(self, tan1, n_rows, t1, record):
+        z = np.asfortranarray(TestBatchIndependence.ROWS[:n_rows])
+        keep = z.copy()
+        z.flags.writeable = False
+        got = integrate_batch(z, TestLoneRow.SNAP, tan1, 0.0, t1, StepControl(dt=2.5e-3),
+                              record=record)
+        for a in got if record else (got,):
+            assert not np.shares_memory(a, z)
+        assert z.tobytes() == keep.tobytes()
+
+    def test_infinite_step_count(self, tan1):
+        # A horizon no grid of steps can span is a DomainError, not an
+        # OverflowError from the step count.
+        z = TestBatchIndependence.ROWS
+        for t0, t1, dt in ((0.0, math.inf, 0.01), (0.0, 1e308, 1e-300)):
+            with pytest.raises(DomainError, match="cannot step from"):
+                integrate_batch(z, TestLoneRow.SNAP, tan1, t0, t1, StepControl(dt=dt))
 
 
 class TestOneSubstepScreen:
