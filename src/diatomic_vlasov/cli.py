@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (DEFAULT_SLACK, BoundCertificate, BoundParameters, build_certificate,
-                     certificate_parameters, certify)
+from .bounds import (DEFAULT_SLACK, BoundCertificate, BoundParameters, certificate_parameters,
+                     certify)
 from .datum import sample_datum
 from .errors import (
     ConfigError,
@@ -33,8 +33,8 @@ from .errors import (
 from .field import ConstantField, ParticleState, write_table, zero_field
 from .hooke import balance_points, validate_model
 from .picard import dump_iteration_log, iterate
-from .simulator import (_AXES, RunConfig, _number, _unknown_keys, dump_diagnostics_csv,
-                        run)
+from .simulator import (_AXES, RunConfig, _checked_certificate, _number, _unknown_keys,
+                        dump_diagnostics_csv, run)
 from .trajectory import TrajectoryPath, detect_events, integrate
 
 EXIT_OK = 0
@@ -143,16 +143,7 @@ def _bound_parameters(cfg: RunConfig, model) -> tuple[BoundParameters, tuple, fl
 def _cmd_bounds(cfg: RunConfig, args) -> int:
     model = cfg.build_model()
     p, box, T = _bound_parameters(cfg, model)
-    # Finite inputs can still overflow: x_bound grows as C*T**2.
-    try:
-        cert = build_certificate(p, box, T)
-    except OverflowError as exc:
-        raise ConfigError(f"bounds.T = {T!r} overflows the certificate: {exc}") from exc
-    try:
-        text = cert.to_json(indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ConfigError(f"bounds.T = {T!r} gives a certificate with constants that are not "
-                          "finite") from exc
+    text = _checked_certificate(p, box, T, "bounds.T").to_json(indent=2)
     print(text)
     if args.output_dir:
         out = _out_dir(cfg, args.output_dir)

@@ -25,6 +25,7 @@ same order and matches exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,19 +44,12 @@ __all__ = [
     "write_table",
 ]
 
-_BLOCK_ROWS = 4096  # rows formatted per ``%`` call in write_table
-# A column of a table of at least one block reuses the string of each
-# distinct value once at least this share of its cells repeat a value.
-# Measured on 20,736-row columns (2-core VM, Python 3.11, numpy 2.4):
-# ``%.17g`` costs about 425 ns per float, and the column's sort, which
-# every column of such a table pays to count its repeats, about 8 ns per
-# element.  Reuse costs about 160-195 ns per cell on top (the inverse from
-# ``np.unique``'s own sort, the gather and the ``%s`` copy) and saves one
-# format per repeat, so it breaks even at a repeat share near 0.4.  With
-# one reused column among four all-distinct ones (fastest of 31 calls) it
-# lost 30 ns per cell at 0.4 and gained 34 ns at 0.5, 114 at 0.7 and 240
-# at 0.9.
+_BLOCK_ROWS = 4096  # rows per block in write_table; larger tables are spelled in numpy
+# A float column of a large table spells each distinct value once when at
+# least this share of its cells repeat one: 15 ms against 23-27 ms for the
+# bulk benchmark's first ensemble (20,736 rows, 2-core VM, numpy 2.4).
 _REUSE_SHARE = 0.5
+_WIDTH = 24  # bytes of the longest "%.17g" spelling of a float64
 
 
 def write_table(path, header, columns, end: str = "\r\n") -> None:
@@ -63,54 +57,164 @@ def write_table(path, header, columns, end: str = "\r\n") -> None:
 
     Byte contract: each value is ``"%.17g"`` (17 significant digits, exact
     round trip; ``nan``, ``inf``, ``-0`` as Python spells them) and a
-    text column's cell (``str``) is written as is; fields are joined by
-    ``,`` and every line, header included, ends with ``end``.  With the
-    default ``"\r\n"`` the bytes equal ``csv.writer`` rows of
-    ``f"{c:.17g}"`` strings and unquoted text; with ``"\n"`` they equal
-    ``np.savetxt`` with ``delimiter=",", comments="", fmt="%.17g"``.
+    text column's cell (``str`` without NUL characters) is written as is;
+    fields are joined by ``,`` and every line, header included, ends with
+    ``end``.  With the default ``"\r\n"`` the bytes equal ``csv.writer``
+    rows of ``f"{c:.17g}"`` strings and unquoted text; with ``"\n"`` they
+    equal ``np.savetxt`` with ``delimiter=",", comments="", fmt="%.17g"``.
 
-    Formatting rule: in a table of at least ``_BLOCK_ROWS`` rows, each
-    column is sorted on its uint64 bits, and when at least
-    ``_REUSE_SHARE`` of its cells repeat a value, each distinct value is
-    formatted once and its string written for every cell that holds it.
-    The bytes cannot change: the spelling is a function of the bits, and
-    distinct bits stay distinct (-0.0 and 0.0 keep ``-0`` and ``0``; each
-    NaN bit pattern, whatever its sign or payload, is formatted on its
-    own and spells ``nan``).  Shorter tables and columns with fewer
-    repeats format every cell.  Rows are built and written one block at a
-    time.
+    Formatting rule: a table of fewer than ``_BLOCK_ROWS`` rows is one
+    ``%`` operation.  A larger one is spelled by ``_spell_floats`` and
+    written ``_BLOCK_ROWS`` rows at a time; a float column of it in which
+    at least ``_REUSE_SHARE`` of the cells repeat a bit pattern spells
+    each distinct pattern once (-0.0 and 0.0 apart, each NaN on its own).
     """
     cols = [np.asarray(c) for c in columns]
     cols = [c if c.dtype.kind == "U" else c.astype(float, copy=False) for c in cols]
     n = cols[0].size
     if any(c.shape != (n,) for c in cols):
         raise ValueError("write_table columns must be 1-d and of equal length")
-    picks = [_distinct_strings(c) if n >= _BLOCK_ROWS and c.dtype.kind == "f" else None
-             for c in cols]
-    line = ",".join("%.17g" if p is None and c.dtype.kind == "f" else "%s"
-                    for c, p in zip(cols, picks)) + end
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + end)
-        for i in range(0, n, _BLOCK_ROWS):
-            rows = slice(i, i + _BLOCK_ROWS)
-            block = np.empty((min(_BLOCK_ROWS, n - i), len(cols)), dtype=object)
-            for j, (c, p) in enumerate(zip(cols, picks)):
-                block[:, j] = c[rows] if p is None else p[0].take(p[1][rows])
-            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        if n >= _BLOCK_ROWS:
+            _write_blocks(fh, cols, end)
+            return
+        line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + end
+        block = np.empty((n, len(cols)), dtype=object)
+        for j, c in enumerate(cols):
+            block[:, j] = c
+        fh.write(line * n % tuple(block.ravel().tolist()))
 
 
-def _distinct_strings(c):
-    """``(strings, index)`` such that ``strings[index]`` spells ``c``, each
-    distinct bit pattern formatted once; None when fewer than
-    ``_REUSE_SHARE`` of the cells repeat a value."""
-    bits = c.view(np.uint64)
-    s = np.sort(bits)
-    if np.count_nonzero(s[1:] == s[:-1]) < _REUSE_SHARE * c.size:
-        return None
-    u, index = np.unique(bits, return_inverse=True)
-    vals = u.view(float).tolist()
-    strs = (",".join(["%.17g"] * len(vals)) % tuple(vals)).split(",")
-    return np.array(strs, dtype=object), index
+def _write_blocks(fh, cols, end: str) -> None:
+    """``write_table``'s rows, a block at a time: each cell's bytes at its
+    column's places in a row-major uint8 array, NUL-padded, and the NULs
+    dropped on the way out."""
+    n = cols[0].size
+    spells = []  # (width, rows -> (rows, width) uint8) per column
+    for c in cols:
+        if c.dtype.kind == "U":
+            text = np.char.encode(c, "utf-8")
+            spells.append((text.itemsize, text.view(np.uint8).reshape(n, -1).__getitem__))
+            continue
+        bits = c.view(np.uint64)
+        s = np.sort(bits)
+        if np.count_nonzero(s[1:] == s[:-1]) >= _REUSE_SHARE * n:
+            u, index = np.unique(bits, return_inverse=True)
+            table = _spell_floats(u.view(float))
+            spells.append((_WIDTH, lambda rows, t=table, i=index: t.take(i[rows], axis=0)))
+        else:
+            spells.append((_WIDTH, lambda rows, c=c: _spell_floats(c[rows])))
+    stops = np.cumsum([w + 1 for w, _ in spells])  # one past each column's separator
+    buf = np.empty((_BLOCK_ROWS, stops[-1] - 1 + len(end)), dtype=np.uint8)
+    buf[:, stops[:-1] - 1] = ord(",")
+    buf[:, stops[-1] - 1:] = np.frombuffer(end.encode(), dtype=np.uint8)
+    for i in range(0, n, _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        nb = min(_BLOCK_ROWS, n - i)
+        for (w, spell), stop in zip(spells, stops):
+            buf[:nb, stop - 1 - w:stop - 1] = spell(rows)
+        fh.write(buf[:nb].tobytes().translate(None, b"\0").decode())
+
+
+@functools.cache
+def _digit_tables():
+    """``chars[:, c]``, the four ASCII digits of c < 10**4 (trailing zeros
+    NUL at ``c + 10**4``), and ``pow5[s]`` = 5**s < 2**63.  Built on first
+    use, so runs that write no large table never build them."""
+    c = np.arange(10_000)
+    place = 10 ** np.arange(3, -1, -1)[:, None]
+    chars = (c // place % 10 + 48).astype(np.uint8)
+    stripped = chars * (c % (10 * place) != 0).astype(np.uint8)
+    return np.concatenate([chars, stripped], axis=1), 5 ** np.arange(28, dtype=np.uint64)
+
+
+def _scaled(m, e2, E, pow5):
+    """``(q, d, valid)``: floor and round-half-even of m * 2**e2 * 10**(16 - E)
+    (m < 2**53), exact where ``valid``: m * 5**s as a 128-bit pair of
+    32-bit limb products, shifted right by k = -(e2 + s) in 1..63."""
+    s = 16 - E
+    k = -(e2 + s)
+    valid = (s >= 0) & (s <= 27) & (k >= 1) & (k <= 63)
+    p = pow5.take(s, mode="clip")
+    k = k.astype(np.uint64)
+    m0, m1, p0, p1 = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
+    mid = m0 * p1 + m1 * p0  # < 2**63 + 2**53
+    shifted = mid << 32
+    low = m0 * p0 + shifted
+    high = m1 * p1 + (mid >> 32) + (low < shifted)  # with the carry out of low
+    q = (high << (64 - k)) | (low >> k)
+    rem, half = low & ((1 << k) - 1), 1 << (k - 1)
+    return q, q + ((rem > half) | ((rem == half) & ((q & 1) == 1))), valid
+
+
+def _percent_cells(v):
+    """``"%.17g" % x`` for each float in v, laid out as ``_spell_floats``'s."""
+    return np.array([b"%.17g" % x for x in v.tolist()],
+                    dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+
+
+def _spell_floats(x):
+    """``"%.17g" % x`` for each float64 in x, as an (n, ``_WIDTH``) uint8
+    array: row i holds cell i's bytes, NUL where it has none.
+
+    Exact for doubles with 1e-11 < |x| < 1e17: E = floor(log10|x|) is the
+    E whose floor quotient q (``_scaled``) lies in [10**16, 10**17); log10
+    can round up onto the next integer, which one step down corrects.  The
+    17 digits of d come from a table of four digits (trailing zeros NUL)
+    and are laid out as ``%g`` does, fixed for -4 <= E <= 16 and
+    ``d.ddde-XX`` below, one slice of the cells sorted by E per layout.
+    Every other cell goes to ``_percent_cells``, as does one whose q is
+    still out of range or whose d rounds up to 10**17 (none in range).
+    """
+    chars, pow5 = _digit_tables()
+    n = x.size
+    ax = np.abs(x)
+    ok = (ax > 1e-11) & (ax < 1e17)
+    bits = np.where(ok, ax, 1.0).view(np.uint64)
+    m = (bits & ((1 << 52) - 1)) | (1 << 52)
+    e2 = (bits >> 52).astype(np.int64) - 1075
+    E = np.floor(np.log10(bits.view(float))).astype(np.int64)
+    q, d, valid = _scaled(m, e2, E, pow5)
+    i = np.flatnonzero(q < 10**16)  # log10 rounded up to the next integer
+    E[i] -= 1
+    q[i], d[i], valid[i] = _scaled(m[i], e2[i], E[i], pow5)
+    ok &= valid & (q >= 10**16) & (d < 10**17)
+    key = np.where(ok, E + 11, 28).astype(np.int8)  # E in -11..16, then the rest
+    order = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[order], np.arange(30, dtype=np.int8))
+    d = d[order]
+    top = d // 10**16
+    hi, lo = np.divmod((d - top * 10**16).astype(np.int64), 10**8)
+    quads = (hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)
+    dig = np.empty((17, n), dtype=np.uint8)  # (digit place, cell)
+    dig[0] = top + 48
+    tail = np.ones(n, dtype=bool)  # every later quad is zero
+    for j in (3, 2, 1, 0):
+        dig[1 + 4 * j:5 + 4 * j] = chars.take(quads[j] + 10_000 * tail, axis=1)
+        tail &= quads[j] == 0
+    out = np.zeros((_WIDTH, n), dtype=np.uint8)  # (byte place, cell)
+    out[0] = np.signbit(x[order]) * 45  # "-"
+    a, b = start[0], start[7]  # E <= -5: d.ddd, then e-XX
+    out[1, a:b] = dig[0, a:b]
+    out[2, a:b] = (dig[1, a:b] != 0) * 46  # "." before a kept digit
+    out[3:19, a:b] = dig[1:, a:b]
+    for e in range(-11, 17):
+        a, b = start[e + 11], start[e + 12]
+        if a < b and e <= -5:
+            out[19:23, a:b] = np.frombuffer(b"e-%02d" % -e, dtype=np.uint8)[:, None]
+        elif a < b and e < 0:  # 0.000ddd
+            out[1:2 - e, a:b] = np.frombuffer(b"0." + b"0" * (-e - 1), dtype=np.uint8)[:, None]
+            out[2 - e:19 - e, a:b] = dig[:, a:b]
+        elif a < b:  # ddd.ddd, integer places keeping their zeros
+            np.maximum(dig[:e + 1, a:b], 48, out=out[1:e + 2, a:b])
+            out[e + 2, a:b] = (dig[e + 1, a:b] != 0) * 46 if e < 16 else 0
+            out[e + 3:19, a:b] = dig[e + 1:, a:b]
+    spelled = np.ascontiguousarray(out.T)
+    spelled[start[28]:] = _percent_cells(x[order[start[28]:]])
+    inv = np.empty(n, dtype=np.intp)
+    inv[order] = np.arange(n)
+    return spelled.take(inv, axis=0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ antiderivative stands in.  scipy loads only for table models, on first
 use (PCHIP); the tangent law and custom callables need numpy alone.
 Four structural hypotheses are checked by ``validate_model`` rather than
 assumed: monotone decrease, midpoint zero, odd symmetry about the
-midpoint, and convex/concave split.
+midpoint, and convex/concave split; so is a custom law's antiderivative.
 
 All root finding here is plain bracketing bisection.  Newton-type
 iterations are deliberately avoided: the force diverges at the walls, so
@@ -342,6 +342,9 @@ def validate_model(model: HookeModel, grid_size: int = 1024) -> ValidationReport
 
     H1 monotone decreasing, H2 midpoint zero, H3 odd symmetry about the
     midpoint, H4 convex left of the midpoint / concave right of it.
+    "antiderivative": on a grid cell, a custom law's A(b) - A(a) is off
+    Simpson's rule on two panels by more than the one-panel rule is, plus
+    1e-4 of the integral of |F| and the rounding tolerance.
     """
     if grid_size < 8:
         raise DomainError("grid_size must be at least 8")
@@ -378,5 +381,17 @@ def validate_model(model: HookeModel, grid_size: int = 1024) -> ValidationReport
     if np.any(d2l < -tol) or np.any(d2r > tol):
         failures.append("H4")
         worst["H4"] = float(max(np.max(-d2l, initial=0.0), np.max(d2r, initial=0.0)))
+
+    if model.antiderivative is not None:
+        h = np.diff(grid)
+        quarters = force(model, grid[:-1] + np.multiply.outer([0.25, 0.5, 0.75], h))
+        f5 = np.vstack([fv[:-1], quarters, fv[1:]])  # five points per cell
+        simpson = h / 12 * np.dot([1, 4, 2, 4, 1], f5)
+        allowed = (np.abs(simpson - h / 6 * np.dot([1, 0, 4, 0, 1], f5))
+                   + 1e-4 * h / 12 * np.dot([1, 4, 2, 4, 1], np.abs(f5)) + tol * h)
+        err = np.abs(np.diff(model.antiderivative(grid)) - simpson)
+        if np.any(err > allowed):
+            failures.append("antiderivative")
+            worst["antiderivative"] = float(np.max(err))
 
     return ValidationReport(grid_size=grid_size, failures=tuple(failures), worst=worst)

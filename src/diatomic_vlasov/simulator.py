@@ -307,6 +307,22 @@ def _tracked_seeds(box, n_boundary: int, n_interior: int) -> np.ndarray:
     return corners
 
 
+def _checked_certificate(p, box, T: float, name: str) -> BoundCertificate:
+    """``build_certificate``, with an overflow or a constant that is not
+    finite reported as a ConfigError naming ``name``, the key of T."""
+    # Finite inputs can still overflow: x_bound grows as C*T**2.
+    try:
+        cert = build_certificate(p, box, T)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} = {T!r} overflows the certificate: {exc}") from exc
+    try:
+        cert.to_json(allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {T!r} gives a certificate with constants that are not "
+                          "finite") from exc
+    return cert
+
+
 def run(config: RunConfig):
     """Execute a self-consistent run; see RunResult for the outputs."""
     model = config.build_model()
@@ -330,7 +346,7 @@ def run(config: RunConfig):
     cert = None
     if ens.total_mass > 0.0:
         p = certificate_parameters(model, support0, ens.total_mass, config.c_safety)
-        cert = build_certificate(p, support0, config.T)
+        cert = _checked_certificate(p, support0, config.T, "T")
 
     tracked = _tracked_seeds(support0, config.tracked_boundary, config.tracked_interior)
 

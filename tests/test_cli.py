@@ -362,6 +362,17 @@ class TestExitCodes:
         assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
         assert f"config error: {key} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("T", [1e160, 1e308])
+    def test_simulate_certificate_overflow(self, tmp_path, capsys, T):
+        # Two macro steps pass the step cap; unchecked, the certificate's
+        # OverflowError escapes dispatch.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [2, 2, 2, 2]
+        cfg = write_config(tmp_path, datum=datum, T=T, dt_macro=T / 2, control={"dt": T / 2})
+        assert dispatch(["simulate", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert "config error: T = " in capsys.readouterr().err
+
     @pytest.mark.parametrize("slack", ["inf", "nan", "-1e-3"])
     def test_certify_slack_finite_and_nonnegative(self, tmp_path, capsys, slack):
         # Unchecked, infinite slack passes every seed report.
@@ -755,6 +766,13 @@ class TestDefaultPathImports:
         got = dispatch_fresh([["bounds", "--config", str(cfg)]])
         assert got["codes"] == [EXIT_OK]
         assert "scipy.interpolate" in got["scipy"]
+
+    def test_cli_import_builds_no_digit_table(self):
+        # write_table's digit tables are built on the first large table.
+        got = run_fresh("import json, diatomic_vlasov.cli\n"
+                        "from diatomic_vlasov import field\n"
+                        "print(json.dumps(field._digit_tables.cache_info().currsize))")
+        assert got == 0
 
     def test_custom_law_loads_no_scipy(self):
         got = run_fresh(_CUSTOM_LAW_SCRIPT)

@@ -18,7 +18,8 @@ from diatomic_vlasov import (
     field_w1,
     sample_datum,
 )
-from diatomic_vlasov.field import _BLOCK_ROWS, _distinct_strings, write_table
+from diatomic_vlasov import field
+from diatomic_vlasov.field import _BLOCK_ROWS, _spell_floats, write_table
 from diatomic_vlasov.picard import dump_iteration_log
 
 
@@ -305,6 +306,69 @@ class TestFieldW1:
         assert field_w1(a, b) == 0.25
 
 
+def spell_sizes(monkeypatch, name="_spell_floats"):
+    """The size of each array passed to ``field.<name>`` from now on."""
+    sizes, real = [], getattr(field, name)
+
+    def spy(x):
+        sizes.append(x.size)
+        return real(x)
+
+    monkeypatch.setattr(field, name, spy)
+    return sizes
+
+
+def spelled(x):
+    """The strings ``_spell_floats`` gives for the floats in x."""
+    return [bytes(r).replace(b"\0", b"").decode()
+            for r in _spell_floats(np.asarray(x, dtype=float))]
+
+
+class TestSpellFloats:
+    """The numpy spelling against ``"%.17g" % x``, cell by cell."""
+
+    @staticmethod
+    def ulps(x, k):
+        """x and its k neighbours on each side."""
+        out = [x]
+        for toward in (-np.inf, np.inf):
+            y = x
+            for _ in range(k):
+                y = np.nextafter(y, toward)
+                out.append(y)
+        return out
+
+    def test_edge_values(self):
+        edges = [v for k in range(-12, 18) for v in self.ulps(10.0 ** k, 3)]
+        # Near the notation boundaries 1e-4 and 1e17, and the double 1e-14,
+        # which lies below 10**-14 but rounds up to it at 17 digits.
+        edges += self.ulps(1e-4, 8) + self.ulps(1e17, 8) + self.ulps(1e-14, 2)
+        edges += [k * 2.0 ** -j for k in (1, 3, 5, 7, 1023) for j in range(1, 60, 3)]
+        edges += [5e-324, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-11, 1e16, 2.0 ** 53]
+        x = np.array(edges + [-v for v in edges])
+        assert spelled(x) == ["%.17g" % v for v in x.tolist()]
+
+    def test_powers_of_ten_stay_in_numpy(self, monkeypatch):
+        # The correction of log10's exponent lands, so no value near a
+        # power of ten in the kernel's range is left to "%".
+        x = np.array([v for k in range(-10, 16) for v in self.ulps(10.0 ** k, 3)])
+        percent = spell_sizes(monkeypatch, "_percent_cells")
+        assert spelled(x) == ["%.17g" % v for v in x.tolist()]
+        assert percent == [0]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(float)
+        assert spelled(x) == ["%.17g" % v for v in x.tolist()]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-12, 1e18), st.booleans()), min_size=1, max_size=40))
+    def test_kernel_range(self, cells):
+        x = np.array([-v if neg else v for v, neg in cells])
+        assert spelled(x) == ["%.17g" % v for v in x.tolist()]
+
+
 class TestCsv:
     def test_roundtrip_ensemble(self, tmp_path, rng):
         ens = Ensemble(rng.normal(size=7), rng.normal(size=7),
@@ -336,7 +400,7 @@ class TestCsv:
             wr = csv.writer(fh)
             wr.writerow(header)
             for row in zip(*cols):
-                wr.writerow([f"{c:.17g}" for c in row])
+                wr.writerow([c if isinstance(c, str) else f"{c:.17g}" for c in row])
         return path.read_bytes()
 
     def assert_write_table_bytes(self, tmp_path, header, cols):
@@ -348,26 +412,67 @@ class TestCsv:
     def test_write_table_matches_csv_writer(self, tmp_path, n):
         self.assert_write_table_bytes(tmp_path, ["a", "b", "c"], self.hard_columns(n, 3))
 
-    def test_write_table_reuse_rule_both_sides(self, tmp_path, rng):
-        # Over two blocks and a part, one column holds ten values (every
-        # string reused) and one is all distinct (every cell formatted),
+    def test_write_table_reuse_rule_both_sides(self, tmp_path, rng, monkeypatch):
+        # Over two blocks and a part, one column holds ten values (each
+        # spelled once) and one is all distinct (spelled block by block),
         # with -0.0, 0.0 and both NaN signs among the distinct ones.
         n = 2 * _BLOCK_ROWS + 7
         few = self.hard_columns(n, 1)[0]
         distinct = rng.normal(size=n)
         distinct[:len(self.HARD)] = self.HARD
-        strings, index = _distinct_strings(few)
-        # One string per bit pattern: -0 and 0 apart, each NaN on its own.
-        assert sorted(strings) == sorted(f"{c:.17g}" for c in self.HARD)
-        assert strings.take(index).tolist() == [f"{c:.17g}" for c in few]
-        assert _distinct_strings(distinct) is None
+        sizes = spell_sizes(monkeypatch)
         self.assert_write_table_bytes(tmp_path, ["few", "distinct"], [few, distinct])
+        # One spelling per bit pattern: -0 and 0 apart, each NaN on its own.
+        assert sizes == [len(self.HARD), _BLOCK_ROWS, _BLOCK_ROWS, 7]
+
+    MIXED_ROWS = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+
+    def mixed_columns(self, rng, n):
+        """A reused column, one of distinct values over magnitudes from
+        1e-13 to 1e18 (both notations, both sides of every range the numpy
+        spelling takes) and a text column."""
+        wide = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-13, 19, n)
+        wide[:len(self.HARD)] = self.HARD
+        return [self.hard_columns(n, 1)[0], wide, np.resize(["ok", "fail", "", "n/a"], n)]
+
+    @pytest.mark.parametrize("n", MIXED_ROWS)
+    def test_write_table_mixed_matches_csv_writer(self, tmp_path, rng, n):
+        self.assert_write_table_bytes(tmp_path, ["few", "wide", "status"],
+                                      self.mixed_columns(rng, n))
+
+    @pytest.mark.parametrize("n", MIXED_ROWS)
+    def test_write_table_mixed_newline_matches_savetxt(self, tmp_path, rng, n):
+        cols = self.mixed_columns(rng, n)
+        np.savetxt(tmp_path / "ref.csv", np.array(list(zip(*cols)), dtype=object),
+                   delimiter=",", header="few,wide,status", comments="",
+                   fmt=["%.17g", "%.17g", "%s"])
+        write_table(tmp_path / "new.csv", ["few", "wide", "status"], cols, end="\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_small_table_never_enters_the_kernel(self, tmp_path, monkeypatch):
+        def fail(x):
+            raise AssertionError("a table under _BLOCK_ROWS rows reached _spell_floats")
+
+        monkeypatch.setattr(field, "_spell_floats", fail)
+        self.assert_write_table_bytes(tmp_path, ["a", "b"], self.hard_columns(_BLOCK_ROWS - 1, 2))
+
+    def test_sampled_ensemble_stays_on_the_numpy_path(self, tmp_path, monkeypatch):
+        # Only values the numpy spelling cannot take go to "%" (none here;
+        # on the bulk benchmark's datum, the 16 masses below 1e-11): a
+        # range or shift guard that sent whole columns back would show.
+        ens = self.sampled_ensemble()
+        percent = spell_sizes(monkeypatch, "_percent_cells")
+        ens.dump_csv(tmp_path / "new.csv")
+        assert sum(percent) <= 0.01 * 5 * len(ens)
+
+    def sampled_ensemble(self):
+        datum = BumpDatum(centers=(0.1, 0.0, 0.5, 0.0), widths=(0.5, 0.3, 0.08, 0.3),
+                          amplitude=4.0)
+        return sample_datum(datum, datum.support(), (9, 8, 8, 8), epsilon=1.0)
 
     def test_sampled_ensemble_dump_matches_csv_writer(self, tmp_path):
         # A tensor-grid ensemble repeats each axis value across the grid.
-        datum = BumpDatum(centers=(0.1, 0.0, 0.5, 0.0), widths=(0.5, 0.3, 0.08, 0.3),
-                          amplitude=4.0)
-        ens = sample_datum(datum, datum.support(), (9, 8, 8, 8), epsilon=1.0)
+        ens = self.sampled_ensemble()
         assert len(ens) > _BLOCK_ROWS
         ens.dump_csv(tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == self.csv_writer_bytes(

@@ -195,6 +195,31 @@ class TestValidateModel:
         rep = validate_model(m, 64)
         assert rep.failures == ("H2", "H3")
 
+    def test_custom_tangent_antiderivative_passes(self):
+        m = custom_model(1.0, lambda w: -np.tan(np.pi * (w - 0.5)),
+                         lambda w: np.log(np.cos(np.pi * (w - 0.5))) / np.pi)
+        for grid in (8, 64, 1024):
+            assert validate_model(m, grid).passed
+
+    def test_scaled_antiderivative_fails(self):
+        # Right force, but the antiderivative of 1.01 times it.
+        m = custom_model(1.0, lambda w: -np.tan(np.pi * (w - 0.5)),
+                         lambda w: 1.01 * np.log(np.cos(np.pi * (w - 0.5))) / np.pi)
+        for grid in (8, 64, 1024):
+            assert validate_model(m, grid).failures == ("antiderivative",)
+
+    @pytest.mark.parametrize("points", [8, 99])
+    def test_table_antiderivative_not_flagged(self, tan1, points):
+        # PCHIP's antiderivative is exact; Simpson's rule on a cell with a
+        # knot inside is not, and the one-panel difference allows for it.
+        # The tables still fail H4 (convex left, concave right) by the
+        # interpolation error near the midpoint.
+        w = np.linspace(0.01, 0.99, points)
+        m = table_model(1.0, w, force(tan1, w))
+        for grid in (64, 128):
+            assert "antiderivative" not in validate_model(m, grid).failures
+        assert validate_model(m, 1024).failures == ("H4",)
+
     def test_concave_convex_swap_fails_h4(self):
         # odd, decreasing, midpoint-zero, but wrong curvature split
         m = custom_model(1.0, lambda w: -np.sin(np.pi * (w - 0.5)),
