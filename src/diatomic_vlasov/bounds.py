@@ -318,9 +318,9 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "first_violation": self.first_violation,
-                "worst_margin": self.worst_margin, "note": self.note}
+        # The fields in order, as asdict gives them at a twentieth of its
+        # cost (a seed report makes six per tracked seed).
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -332,17 +332,9 @@ class CertReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def first_violation(self) -> int | None:
-        hits = [c.first_violation for c in self.checks if c.first_violation is not None]
-        return min(hits) if hits else None
-
     def to_dict(self) -> dict:
         return {"passed": self.passed, "slack": self.slack,
                 "checks": [c.to_dict() for c in self.checks]}
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _runs(mask: np.ndarray):

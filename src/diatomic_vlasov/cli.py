@@ -33,8 +33,8 @@ from .errors import (
 from .field import ConstantField, ParticleState, write_table, zero_field
 from .hooke import balance_points, validate_model
 from .picard import dump_iteration_log, iterate
-from .simulator import (_AXES, RunConfig, _checked_certificate, _number, _unknown_keys,
-                        dump_diagnostics_csv, run)
+from .simulator import (_AXES, MAX_MAGNITUDE, RunConfig, _checked_certificate, _finite,
+                        _number, _unknown_keys, dump_diagnostics_csv, run)
 from .trajectory import TrajectoryPath, detect_events, integrate
 
 EXIT_OK = 0
@@ -64,14 +64,6 @@ def _load_config(path: str, overrides) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _finite(val, name: str) -> float:
-    """``_number`` that is also finite; ConfigError naming ``name``."""
-    x = _number(val, name)
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {val!r}")
-    return x
-
-
 def _out_dir(cfg: RunConfig, arg: str | None) -> Path:
     out = Path(arg or cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -95,7 +87,8 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     if not isinstance(seed, dict) or "omega" not in seed:
         raise ConfigError("trajectory runs need a trajectory.seed object with omega")
     _unknown_keys(seed, _AXES, "trajectory.seed")
-    state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}") for k in _AXES))
+    state = ParticleState(*(_finite(seed.get(k, 0.0), f"trajectory.seed.{k}", MAX_MAGNITUDE)
+                            for k in _AXES))
     T = float(spec.get("T", cfg.T))
     control = cfg.build_control()
     if "dt" in spec:
@@ -108,7 +101,7 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     if kind == "zero":
         field = zero_field()
     else:
-        field = ConstantField(*(_finite(fld.get(k, 0.0), f"trajectory.field.{k}")
+        field = ConstantField(*(_finite(fld.get(k, 0.0), f"trajectory.field.{k}", MAX_MAGNITUDE)
                                 for k in ("f_plus", "f_minus")))
     balance = None
     if "balance_level" in spec:

@@ -343,29 +343,21 @@ class FieldSnapshot:
         self._values[:-1, 1] = self._values[:-1, 0] - 0.5 * np.diff(p)
         self._values[-1, 1] = self._values[-1, 0]
 
-    @classmethod
-    def empty(cls) -> "FieldSnapshot":
-        return cls(np.empty(0), np.empty(0))
-
     def at(self, x):
         """Field value(s) at x: half of right mass minus left mass, charge
-        at x split evenly between the sides."""
-        xq = np.asarray(x, dtype=float)
-        # Index U (past every position, or NaN) lands on the sentinel row.
-        idx = np.searchsorted(self._keys[:-1], xq, side="left")
-        hit = self._keys.take(idx) == xq
-        out = self._values.ravel().take(2 * idx + hit)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        at x split evenly between the sides.  Half the sum of ``pm(x, 0)``,
+        which is 2 F(x), so exactly F(x)."""
+        return 0.5 * self.pm(x, 0.0)[0]
 
     def pm(self, x, omega):
         """(F(x+omega)+F(x-omega), F(x+omega)-F(x-omega)).
 
-        Both sides are looked up as one stacked query, the lookup of
-        ``at``, so each call pays numpy's per-call overhead once."""
+        Both sides are looked up as one stacked query, so each call pays
+        numpy's per-call overhead once: one binary search, one equality
+        test and one gather of row j's between (2j) or at (2j + 1) value."""
         x = np.asarray(x, dtype=float)
         q = np.array((x + omega, x - omega))
+        # Index U (past every position, or NaN) lands on the sentinel row.
         idx = np.searchsorted(self._keys[:-1], q, side="left")
         hit = self._keys.take(idx) == q
         idx *= 2
@@ -446,4 +438,4 @@ class ConstantField:
 
 def zero_field() -> FieldSnapshot:
     """The field of no charge, for the autonomous (field-free) dynamics."""
-    return FieldSnapshot.empty()
+    return FieldSnapshot(np.empty(0), np.empty(0))

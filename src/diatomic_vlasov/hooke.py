@@ -73,14 +73,15 @@ class HookeModel:
 
     ``force_fn`` and ``antiderivative`` (any antiderivative of the force)
     are set only for custom models, and both must accept numpy arrays;
-    the tangent law is closed-form.  ``hull`` is the tabulated range of a
-    table model (see ``domain``).
+    the tangent law is closed-form.  ``nodes`` holds a table model's
+    (omega, force) columns, the law as given: their omega range is the
+    ``domain``, and ``validate_model`` tests H4 on them.
     """
 
     epsilon: float
     kind: HookeKind
     force_fn: Callable | None = None
-    hull: tuple[float, float] | None = None
+    nodes: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     antiderivative: Callable | None = None
 
     def __post_init__(self):
@@ -99,8 +100,8 @@ class HookeModel:
         """(lo, hi): the closed range where the force may be evaluated and
         the open band a bond must stay in.  The guard band
         (guard, epsilon - guard), or a table model's tabulated hull."""
-        if self.hull is not None:
-            return self.hull
+        if self.nodes is not None:
+            return self.nodes[0][0], self.nodes[0][-1]
         return self.guard, self.epsilon - self.guard
 
     @property
@@ -180,8 +181,9 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
             raise DomainError("evaluation outside the tabulated range")
         return interp(w)
 
-    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM,
-                      force_fn=_f, hull=(lo, hi), antiderivative=interp.antiderivative())
+    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM, force_fn=_f,
+                      nodes=(tuple(omega.tolist()), tuple(values.tolist())),
+                      antiderivative=interp.antiderivative())
 
 
 def load_table_model(path, epsilon: float) -> HookeModel:
@@ -341,7 +343,10 @@ def validate_model(model: HookeModel, grid_size: int = 1024) -> ValidationReport
     four structural hypotheses.  Passes iff no violations.
 
     H1 monotone decreasing, H2 midpoint zero, H3 odd symmetry about the
-    midpoint, H4 convex left of the midpoint / concave right of it.
+    midpoint, H4 convex left of the midpoint / concave right of it.  A
+    table model is tested for H4 on its own nodes, the law as given: its
+    interpolant bends the wrong way beside the midpoint by up to the
+    interpolation error.
     "antiderivative": on a grid cell, a custom law's A(b) - A(a) is off
     Simpson's rule on two panels by more than the one-panel rule is, plus
     1e-4 of the integral of |F| and the rounding tolerance.
@@ -376,8 +381,16 @@ def validate_model(model: HookeModel, grid_size: int = 1024) -> ValidationReport
         worst["H3"] = float(np.max(np.abs(asym)))
 
     # Second differences: >= 0 left of the midpoint, <= 0 right of it.
-    d2l = np.diff(fv[: mid + 1], 2)
-    d2r = np.diff(fv[mid:], 2)
+    if model.nodes is None:
+        d2l = np.diff(fv[: mid + 1], 2)
+        d2r = np.diff(fv[mid:], 2)
+    else:
+        w, f = (np.array(c) for c in model.nodes)
+        h = np.diff(w)
+        # Divided differences, scaled to f[i+1] - 2 f[i] + f[i-1] on an
+        # even spacing; a triple across the midpoint is neither side.
+        d2 = np.diff(np.diff(f) / h) * (2.0 * h[:-1] * h[1:] / (h[:-1] + h[1:]))
+        d2l, d2r = d2[w[2:] <= model.midpoint], d2[w[:-2] >= model.midpoint]
     if np.any(d2l < -tol) or np.any(d2r > tol):
         failures.append("H4")
         worst["H4"] = float(max(np.max(-d2l, initial=0.0), np.max(d2r, initial=0.0)))

@@ -69,8 +69,9 @@ class SupportBounds:
 class IterationRecord:
     """One fixed-point round: iterate index n, the probe-grid estimate of
     the uniform distance ||f_n - f_{n-1}|| at the horizon, the running
-    support bounds of f_n, the norms of the fields that produced it, and
-    two exact distances at the horizon: ``z_dist``, the largest sup-norm
+    support bounds of f_n, ``sup_F``, the largest sup|F| of the fields
+    that produced it (their sup|F+-| is twice that), and two exact
+    distances at the horizon: ``z_dist``, the largest sup-norm
     displacement max_i |z_i^n - z_i^{n-1}| between the pushed particles,
     and ``field_w1``, the integral of |F_n - F_{n-1}| (see ``field_w1``)."""
 
@@ -78,7 +79,6 @@ class IterationRecord:
     sup_delta: float
     support: SupportBounds
     sup_F: float
-    sup_F_pm: float
     z_dist: float
     field_w1: float
 
@@ -178,10 +178,8 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
 
     records: list[IterationRecord] = []
     if n_max <= 0:
-        sup_f, sup_pm = hist_prev[0].norms()
         return [IterationRecord(n=0, sup_delta=0.0, support=supp0,
-                                sup_F=sup_f, sup_F_pm=sup_pm,
-                                z_dist=0.0, field_w1=0.0)]
+                                sup_F=_history_norm(hist_prev), z_dist=0.0, field_w1=0.0)]
 
     # f_0 at time T: the datum's particles and its static field.
     z_prev, snap_prev = _coords(ens0), hist_prev[0]
@@ -213,9 +211,8 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
             z_prev, snap_prev = z_n, snap_n
         delta = float(np.max(np.abs(vals_n - vals_prev)))
 
-        sup_f, sup_pm = _history_norms(hist_prev)
         records.append(IterationRecord(n=n, sup_delta=delta, support=supp_n,
-                                       sup_F=sup_f, sup_F_pm=sup_pm,
+                                       sup_F=_history_norm(hist_prev),
                                        z_dist=z_dist, field_w1=w1))
         hist_prev2 = hist_prev
         hist_prev = hist_n
@@ -241,9 +238,9 @@ def _backward_values(datum: BumpDatum, probes: np.ndarray, hist: list,
     return datum.value(*z.T)
 
 
-def _history_norms(hist: list) -> tuple[float, float]:
-    return (max(snap.norms()[0] for snap in hist),
-            max(snap.norms()[1] for snap in hist))
+def _history_norm(hist: list) -> float:
+    """The largest sup|F| over a field history."""
+    return max(snap.norms()[0] for snap in hist)
 
 
 def dump_iteration_log(records, path) -> None:

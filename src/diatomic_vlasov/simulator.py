@@ -28,7 +28,7 @@ from . import hooke as _hooke
 from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError
-from .field import Ensemble, FieldSnapshot, build_field, write_table
+from .field import Ensemble, FieldSnapshot, ParticleState, build_field, write_table
 from .hooke import HookeModel, tangent_model, load_table_model
 from .trajectory import (
     StepControl,
@@ -38,7 +38,6 @@ from .trajectory import (
     integrate_batch,
     jacobian_estimate,
 )
-from .field import ParticleState
 
 __all__ = [
     "RunConfig",
@@ -87,6 +86,10 @@ _AXES = ("x", "v", "omega", "eta")
 # Most steps one horizon may take (T over its step), so that no config
 # asks for a time grid too long to build.
 MAX_STEPS = 10**7
+# Largest magnitude of a datum amplitude, a trajectory seed coordinate or
+# a prescribed field value: squares and pairwise products of such values,
+# as in the step's energy 0.5 * eta**2, stay finite.
+MAX_MAGNITUDE = 1e150
 
 
 def _datum_axes(datum: dict, key: str) -> list:
@@ -113,6 +116,17 @@ def _number(val, name: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name} must be a number, got {val!r}")
     return float(val)
+
+
+def _finite(val, name: str, limit: float = math.inf) -> float:
+    """``_number`` that is finite and at most ``limit`` in magnitude;
+    ConfigError naming ``name`` otherwise."""
+    x = _number(val, name)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    if abs(x) > limit:
+        raise ConfigError(f"{name} is {val!r}, over the cap of {limit:g} in magnitude")
+    return x
 
 
 @dataclass(frozen=True)
@@ -209,7 +223,7 @@ class RunConfig:
             raise ConfigError(f"unknown datum kind {kind!r}")
         centers = tuple(_number(c, name) for name, c in _datum_axes(self.datum, "centers"))
         widths = tuple(_number(w, name) for name, w in _datum_axes(self.datum, "widths"))
-        amp = _number(self.datum.get("amplitude", 1.0), "datum.amplitude")
+        amp = _finite(self.datum.get("amplitude", 1.0), "datum.amplitude", MAX_MAGNITUDE)
         datum = BumpDatum(centers=centers, widths=widths, amplitude=amp)
         if self.datum.get("box") is None:
             box = datum.support()
@@ -240,8 +254,6 @@ class RunResult:
 
 
 def _oscillatory_energy(ens: Ensemble, model: HookeModel) -> float:
-    if len(ens) == 0:
-        return 0.0
     u = _hooke.potential_to_midpoint(model, ens.omega)
     return float(np.sum(ens.w * (0.5 * ens.eta**2 + u)))
 
@@ -301,10 +313,7 @@ def _tracked_seeds(box, n_boundary: int, n_interior: int) -> np.ndarray:
     """Corner seeds (extremal for the certificate) plus interior Sobol."""
     lo, hi = box[0::2], box[1::2]
     corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=float)[:n_boundary]
-    if n_interior > 0:
-        interior = sobol_box(n_interior, lo, hi)
-        return np.vstack([corners, interior]) if corners.size else interior
-    return corners
+    return np.vstack([corners, sobol_box(n_interior, lo, hi)])
 
 
 def _checked_certificate(p, box, T: float, name: str) -> BoundCertificate:

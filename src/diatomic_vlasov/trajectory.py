@@ -231,20 +231,18 @@ def _step_once(x, v, om, et, snap, model: HookeModel, dt, control: StepControl, 
 
 
 def _advance_scalar(x, v, om, et, snap, model: HookeModel, dt, control: StepControl,
-                    pair=None, depth: int = 0):
+                    pair, depth: int = 0):
     """One kick-drift-kick step of one row; recursive halving on
     bond-domain exits.
 
     The contract of ``_advance_batch``: ``pair`` is the opening field pair
-    (fp, fm) at (x, omega), queried here when None, and the result is
-    ((x, v, omega, eta), (fp2, fm2)) with the closing pair at the new
-    state.  A halved step opens its first half with its own pair and its
-    second half with the first half's closing pair.  Each (half) step is
-    ``_step_once`` with ``math.tan`` for its forces: the ``wall``
-    references pin the fallback's bits.
+    (fp, fm) at (x, omega), and the result is ((x, v, omega, eta),
+    (fp2, fm2)) with the closing pair at the new state.  A halved step
+    opens its first half with its own pair and its second half with the
+    first half's closing pair.  Each (half) step is ``_step_once`` with
+    ``math.tan`` for its forces: the ``wall`` references pin the
+    fallback's bits.
     """
-    if pair is None:
-        pair = snap.pm(x, om)
     done = _step_once(x, v, om, et, snap, model, dt, control, pair, math.tan)
     if done is not None:
         return done
@@ -333,15 +331,14 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
         raise DomainError(f"row {i}, [x, v, omega, eta] = {z[i].tolist()!r}: omega outside "
                           "the guarded bond domain or a non-finite coordinate")
     rows = np.arange(*record.indices(len(z))) if isinstance(record, slice) else slice(None)
-    snap = field_provider
-    pair, fh = snap.pm(z[:, 0], z[:, 2]), None
+    pair, fh = field_provider.pm(z[:, 0], z[:, 2]), None
     ts = [t0]
     recs = [z[rows]] if record else None
     fmr = [pair[1][rows]] if record else None
     for target in _time_grid(t0, t1, control.dt) if t1 != t0 else []:
         try:
-            z, pair, fh = _advance_batch(z, snap, model, target - ts[-1], control, lo, hi,
-                                         pair, fh)
+            z, pair, fh = _advance_batch(z, field_provider, model, target - ts[-1], control,
+                                         lo, hi, pair, fh)
         except StepUnderflowError as exc:
             exc.time = float(ts[-1])
             raise
@@ -355,21 +352,21 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
 
 
 def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
-                   pair=None, fh=None):
+                   pair, fh=None):
     """One kick-drift-kick step for every row of z.
 
-    ``pair`` is the opening field pair (fp, fm) at the rows of z, queried
-    here when None, and ``fh`` the opening bond force
-    ``_force_array(model, z[:, 2])``, evaluated here when None; under the
-    tangent law its array is reused for the closing force.  Returns
-    (z_next, (fp2, fm2), fh2): the advanced rows as an (n, 4)
-    Fortran-order array, the closing pair at them and the closing force
-    ``_force_array(model, z_next[:, 2])``, which are the next step's
-    opening pair and force under the same snapshot.  A row that took one
-    substep closes at substep 0's omega, so its closing force is substep
-    0's; the rows that went on to ``_substep_loop`` or the fallback have
-    theirs evaluated again, on those rows only.  The step computes in
-    place, in its output and a few scratch arrays, and does not write z.
+    ``pair`` is the opening field pair (fp, fm) at the rows of z, and
+    ``fh`` the opening bond force ``_force_array(model, z[:, 2])``,
+    evaluated here when None; under the tangent law its array is reused
+    for the closing force.  Returns (z_next, (fp2, fm2), fh2): the
+    advanced rows as an (n, 4) Fortran-order array, the closing pair at
+    them and the closing force ``_force_array(model, z_next[:, 2])``,
+    which are the next step's opening pair and force under the same
+    snapshot.  A row that took one substep closes at substep 0's omega,
+    so its closing force is substep 0's; the rows that went on to
+    ``_substep_loop`` or the fallback have theirs evaluated again, on
+    those rows only.  The step computes in place, in its output and a
+    few scratch arrays, and does not write z.
 
     Each row gets its own substep count m from the impulse bound and, for
     the tangent law, the stiffest frequency the step can reach
@@ -399,8 +396,6 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     It evaluates its opening force in floats, so it ignores ``fh`` and
     returns None for fh2.
     """
-    if pair is None:
-        pair = snap.pm(z[:, 0], z[:, 2])
     if len(z) == 1:
         row = z[0].tolist()
         opening = (float(pair[0][0]), float(pair[1][0]))

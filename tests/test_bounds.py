@@ -338,7 +338,7 @@ class TestCertify:
 
     def test_report_json(self):
         path, cert = self.run_path()
-        d = json.loads(certify(path, cert).to_json())
+        d = json.loads(json.dumps(certify(path, cert).to_dict()))
         assert d["passed"] is True
         assert len(d["checks"]) == 6
 
@@ -350,7 +350,7 @@ class TestCertify:
         rep = certify(path, cert, slack=0.02 - cert.C * cert.epsilon)
         work = [c for c in rep.checks if c.name == "work_bound"][0]
         assert not work.passed and work.first_violation > 0
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_dict()))
         back = [c for c in d["checks"] if c["name"] == "work_bound"][0]
         assert type(back["first_violation"]) is int
         assert back["first_violation"] == work.first_violation

@@ -23,6 +23,7 @@ from diatomic_vlasov import (
 from diatomic_vlasov import cli
 from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, dispatch
 from diatomic_vlasov.field import write_table
+from diatomic_vlasov.simulator import MAX_MAGNITUDE
 
 
 def write_config(tmp_path, **over):
@@ -257,8 +258,8 @@ class TestExitCodes:
 
     def test_validate_hooke_violation(self, tmp_path, capsys):
         # The tangent law shifted by 0.1 fails H2 (zero at the midpoint)
-        # and H3 (odd about it); its interpolated table also misses H4
-        # (convex left, concave right) by about 4e-7.
+        # and H3 (odd about it); the shift leaves the table's curvature,
+        # so H4 (convex left, concave right) holds on its nodes.
         w = np.linspace(0.01, 0.99, 99)
         np.savetxt(tmp_path / "law.txt",
                    np.column_stack([w, -np.tan(np.pi * (w - 0.5)) + 0.1]))
@@ -267,7 +268,26 @@ class TestExitCodes:
         assert dispatch(["validate-hooke", "--config", str(cfg)]) == EXIT_VIOLATION
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
-        assert report["failures"] == ["H2", "H3", "H4"]
+        assert report["failures"] == ["H2", "H3"]
+
+    @pytest.mark.parametrize("points, flip, code", [
+        (8, None, EXIT_OK), (99, None, EXIT_OK), (8, 2, EXIT_VIOLATION), (99, 70, EXIT_VIOLATION),
+    ])
+    def test_validate_hooke_tangent_table(self, tmp_path, capsys, points, flip, code):
+        # The tangent law tabulated on [0.01, 0.99] is valid; with one
+        # node's curvature flipped (its value mirrored through its
+        # neighbours' chord) it fails H4.
+        w = np.linspace(0.01, 0.99, points)
+        f = -np.tan(np.pi * (w - 0.5))
+        if flip is not None:
+            f[flip] = f[flip - 1] + f[flip + 1] - f[flip]
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, f]))
+        cfg = write_config(tmp_path, hooke={"kind": "table", "epsilon": 1.0,
+                                            "table_path": str(tmp_path / "law.txt")})
+        assert dispatch(["validate-hooke", "--config", str(cfg)]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is (flip is None)
+        assert ("H4" in report["failures"]) is (flip is not None)
 
     @pytest.mark.parametrize("text, needle", [
         ("{not json", "cannot read run manifest"),
@@ -444,9 +464,6 @@ class TestConfigSweep:
             for key, val in node.items():
                 yield from cls.keys(val, path + (key,))
 
-    # Huge finite inputs (1e308) overflow numpy arithmetic on the way to a
-    # numerical failure; the warning is not what this test checks.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_every_bad_value_exits(self, tmp_path, monkeypatch, capsys):
         # One parser serves every call: building it is most of a call's
         # time when the config is rejected.
@@ -472,6 +489,31 @@ class TestConfigSweep:
                         escaped.append((".".join(keys), val, command, code))
                 capsys.readouterr()
         assert calls > 1000 and escaped == []
+
+    @pytest.mark.parametrize("command, keys", [
+        ("picard", ("datum", "amplitude")),
+        ("trajectory", ("trajectory", "seed", "eta")),
+        ("trajectory", ("trajectory", "field", "f_minus")),
+    ], ids=["amplitude", "seed-eta", "field-f_minus"])
+    def test_huge_values_exit_naming_the_key(self, tmp_path, capsys, command, keys):
+        # At the cap the run ends in a step underflow with no overflow
+        # warning (any warning fails the suite); past it, the key is
+        # rejected at load.
+        cfg = tmp_path / "config.json"
+        for val in (MAX_MAGNITUDE, math.nextafter(MAX_MAGNITUDE, math.inf), 1e308):
+            raw = json.loads(json.dumps(self.BASE))
+            node = raw
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = val
+            cfg.write_text(json.dumps(raw))
+            code = dispatch([command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if val == MAX_MAGNITUDE:
+                assert code == EXIT_NUMERICAL and "step underflow" in err
+            else:
+                assert code == EXIT_CONFIG
+                assert f"config error: {'.'.join(keys)} is {val!r}, over the cap" in err
 
 
 class TestSubcommands:

@@ -491,7 +491,7 @@ class TestCsv:
         # The log's integer n column and a NaN delta spell as csv.writer
         # spelled them when it wrote the log.
         recs = [IterationRecord(n=n, sup_delta=d, support=SupportBounds(*self.HARD[3:8]),
-                                sup_F=0.1, sup_F_pm=0.2, z_dist=0.0, field_w1=0.0)
+                                sup_F=0.1, z_dist=0.0, field_w1=0.0)
                 for n, d in ((1, math.nan), (2, 1.0 / 3.0), (123456789, -0.0))]
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             wr = csv.writer(fh)

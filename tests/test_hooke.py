@@ -212,13 +212,25 @@ class TestValidateModel:
     def test_table_antiderivative_not_flagged(self, tan1, points):
         # PCHIP's antiderivative is exact; Simpson's rule on a cell with a
         # knot inside is not, and the one-panel difference allows for it.
-        # The tables still fail H4 (convex left, concave right) by the
-        # interpolation error near the midpoint.
+        # H4 is tested on the table's nodes, not on the interpolant, which
+        # bends the wrong way beside the midpoint (1.9e-5 at 8 points).
         w = np.linspace(0.01, 0.99, points)
         m = table_model(1.0, w, force(tan1, w))
         for grid in (64, 128):
             assert "antiderivative" not in validate_model(m, grid).failures
-        assert validate_model(m, 1024).failures == ("H4",)
+        assert validate_model(m, 1024).passed
+
+    @pytest.mark.parametrize("points, node", [(8, 2), (8, 5), (99, 30), (99, 70)])
+    def test_table_with_one_curvature_flipped_fails_h4(self, tan1, points, node):
+        # Node ``node``'s value mirrored through its neighbours' chord: on
+        # the even spacing its second difference changes sign.
+        w = np.linspace(0.01, 0.99, points)
+        f = force(tan1, w)
+        f[node] = f[node - 1] + f[node + 1] - f[node]
+        rep = validate_model(table_model(1.0, w, f), 1024)
+        assert "H4" in rep.failures
+        d2 = np.diff(force(tan1, w)[node - 1:node + 2], 2)[0]
+        assert rep.worst["H4"] == pytest.approx(abs(d2), rel=1e-6)
 
     def test_concave_convex_swap_fails_h4(self):
         # odd, decreasing, midpoint-zero, but wrong curvature split

@@ -167,7 +167,7 @@ class TestIterate:
         d = small_datum()
         ens = sample_datum(d, BOX, (8, 8, 8, 8), epsilon=1.0)
         for r in recs:
-            assert r.sup_F_pm <= 2.0 * ens.total_mass + 1e-12
+            assert 2.0 * r.sup_F <= 2.0 * ens.total_mass + 1e-12
 
 
 class _NoArrayEqual:

@@ -62,6 +62,11 @@ def tangent_table():
     return table_model(1.0, grid, -np.tan(np.pi * (grid - 0.5)))
 
 
+def opening_pair(snap, z):
+    """The opening field pair of the (n, 4) rows z under snap."""
+    return snap.pm(z[:, 0], z[:, 2])
+
+
 def push(st, provider, model, dt):
     """One step: the final state of ``integrate`` over [0, dt]."""
     path = integrate(st, provider, model, 0.0, dt, StepControl(dt=dt))
@@ -595,14 +600,17 @@ class TestBatchIndependence:
         assert any(100 <= m <= trajectory.MAX_SUBSTEPS for m in counts)
         assert max(counts) > trajectory.MAX_SUBSTEPS
 
-        out, _, _ = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        out, _, _ = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi,
+                                              opening_pair(snap, self.ROWS))
         assert fallback
         for i, row in enumerate(self.ROWS):
-            alone, _, _ = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi)
+            alone, _, _ = trajectory._advance_batch(row[None, :], snap, tan1, dt, ctl, lo, hi,
+                                                    opening_pair(snap, row[None, :]))
             np.testing.assert_array_equal(out[i], alone[0])
             # The scalar step uses math.tan, which may differ from np.tan
             # in the last bit, so it agrees to rounding only.
-            step = trajectory._advance_scalar(*row.tolist(), snap, tan1, dt, ctl)
+            step = trajectory._advance_scalar(*row.tolist(), snap, tan1, dt, ctl,
+                                              snap.pm(row[0], row[2]))
             np.testing.assert_allclose(out[i], step[0], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("forward", [True, False])
@@ -653,9 +661,10 @@ class TestBatchIndependence:
             return wall(*a)
 
         monkeypatch.setattr(trajectory, "_wall_substeps", spy)
-        on = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        pair = opening_pair(snap, self.ROWS)
+        on = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi, pair)
         monkeypatch.setattr(trajectory, "_one_substep_threshold", lambda eps, dt: None)
-        off = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi)
+        off = trajectory._advance_batch(self.ROWS, snap, tan1, dt, ctl, lo, hi, pair)
         assert counted == [5, 8]
         for got, want in zip((on[0], *on[1], on[2]), (off[0], *off[1], off[2]), strict=True):
             np.testing.assert_array_equal(got, want)
@@ -679,12 +688,15 @@ class TestBatchIndependence:
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.domain
-        out, _, _ = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi)
+        out, _, _ = trajectory._advance_batch(self.CUBIC_ROWS, snap, model, dt, ctl, lo, hi,
+                                              opening_pair(snap, self.CUBIC_ROWS))
         assert len(fallback) == 2
         for i, row in enumerate(self.CUBIC_ROWS):
-            step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
+            step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl,
+                                              snap.pm(row[0], row[2]))
             np.testing.assert_array_equal(out[i], step[0])
-            alone, _, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi)
+            alone, _, _ = trajectory._advance_batch(row[None, :], snap, model, dt, ctl, lo, hi,
+                                                    opening_pair(snap, row[None, :]))
             np.testing.assert_array_equal(out[i], alone[0])
 
     # Rows with m = 2 or 3 that pass substep 0 and fail at substep 1, in
@@ -706,10 +718,12 @@ class TestBatchIndependence:
         snap = build_field(Ensemble([-0.3, 0.4], [0, 0], [0.45, 0.6], [0, 0], [0.2, 0.1]))
         ctl = StepControl(dt=abs(dt), eta_scale=2.0)
         lo, hi = model.domain
-        out, _, _ = trajectory._advance_batch(self.LATE_ROWS, snap, model, dt, ctl, lo, hi)
+        out, _, _ = trajectory._advance_batch(self.LATE_ROWS, snap, model, dt, ctl, lo, hi,
+                                              opening_pair(snap, self.LATE_ROWS))
         assert fallback == ([0.85, 0.06, 0.94] if dt > 0 else [0.15, 0.06, 0.94])
         for i, row in enumerate(self.LATE_ROWS):
-            step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl)
+            step = trajectory._advance_scalar(*row.tolist(), snap, model, dt, ctl,
+                                              snap.pm(row[0], row[2]))
             np.testing.assert_array_equal(out[i], step[0])
 
 
@@ -855,7 +869,8 @@ class TestLoneRow:
 
         with mock.patch.object(trajectory, "_substep_loop", loop_spy), \
                 mock.patch.object(trajectory, "_advance_scalar", scalar_spy):
-            trajectory._advance_batch(rows, self.SNAP, model, sign * ctl.dt, ctl, lo, hi)
+            trajectory._advance_batch(rows, self.SNAP, model, sign * ctl.dt, ctl, lo, hi,
+                                      opening_pair(self.SNAP, rows))
         assert loops == [(1, 28, True), (1, 28, True), (1, 64, False), (1, 4, False),
                          (1, 2, False), (1, 2, False)]
         assert handed == [0.8, 0.8]
@@ -985,7 +1000,7 @@ class TestCarriedForce:
 
         with mock.patch.object(trajectory, "_substep_loop", loop_spy), \
                 mock.patch.object(trajectory, "_advance_scalar", scalar_spy):
-            first = cls.step(z, model, dt, ctl)
+            first = cls.step(z, model, dt, ctl, opening_pair(cls.SNAP, z))
         if isinstance(first, str):
             return loops, handed
         out, pair, fh = first
