@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: validate-hooke, trajectory, bounds, picard, simulate,
-certify.  Configuration is a single JSON document; ``--set key=value``
-overrides top-level scalars.  Exit codes: 0 success, 2 config error,
+certify.  Configuration is a single JSON document, whose keys, rules and
+readers ``simulator.RunConfig`` documents; ``--set key=value`` overrides
+top-level scalars.  Exit codes: 0 success, 2 config error,
 3 numerical failure (step underflow / no confinement), 4 certificate or
 hypothesis violation.  All floating output uses 17 significant digits so
 values round-trip exactly.
@@ -15,26 +16,22 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import (DEFAULT_SLACK, BoundCertificate, BoundParameters, certificate_parameters,
-                     certify)
-from .datum import sample_datum
+from .bounds import DEFAULT_SLACK, BoundCertificate, certify
 from .errors import (
     ConfigError,
     DiatomicVlasovError,
     NoConfinementError,
     StepUnderflowError,
 )
-from .field import ConstantField, ParticleState, write_table, zero_field
-from .hooke import balance_points, validate_model
+from .field import write_table
+from .hooke import validate_model
 from .picard import dump_iteration_log, iterate
-from .simulator import (_AXES, MAX_MAGNITUDE, RunConfig, _checked_certificate, _finite,
-                        _number, _unknown_keys, dump_diagnostics_csv, run)
+from .simulator import RunConfig, dump_diagnostics_csv, run
 from .trajectory import TrajectoryPath, detect_events, integrate
 
 EXIT_OK = 0
@@ -82,30 +79,7 @@ def _cmd_validate_hooke(cfg: RunConfig, args) -> int:
 
 def _cmd_trajectory(cfg: RunConfig, args) -> int:
     model = cfg.build_model()
-    spec = cfg.trajectory
-    seed = spec.get("seed")
-    if not isinstance(seed, dict) or "omega" not in seed:
-        raise ConfigError("trajectory runs need a trajectory.seed object with omega")
-    _unknown_keys(seed, _AXES, "trajectory.seed")
-    state = ParticleState(*(_finite(seed.get(k, 0.0), f"trajectory.seed.{k}", MAX_MAGNITUDE)
-                            for k in _AXES))
-    T = float(spec.get("T", cfg.T))
-    control = cfg.build_control()
-    if "dt" in spec:
-        control = replace(control, dt=float(spec["dt"]))
-    fld = spec.get("field", {})
-    kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
-    if kind not in ("zero", "constant"):
-        raise ConfigError(f"trajectory.field needs kind zero or constant, got {fld!r}")
-    _unknown_keys(fld, ("kind", "f_plus", "f_minus"), "trajectory.field")
-    if kind == "zero":
-        field = zero_field()
-    else:
-        field = ConstantField(*(_finite(fld.get(k, 0.0), f"trajectory.field.{k}", MAX_MAGNITUDE)
-                                for k in ("f_plus", "f_minus")))
-    balance = None
-    if "balance_level" in spec:
-        balance = balance_points(model, _number(spec["balance_level"], "trajectory.balance_level"))
+    state, field, T, control, balance = cfg.build_trajectory(model)
     path = integrate(state, field, model, 0.0, T, control, balance=balance)
     out = _out_dir(cfg, args.output_dir)
     path.dump_csv(out / "path.csv")
@@ -115,28 +89,8 @@ def _cmd_trajectory(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _bound_parameters(cfg: RunConfig, model) -> tuple[BoundParameters, tuple, float]:
-    spec = dict(cfg.bounds)
-    box = spec.pop("support_box", None)
-    T = _finite(spec.pop("T", cfg.T), "bounds.T")
-    if T < 0.0:
-        raise ConfigError(f"bounds.T must be >= 0, got {T!r}")
-    given = {k: _finite(val, f"bounds.{k}") for k, val in spec.items()}
-    if box:
-        if not isinstance(box, list) or len(box) != 8 or not {"C_minus", "C"} <= set(given):
-            raise ConfigError("bounds.support_box needs 8 numbers, bounds.C_minus and bounds.C")
-        box = tuple(_finite(c, "bounds.support_box") for c in box)
-        return certificate_parameters(model, box, **given), box, T
-    built = cfg.build_datum()
-    ens = sample_datum(*built, model.epsilon) if isinstance(built, tuple) else built
-    box = ens.support_box()
-    return certificate_parameters(model, box, ens.total_mass, cfg.c_safety, **given), box, T
-
-
 def _cmd_bounds(cfg: RunConfig, args) -> int:
-    model = cfg.build_model()
-    p, box, T = _bound_parameters(cfg, model)
-    text = _checked_certificate(p, box, T, "bounds.T").to_json(indent=2)
+    text = cfg.build_bounds(cfg.build_model()).to_json(indent=2)
     print(text)
     if args.output_dir:
         out = _out_dir(cfg, args.output_dir)

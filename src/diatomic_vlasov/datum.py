@@ -44,9 +44,10 @@ class BumpDatum:
                                           np.shape(omega), np.shape(eta)),
                       self.amplitude, dtype=float)
         for arr, c, w in zip((x, v, omega, eta), self.centers, self.widths):
-            u = (np.asarray(arr, dtype=float) - c) / w
-            prof = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
-            out = out * prof
+            # |u|, taken as 1 outside the support (and for NaN), so that a
+            # far point cannot overflow the quotient or its square.
+            u = np.fmin(np.abs(np.asarray(arr, dtype=float) - c), w) / w
+            out = out * (1.0 - u * u) ** 2
         return out
 
 

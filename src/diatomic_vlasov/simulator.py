@@ -11,6 +11,12 @@ conserved exactly; the continuation monitor compares the running support
 box against the certificate's confinement box.  ``picard`` walks the
 macro grid through the same loop, ``_march``.
 
+The coupled scheme is first order in control.dt and in dt_macro: the
+field jumps at every particle, so a kick across a crossing errs by
+O(dt), and a macro step holds the field of its start.  With both steps
+equal, the final-state error on the ``bulk`` benchmark's datum at 6^4
+falls 2.1-2.6x per halving from dt = 0.02 (``tests/test_simulator.py``).
+
 Everything is deterministic for a fixed config: sampling has no
 randomness and reductions run in fixed order.
 """
@@ -27,9 +33,10 @@ import numpy as np
 from . import hooke as _hooke
 from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
 from .datum import BumpDatum, sample_datum, sobol_box
-from .errors import ConfigError
-from .field import Ensemble, FieldSnapshot, ParticleState, build_field, write_table
-from .hooke import HookeModel, tangent_model, load_table_model
+from .errors import ConfigError, ToleranceError
+from .field import (ConstantField, Ensemble, FieldSnapshot, ParticleState, build_field,
+                    write_table, zero_field)
+from .hooke import HookeModel, balance_points, tangent_model, load_table_model
 from .trajectory import (
     StepControl,
     TrajectoryPath,
@@ -79,6 +86,7 @@ _HOOKE_KEYS = {"kind", "epsilon", "table_path"}
 _CONTROL_KEYS = {f.name for f in fields(StepControl)}
 _TRAJECTORY_KEYS = {"seed", "T", "dt", "field", "balance_level"}
 _BOUNDS_KEYS = {"support_box", "epsilon0", "R", "C_minus", "C", "T"}
+_FIELD_KEYS = {"kind", "f_plus", "f_minus"}
 
 
 _AXES = ("x", "v", "omega", "eta")
@@ -103,6 +111,14 @@ def _datum_axes(datum: dict, key: str) -> list:
     return [(f"datum.{key}.{a}", val[a]) for a in _AXES]
 
 
+def _path(val, need: str) -> str:
+    """``val`` as a file path; ConfigError "``need`` as a non-empty
+    string" unless it is one (numpy would read a list as lines of data)."""
+    if not isinstance(val, str) or not val:
+        raise ConfigError(f"{need} as a non-empty string, got {val!r}")
+    return val
+
+
 def _unknown_keys(section: dict, allowed, name: str) -> None:
     """ConfigError naming the keys of ``section`` outside ``allowed``."""
     bad = set(section) - set(allowed)
@@ -110,28 +126,99 @@ def _unknown_keys(section: dict, allowed, name: str) -> None:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(bad)}")
 
 
-def _number(val, name: str) -> float:
+def _number(val, name: str, limit: float | None = None) -> float:
     """``val`` as a float; ConfigError naming ``name`` unless it is an int
-    or a float (a bool is neither here)."""
+    or a float (a bool is neither here) and, given a ``limit``, finite
+    and at most ``limit`` in magnitude."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name} must be a number, got {val!r}")
-    return float(val)
-
-
-def _finite(val, name: str, limit: float = math.inf) -> float:
-    """``_number`` that is finite and at most ``limit`` in magnitude;
-    ConfigError naming ``name`` otherwise."""
-    x = _number(val, name)
-    if not math.isfinite(x):
+    x = float(val)
+    if limit is not None and not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {val!r}")
-    if abs(x) > limit:
+    if limit is not None and abs(x) > limit:
         raise ConfigError(f"{name} is {val!r}, over the cap of {limit:g} in magnitude")
     return x
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; unknown keys are rejected on load."""
+    """Validated run configuration: the reference for the config format.
+
+    A config is one JSON object; ``from_dict`` rejects unknown keys at
+    every level, and a number is a JSON int or float, never a bool.  Each
+    key is listed with its default, its rule and the commands that read
+    it ("load": ``from_dict`` checks it for every command, ``certify``
+    included, which loads a run's manifest).
+
+    hooke (required)       the bond law; every command but certify.
+      kind                 "tangent" (default) or "table".
+      epsilon              bond domain length, default 1; positive, finite.
+      table_path           table laws: a non-empty string naming a file of
+                           (omega, force) rows.
+    datum                  the initial ensemble; simulate, picard, and
+                           bounds without bounds.support_box.  simulate
+                           and bounds need particles, all with omega
+                           strictly inside the bond domain; picard needs
+                           bumps.
+      kind                 "bumps" (default) or "particles".
+      centers, widths      bumps: objects with keys x, v, omega, eta;
+                           widths > 0.
+      amplitude            bumps: default 1; >= 0, at most MAX_MAGNITUDE.
+      box                  bumps: object of [lo, hi] pairs per axis, the
+                           sampling box; default the bumps' support.
+      grid                 bumps: four integers >= 1, cells per axis;
+                           default [8, 8, 8, 8].
+      path                 particles: a non-empty string naming a CSV
+                           with columns x, v, omega, eta, w.
+    T                      horizon, default 1; load: finite, > 0.  The
+                           default of trajectory.T and bounds.T.
+    dt_macro               field rebuild step, default 0.01; load: finite,
+                           > 0, at most MAX_STEPS steps in T.  simulate,
+                           picard.
+    control                ``StepControl`` keys; simulate, picard,
+                           trajectory, certify.
+      dt                   fine step, default dt_macro; load: finite, > 0,
+                           at most MAX_STEPS steps in T.
+      eta_scale            sub-cycling impulse bound, default 0.25; > 0.
+      event_eta_tol        turning-event threshold, default 1e-7; load:
+                           finite, >= 0.
+    tracked_boundary,      seeds at the support box's corners (at most
+    tracked_interior       16) and inside it, default 16 each; load:
+                           integers >= 0.  simulate.
+    c_safety               C = c_safety * max(2 * mass, edge force),
+                           default 1.5; load: finite, > 0.  simulate,
+                           bounds.  C must have balance points.
+    snapshot_every         field and ensemble dump interval in macro
+                           steps, 0 (default) for none; load: integer
+                           >= 0.  simulate.
+    output_dir             output directory, default "."; --output-dir
+                           replaces it; load: a string or null.  simulate,
+                           picard, trajectory.
+    probe_grid, n_max,     Picard probe count (load: integer >= 1), round
+    picard_tol             cap (integer >= 0) and stop level (a number);
+                           defaults 4096, 8, 0.  picard.
+    continuation_margin    relative warn margin of the continuation check,
+                           default 0.01; load: finite, >= 0.  simulate.
+    detj_seeds, detj_every Jacobian probe seeds and interval in macro
+                           steps, 0 (default) for none; load: integers
+                           >= 0.  simulate.
+    trajectory             the trajectory command only.
+      seed                 object with omega and any of x, v, eta
+                           (default 0); each at most MAX_MAGNITUDE.
+      T, dt                horizon and step, defaults T and control.dt;
+                           load: finite, > 0, at most MAX_STEPS steps.
+      field                {"kind": "zero"} (default) or {"kind":
+                           "constant", "f_plus", "f_minus"}, each at most
+                           MAX_MAGNITUDE.
+      balance_level        > 0; events are located at the balance
+                           points of this level.
+    bounds                 the bounds command only.
+      T                    default T; finite, >= 0.
+      support_box          8 numbers (x, v, omega, eta lo/hi pairs), with
+                           C_minus and C given; else the datum's support.
+      epsilon0, R,         finite numbers that replace the derived
+      C_minus, C           constants, in ``BoundParameters``' ranges.
+    """
 
     hooke: dict
     datum: dict = dc_field(default_factory=dict)
@@ -174,13 +261,20 @@ class RunConfig:
             least = 1 if f.name == "probe_grid" else 0
             if f.type == "int" and (type(val) is not int or val < least):
                 raise ConfigError(f"{f.name} must be an integer >= {least}, got {val!r}")
+        if not isinstance(cfg.output_dir, (str, type(None))):
+            raise ConfigError(f"output_dir must be a string or null, got {cfg.output_dir!r}")
         dt = cfg.control.get("dt", cfg.dt_macro)
         traj_T, traj_dt = cfg.trajectory.get("T", cfg.T), cfg.trajectory.get("dt", dt)
         # An absent key takes a value checked before it, under its own name.
         for name, val in (("T", cfg.T), ("dt_macro", cfg.dt_macro), ("control.dt", dt),
-                          ("trajectory.T", traj_T), ("trajectory.dt", traj_dt)):
+                          ("trajectory.T", traj_T), ("trajectory.dt", traj_dt),
+                          ("c_safety", cfg.c_safety)):
             if not (math.isfinite(_number(val, name)) and val > 0.0):
                 raise ConfigError(f"{name} must be finite and positive, got {val!r}")
+        for name, val in (("continuation_margin", cfg.continuation_margin),
+                          ("control.event_eta_tol", cfg.control.get("event_eta_tol", 0.0))):
+            if _number(val, name, math.inf) < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {val!r}")
         for name, span, step in (("T/dt_macro", cfg.T, cfg.dt_macro), ("T/control.dt", cfg.T, dt),
                                  ("trajectory.T/dt", traj_T, traj_dt)):
             if span / step > MAX_STEPS:
@@ -189,10 +283,7 @@ class RunConfig:
 
     def effective(self) -> dict:
         """Every effective value including defaults (for the manifest)."""
-        out = {}
-        for name in sorted(self.__dataclass_fields__):
-            out[name] = getattr(self, name)
-        return out
+        return {name: getattr(self, name) for name in sorted(self.__dataclass_fields__)}
 
     def build_model(self) -> HookeModel:
         kind = self.hooke.get("kind", "tangent")
@@ -200,30 +291,25 @@ class RunConfig:
         if kind == "tangent":
             return tangent_model(eps)
         if kind == "table":
-            path = self.hooke.get("table_path")
-            if not path:
-                raise ConfigError("table models need hooke.table_path")
+            path = _path(self.hooke.get("table_path"), "table models need hooke.table_path")
             return load_table_model(path, eps)
         raise ConfigError(f"unknown hooke kind {kind!r}")
 
     def build_control(self) -> StepControl:
-        base = {"dt": self.dt_macro}
-        base.update(self.control)
+        base = {"dt": self.dt_macro, **self.control}
         return StepControl(**{k: _number(val, f"control.{k}") for k, val in base.items()})
 
     def build_datum(self):
         """(BumpDatum, box, grid) for bump data, or a particle Ensemble."""
         kind = self.datum.get("kind", "bumps")
         if kind == "particles":
-            path = self.datum.get("path")
-            if not path:
-                raise ConfigError("particle data need datum.path")
-            return Ensemble.load_csv(path)
+            return Ensemble.load_csv(_path(self.datum.get("path"),
+                                           "particle data need datum.path"))
         if kind != "bumps":
             raise ConfigError(f"unknown datum kind {kind!r}")
         centers = tuple(_number(c, name) for name, c in _datum_axes(self.datum, "centers"))
         widths = tuple(_number(w, name) for name, w in _datum_axes(self.datum, "widths"))
-        amp = _finite(self.datum.get("amplitude", 1.0), "datum.amplitude", MAX_MAGNITUDE)
+        amp = _number(self.datum.get("amplitude", 1.0), "datum.amplitude", MAX_MAGNITUDE)
         datum = BumpDatum(centers=centers, widths=widths, amplitude=amp)
         if self.datum.get("box") is None:
             box = datum.support()
@@ -240,6 +326,72 @@ class RunConfig:
             raise ConfigError(f"datum.grid must hold integers >= 1, one per axis, got {grid!r}")
         grid = tuple(grid)
         return datum, box, grid
+
+    def build_ensemble(self, model: HookeModel) -> Ensemble:
+        """The initial ensemble of either datum kind: bump data sampled
+        for ``model``; ConfigError unless it has particles, all with bond
+        lengths strictly inside ``model.domain``."""
+        built = self.build_datum()
+        ens = built if isinstance(built, Ensemble) else sample_datum(*built, model.epsilon)
+        if len(ens) == 0:
+            raise ConfigError("the sampled datum has no particles")
+        lo, hi = model.domain
+        om_lo, om_hi = float(ens.omega.min()), float(ens.omega.max())
+        if not (lo < om_lo and om_hi < hi):
+            raise ConfigError(
+                "datum support must lie strictly inside the bond domain "
+                f"({lo!r}, {hi!r}); got [{om_lo!r}, {om_hi!r}]")
+        return ens
+
+    def build_trajectory(self, model: HookeModel):
+        """(state, field, T, control, balance): the ``trajectory`` command's
+        ``integrate`` inputs, from the trajectory section."""
+        spec = self.trajectory
+        seed = spec.get("seed")
+        if not isinstance(seed, dict) or "omega" not in seed:
+            raise ConfigError("trajectory runs need a trajectory.seed object with omega")
+        _unknown_keys(seed, _AXES, "trajectory.seed")
+        state = ParticleState(*(_number(seed.get(k, 0.0), f"trajectory.seed.{k}", MAX_MAGNITUDE)
+                                for k in _AXES))
+        control = self.build_control()
+        if "dt" in spec:
+            control = replace(control, dt=float(spec["dt"]))
+        fld = spec.get("field", {})
+        kind = fld.get("kind", "zero") if isinstance(fld, dict) else None
+        if kind not in ("zero", "constant"):
+            raise ConfigError(f"trajectory.field needs kind zero or constant, got {fld!r}")
+        _unknown_keys(fld, _FIELD_KEYS, "trajectory.field")
+        field = zero_field() if kind == "zero" else ConstantField(*(
+            _number(fld.get(k, 0.0), f"trajectory.field.{k}", MAX_MAGNITUDE)
+            for k in ("f_plus", "f_minus")))
+        balance = None
+        if "balance_level" in spec:
+            balance = balance_points(
+                model, _number(spec["balance_level"], "trajectory.balance_level"))
+        return state, field, float(spec.get("T", self.T)), control, balance
+
+    def build_bounds(self, model: HookeModel) -> BoundCertificate:
+        """The ``bounds`` command's certificate: over bounds.support_box
+        with bounds.C_minus and bounds.C given, else over the initial
+        ensemble; the other bounds keys replace derived constants."""
+        spec = dict(self.bounds)
+        box = spec.pop("support_box", None)
+        T = _number(spec.pop("T", self.T), "bounds.T", math.inf)
+        if T < 0.0:
+            raise ConfigError(f"bounds.T must be >= 0, got {T!r}")
+        given = {k: _number(val, f"bounds.{k}", math.inf) for k, val in spec.items()}
+        if box:
+            if not isinstance(box, list) or len(box) != 8 or not {"C_minus", "C"} <= set(given):
+                raise ConfigError(
+                    "bounds.support_box needs 8 numbers, bounds.C_minus and bounds.C")
+            box = tuple(_number(c, "bounds.support_box", math.inf) for c in box)
+            p = certificate_parameters(model, box, **given)
+        else:
+            ens = self.build_ensemble(model)
+            box = ens.support_box()
+            p = certificate_parameters(model, box, ens.total_mass, self.c_safety, **given)
+        return _checked_certificate(p, box, T, "bounds.T",
+                                    "bounds.C" if "C" in given else _C_KEYS)
 
 
 @dataclass
@@ -316,9 +468,21 @@ def _tracked_seeds(box, n_boundary: int, n_interior: int) -> np.ndarray:
     return np.vstack([corners, sobol_box(n_interior, lo, hi)])
 
 
-def _checked_certificate(p, box, T: float, name: str) -> BoundCertificate:
-    """``build_certificate``, with an overflow or a constant that is not
-    finite reported as a ConfigError naming ``name``, the key of T."""
+# The keys the certificate's level C derives from when it is not given.
+_C_KEYS = "c_safety and the datum's mass"
+
+
+def _checked_certificate(p, box, T: float, name: str, c_keys: str = _C_KEYS) -> BoundCertificate:
+    """``build_certificate``, with a level C that has no balance points,
+    an overflow or a constant that is not finite reported as a
+    ConfigError naming its keys: ``name`` is the key of T and ``c_keys``
+    the keys of C."""
+    try:
+        p.balance
+    except ToleranceError as exc:
+        raise ConfigError(f"C = {p.C!r}, from {c_keys}, has no balance points: the bond "
+                          "force must reach +C left of the midpoint and -C right of it"
+                          ) from exc
     # Finite inputs can still overflow: x_bound grows as C*T**2.
     try:
         cert = build_certificate(p, box, T)
@@ -336,21 +500,7 @@ def run(config: RunConfig):
     """Execute a self-consistent run; see RunResult for the outputs."""
     model = config.build_model()
     control = config.build_control()
-    built = config.build_datum()
-    if isinstance(built, Ensemble):
-        ens = built
-    else:
-        datum, box, grid = built
-        ens = sample_datum(datum, box, grid, model.epsilon)
-    if len(ens) == 0:
-        raise ConfigError("the sampled datum has no particles")
-    lo, hi = model.domain
-    om_lo, om_hi = float(ens.omega.min()), float(ens.omega.max())
-    if not (lo < om_lo and om_hi < hi):
-        raise ConfigError(
-            "datum support must lie strictly inside the bond domain "
-            f"({lo!r}, {hi!r}); got [{om_lo!r}, {om_hi!r}]")
-
+    ens = config.build_ensemble(model)
     support0 = ens.support_box()
     cert = None
     if ens.total_mass > 0.0:

@@ -24,6 +24,11 @@ whose drift would leave the bond domain is retried at dt/2, down to
 dt/2**10, with ``math.tan``; past that the step reports a blow-up
 candidate instead of emitting an out-of-domain state.
 
+Under a frozen smooth field the step is second order in dt, as velocity
+Verlet is: on nine rows pushed to T = 0.5 the error falls 4.0x from
+dt = 0.005 to 0.0025 (``tests/test_trajectory.py``).  At coarser steps
+the substep counts change with dt, and the ratio reads 1.7-3.6.
+
 The field is frozen for a whole call: any object with ``pm`` and
 ``norms``, such as a ``FieldSnapshot``.
 """

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,10 @@ from diatomic_vlasov import (
     tangent_model,
     zero_field,
 )
-from diatomic_vlasov import cli
+from diatomic_vlasov import cli, simulator
 from diatomic_vlasov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, dispatch
 from diatomic_vlasov.field import write_table
-from diatomic_vlasov.simulator import MAX_MAGNITUDE
+from diatomic_vlasov.simulator import MAX_MAGNITUDE, RunConfig
 
 
 def write_config(tmp_path, **over):
@@ -151,6 +152,21 @@ class TestExitCodes:
         ("bounds", ("bounds", "C"), True, "bounds.C must be a number"),
         ("trajectory", ("trajectory", "T"), True, "trajectory.T must be a number"),
         ("trajectory", ("control", "eta_scale"), True, "control.eta_scale must be a number"),
+        # A NaN tolerance makes every balance touch a stopping event, so no
+        # excursion is checked; a NaN or negative margin turns warn into pass.
+        ("simulate", ("control", "event_eta_tol"), math.nan,
+         "control.event_eta_tol must be finite"),
+        ("bounds", ("control", "event_eta_tol"), -1e-7, "control.event_eta_tol must be >= 0"),
+        ("simulate", ("continuation_margin",), math.nan, "continuation_margin must be finite"),
+        ("simulate", ("continuation_margin",), -5.0, "continuation_margin must be >= 0"),
+        ("bounds", ("c_safety",), math.nan, "c_safety must be finite and positive"),
+        ("simulate", ("c_safety",), 0.0, "c_safety must be finite and positive"),
+        # Past the bond force at the walls, C has no balance points.
+        ("bounds", ("datum", "amplitude"), 1e100,
+         "from c_safety and the datum's mass, has no balance points"),
+        ("simulate", ("datum", "amplitude"), 1e150,
+         "from c_safety and the datum's mass, has no balance points"),
+        ("bounds", ("bounds", "C"), 1e100, "C = 1e+100, from bounds.C, has no balance points"),
     ]
 
     @pytest.mark.parametrize("command, keys, val, needle", BAD_NUMBERS, ids=[
@@ -168,6 +184,26 @@ class TestExitCodes:
         cfg.write_text(json.dumps(raw))
         code = dispatch([command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over, needle", [
+        ({"hooke": {"kind": "table", "table_path": [0.1, 0.5]}}, "hooke.table_path as a"),
+        ({"hooke": {"kind": "table", "table_path": ["0.1 1", "0.3 0.5", "0.5 0", "0.7 -0.5",
+                                                    "0.9 -1"]}}, "hooke.table_path as a"),
+        ({"hooke": {"kind": "table", "table_path": 7}}, "hooke.table_path as a"),
+        ({"datum": {"kind": "particles", "path": [0, 0, 0.5, 0, 1]}}, "datum.path as a"),
+        ({"datum": {"kind": "particles", "path": ["x,v,omega,eta,w", "0,0,0.5,0,1"]}},
+         "datum.path as a"),
+        ({"datum": {"kind": "particles", "path": ""}}, "datum.path as a"),
+        ({"output_dir": 5}, "output_dir must be a string or null"),
+    ], ids=["table-numbers", "table-lines", "table-int", "datum-numbers", "datum-lines",
+            "datum-empty", "output_dir-int"])
+    def test_path_keys_are_strings(self, tmp_path, monkeypatch, capsys, over, needle):
+        # numpy reads a list as lines of data: a list of numbers ends in a
+        # TypeError, a list of strings is read as inline rows.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **over)
+        assert dispatch(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
         assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["trajectory", "simulate"])
@@ -405,6 +441,21 @@ class TestExitCodes:
         assert dispatch(["certify", "--path", str(out), f"--slack={slack}"]) == EXIT_CONFIG
         assert "--slack must be finite and >= 0" in capsys.readouterr().err
 
+    def test_certify_checks_the_run_control(self, tmp_path, capsys):
+        # The replay loads the run's config, so it checks the event
+        # tolerance as the run did.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(write_config(tmp_path, datum=datum, T=0.02)),
+                         "--seed-report", "--output-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["control"]["event_eta_tol"] = math.nan
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert dispatch(["certify", "--path", str(out)]) == EXIT_CONFIG
+        assert "control.event_eta_tol must be finite" in capsys.readouterr().err
+
     def test_certify_without_seeds(self, tmp_path, capsys):
         # A run without --seed-report has no seed paths and no field norm:
         # there is nothing to replay.
@@ -429,13 +480,16 @@ class TestConfigSweep:
         "datum": {"kind": "bumps",
                   "centers": {"x": 0.0, "v": 0.0, "omega": 0.5, "eta": 0.0},
                   "widths": {"x": 0.5, "v": 0.3, "omega": 0.08, "eta": 0.3},
-                  "amplitude": 4.0, "grid": [2, 2, 2, 2]},
+                  "amplitude": 4.0, "grid": [2, 2, 2, 2],
+                  "box": {"x": [-0.5, 0.5], "v": [-0.3, 0.3], "omega": [0.42, 0.58],
+                          "eta": [-0.3, 0.3]}},
         "T": 0.02, "dt_macro": 0.02,
         "control": {"dt": 0.02, "eta_scale": 0.25, "event_eta_tol": 1e-7},
         "tracked_boundary": 1, "tracked_interior": 1, "n_max": 2, "probe_grid": 8,
         "c_safety": 1.5, "snapshot_every": 1, "picard_tol": 0.0,
-        "continuation_margin": 0.01, "detj_seeds": 1, "detj_every": 1,
-        "trajectory": {"seed": {"omega": 0.6, "eta": 0.1}, "T": 0.02, "dt": 0.02,
+        "continuation_margin": 0.01, "detj_seeds": 1, "detj_every": 1, "output_dir": "out",
+        "trajectory": {"seed": {"x": 0.0, "v": 0.0, "omega": 0.6, "eta": 0.1},
+                       "T": 0.02, "dt": 0.02,
                        "field": {"kind": "constant", "f_plus": 0.1, "f_minus": 0.1},
                        "balance_level": 2.0},
         "bounds": {"T": 0.02, "C": 3.0, "C_minus": 1.0, "R": 1.0, "epsilon0": 0.1,
@@ -464,30 +518,77 @@ class TestConfigSweep:
             for key, val in node.items():
                 yield from cls.keys(val, path + (key,))
 
+    @classmethod
+    def sweeps(cls, tmp_path):
+        """(config, key paths to sweep in it): BASE with all its keys, and
+        its table-law and particle-datum variants with their path keys."""
+        # Nodes close enough to the walls that the table's potential
+        # reaches the level the bounds section's C asks for.
+        w = np.linspace(1e-3, 1 - 1e-3, 8)
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
+        (tmp_path / "ens.csv").write_text("x,v,omega,eta,w\n0,0.1,0.45,0.2,1\n"
+                                          "0.3,-0.2,0.55,-0.1,2\n")
+        table = {"kind": "table", "epsilon": 1.0, "table_path": str(tmp_path / "law.txt")}
+        particles = {"kind": "particles", "path": str(tmp_path / "ens.csv")}
+        return [(cls.BASE, list(cls.keys(cls.BASE))),
+                (dict(cls.BASE, hooke=table), [("hooke", "table_path")]),
+                (dict(cls.BASE, datum=particles), [("datum", "path")])]
+
+    def test_sweep_holds_every_key(self, tmp_path, monkeypatch, capsys):
+        # A key missing here would go unswept; each config runs clean, so
+        # in the sweep the bad value is the only fault.
+        monkeypatch.chdir(tmp_path)
+        configs = [cfg for cfg, _ in self.sweeps(tmp_path)]
+        assert set().union(*configs) == {f.name for f in fields(RunConfig)}
+        sections = {("hooke",): simulator._HOOKE_KEYS, ("datum",): simulator._DATUM_KEYS,
+                    ("control",): simulator._CONTROL_KEYS,
+                    ("trajectory",): simulator._TRAJECTORY_KEYS,
+                    ("bounds",): simulator._BOUNDS_KEYS,
+                    ("trajectory", "seed"): simulator._AXES,
+                    ("trajectory", "field"): simulator._FIELD_KEYS,
+                    ("datum", "centers"): simulator._AXES, ("datum", "widths"): simulator._AXES,
+                    ("datum", "box"): simulator._AXES}
+        for section, allowed in sections.items():
+            held = set()
+            for cfg in configs:
+                for key in section:
+                    cfg = cfg.get(key, {})
+                held |= set(cfg)
+            assert held == set(allowed), section
+        for i, cfg in enumerate(configs):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(cfg))
+            for command in self.COMMANDS:
+                if command != "picard" or cfg["datum"]["kind"] == "bumps":
+                    assert dispatch([command, "--config", str(path)]) == EXIT_OK, (i, command)
+
     def test_every_bad_value_exits(self, tmp_path, monkeypatch, capsys):
         # One parser serves every call: building it is most of a call's
-        # time when the config is rejected.
+        # time when the config is rejected.  Outputs go to output_dir,
+        # under tmp_path.
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
-        cfg, out = tmp_path / "config.json", str(tmp_path / "out")
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "config.json"
         escaped, calls = [], 0
-        for keys in self.keys(self.BASE):
-            for val in self.BAD:
-                raw = json.loads(json.dumps(self.BASE))
-                node = raw
-                for key in keys[:-1]:
-                    node = node[key]
-                node[keys[-1]] = val
-                cfg.write_text(json.dumps(raw))
-                for command in self.READERS.get(keys[0], self.COMMANDS):
-                    calls += 1
-                    try:
-                        code = dispatch([command, "--config", str(cfg), "--output-dir", out])
-                    except Exception as exc:  # a traceback: the finding itself
-                        code = repr(exc)
-                    if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VIOLATION):
-                        escaped.append((".".join(keys), val, command, code))
-                capsys.readouterr()
+        for base, swept in self.sweeps(tmp_path):
+            for keys in swept:
+                for val in self.BAD:
+                    raw = json.loads(json.dumps(base))
+                    node = raw
+                    for key in keys[:-1]:
+                        node = node[key]
+                    node[keys[-1]] = val
+                    cfg.write_text(json.dumps(raw))
+                    for command in self.READERS.get(keys[0], self.COMMANDS):
+                        calls += 1
+                        try:
+                            code = dispatch([command, "--config", str(cfg)])
+                        except Exception as exc:  # a traceback: the finding itself
+                            code = repr(exc)
+                        if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VIOLATION):
+                            escaped.append((".".join(keys), val, command, code))
+                    capsys.readouterr()
         assert calls > 1000 and escaped == []
 
     @pytest.mark.parametrize("command, keys", [

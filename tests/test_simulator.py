@@ -179,6 +179,24 @@ class TestRun:
         assert np.all((omegas >= 0.5) & (omegas <= np.nextafter(0.5, 1.0)))
 
 
+class TestCoupledOrder:
+    def test_error_falls_per_halving(self):
+        # The bulk benchmark's datum at grid 6^4 with dt_macro = control.dt,
+        # against a run at 0.02/64: the largest final-state error falls
+        # 2.59x, 2.14x and 2.14x per halving from dt = 0.02.  First order,
+        # as the field jumps at every particle and is held over a step.
+        def final(dt):
+            datum = {**base_config().datum, "centers": {"x": 0.1, "v": 0.0, "omega": 0.5,
+                                                        "eta": 0.0}}
+            f = run(base_config(datum=datum, T=0.25, dt_macro=dt, control={"dt": dt},
+                                tracked_boundary=0, tracked_interior=0)).final
+            return np.stack([f.x, f.v, f.omega, f.eta])
+
+        ref = final(0.02 / 64)
+        err = [np.max(np.abs(final(dt) - ref)) for dt in (0.02, 0.01, 0.005, 0.0025)]
+        assert all(a >= 1.4 * b for a, b in zip(err, err[1:]))
+
+
 class TestMergedPush:
     """Tracked seeds ride in the particles' batch without moving them."""
 
