@@ -42,7 +42,7 @@ EXIT_VIOLATION = 4
 def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int of > 4300 digits
         raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from exc
 
 
@@ -56,7 +56,7 @@ def _load_config(path: str, overrides) -> RunConfig:
         key, _, val = item.partition("=")
         try:
             raw[key] = json.loads(val)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int of > 4300 digits: kept as text
             raw[key] = val
     return RunConfig.from_dict(raw)
 

@@ -17,14 +17,20 @@ The build is O(N log N): a stable sort, one ascending prefix sum of the
 charges, then a merge of each run of equal positions (``==``, so -0.0 and
 0.0 are one position).  The snapshot keeps only the U distinct positions
 and, for each, the field strictly left of it and the field at it, so a
-query is one binary search (O(log U)), one equality test and one gather.
-Summation runs in ascending position order so results are
-bit-reproducible; the brute-force O(N) check in the tests enforces the
-same order and matches exactly.
+query needs only the rank of its point among the positions, plus one
+equality test, and then one gather.  A query finds its rank by binary
+search (O(log U)), or, on an ``indexed`` snapshot, from a table of 4U
+buckets: a query in a bucket that holds no position reads its exact rank
+there, and only the others are searched.  A push builds that table once
+for its frozen field (``trajectory.integrate_batch``).  Summation runs in
+ascending position order so results are bit-reproducible; the
+brute-force O(N) check in the tests enforces the same order and matches
+exactly.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -50,6 +56,15 @@ _BLOCK_ROWS = 4096  # rows per block in write_table; larger tables are spelled i
 # bulk benchmark's first ensemble (20,736 rows, 2-core VM, numpy 2.4).
 _REUSE_SHARE = 0.5
 _WIDTH = 24  # bytes of the longest "%.17g" spelling of a float64
+_BUCKETS_PER_KEY = 4  # B / U of an indexed FieldSnapshot
+# When an indexed snapshot pays for its table (U = 300 to 20,736 Gaussian
+# positions, 2-core VM, numpy 2.4): the table's dozen numpy calls cost
+# more than the searches they save below about 250-450 rows a pm call,
+# by U.  From 512 rows a search costs 30-190 ns more per row than the
+# table, and the build 15-50 ns per position; at U = 20,736 (137 against
+# 35 ns) the build pays for itself once the calls read U/4 rows.
+_INDEX_MIN_ROWS = 512
+_INDEX_ROWS_PER_KEY = 0.25
 
 
 def write_table(path, header, columns, end: str = "\r\n") -> None:
@@ -284,9 +299,16 @@ class Ensemble:
 
     @classmethod
     def load_csv(cls, path) -> "Ensemble":
+        """The particles of a CSV file: a header line, then rows x, v,
+        omega, eta, w.  DomainError naming the file unless it holds at
+        least one row (numpy would only warn) of five numbers."""
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
-        except ValueError as exc:
+            with open(path) as fh:
+                rows = fh.read().splitlines()[1:]
+            if not any(line.split("#", 1)[0].strip() for line in rows):
+                raise DomainError(f"{path}: no particle rows after the header")
+            data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:  # also a line that is not text
             raise DomainError(f"{path}: {exc}") from exc
         if data.shape[1] != 5:
             raise DomainError(f"{path}: expected columns x,v,omega,eta,w")
@@ -322,9 +344,13 @@ class FieldSnapshot:
     half to each side.  These are the exact floating-point expressions of
     a left/right pair of binary searches over the unmerged prefix sum, so
     every value is bitwise equal to it.  Positions must not be NaN.
+
+    ``_index`` is None, or, on a snapshot returned by ``indexed``, the
+    bucket map's parameters and its table, which array queries read
+    before they search.
     """
 
-    __slots__ = ("_keys", "_values", "total")
+    __slots__ = ("_keys", "_values", "total", "_index")
 
     def __init__(self, positions: np.ndarray, charges: np.ndarray):
         pos, prefix = _sorted_prefix(positions, charges)
@@ -342,6 +368,7 @@ class FieldSnapshot:
         self._values[:, 0] = 0.5 * self.total - p
         self._values[:-1, 1] = self._values[:-1, 0] - 0.5 * np.diff(p)
         self._values[-1, 1] = self._values[-1, 0]
+        self._index = None
 
     def at(self, x):
         """Field value(s) at x: half of right mass minus left mass, charge
@@ -352,21 +379,97 @@ class FieldSnapshot:
     def pm(self, x, omega):
         """(F(x+omega)+F(x-omega), F(x+omega)-F(x-omega)).
 
-        Both sides are looked up as one stacked query, so each call pays
-        numpy's per-call overhead once: one binary search, one equality
-        test and one gather of row j's between (2j) or at (2j + 1) value."""
+        Both sides are looked up as one stacked query q, so each call pays
+        numpy's per-call overhead once, and each query reads row j's
+        between (2j) or at (2j + 1) value.  0-d input, or a snapshot
+        without an index, takes one binary search and one equality test
+        (``_search``).  An array query on an ``indexed`` snapshot reads its
+        row from the bucket table and searches only the queries whose
+        bucket holds a position (``_lookup``); both read the same values,
+        bit for bit (see ``indexed``)."""
         x = np.asarray(x, dtype=float)
         q = np.array((x + omega, x - omega))
-        # Index U (past every position, or NaN) lands on the sentinel row.
-        idx = np.searchsorted(self._keys[:-1], q, side="left")
-        hit = self._keys.take(idx) == q
-        idx *= 2
-        idx += hit
+        if q.ndim == 1 or self._index is None:
+            idx = self._search(q)
+        else:
+            idx = self._lookup(q)
         f = self._values.ravel().take(idx)
         if q.ndim == 1:
             r, l = f.tolist()
             return r + l, r - l
         return f[0] + f[1], f[0] - f[1]
+
+    def _search(self, q):
+        """Row index 2j + hit of each query: j = #{u_i < q}, by binary
+        search, and hit = (u_j == q).  Index U (past every position, or
+        NaN) lands on the sentinel row."""
+        idx = np.searchsorted(self._keys[:-1], q, side="left")
+        hit = self._keys.take(idx) == q
+        idx *= 2
+        idx += hit
+        return idx
+
+    def indexed(self, rows: int, calls: int) -> "FieldSnapshot":
+        """The snapshot to answer ``calls`` array ``pm`` calls of ``rows``
+        rows each: this field with a bucket table, sharing ``_keys`` and
+        ``_values``, or this snapshot itself when the table would not pay
+        for its build or cannot be built.
+
+        [u_0, u_{U-1}] is cut into B = 4U buckets by one monotone map,
+
+            g(y) = trunc(clip((clip(y, u_0 - span, u_{U-1} + span) - u_0) * s,
+                              -1, B + 2) + 1),    s = B / span,
+
+        whose inner clip sends NaN to the top (``np.fmin``).  The table
+        has B + 4 entries: -1 for a bucket that holds a position, and
+        2 #{u_i : g(u_i) < b} for an empty bucket b.  Every operation of g
+        is correctly rounded and monotone, and positions and queries go
+        through the same operations.  So a query in an empty bucket lies
+        strictly above every position of a lower bucket and strictly
+        below every position of a higher one: the entry is its exact
+        ``_search`` row, 2j with no hit.  NaN and +inf read the top
+        bucket, which holds no position: row 2U, whose values are the
+        sentinel's (2U + 1 for +inf in ``_search`` holds the same bits).
+        The clip comes first, so no query overflows.
+
+        No table is built for U < 2, or when the span, the clip bounds or
+        s are not finite (positions at +-inf, or a span near the float
+        range).  Nor is one built for fewer than ``_INDEX_MIN_ROWS`` rows
+        a call, or fewer than ``_INDEX_ROWS_PER_KEY * U`` rows in all
+        calls (see there).  The table is 8(4U + 4) bytes, so callers hold
+        it for one push (``trajectory.integrate_batch``), not for a
+        snapshot's life.
+        """
+        u = self._keys[:-1]
+        if u.size < 2 or rows < _INDEX_MIN_ROWS or rows * calls < _INDEX_ROWS_PER_KEY * u.size:
+            return self
+        lo, hi = float(u[0]), float(u[-1])
+        span = hi - lo
+        top = _BUCKETS_PER_KEY * u.size  # B
+        s, clamp_lo, clamp_hi = top / span, lo - span, hi + span
+        # A clipped query minus u_0 lies between these two differences, so
+        # with them and s finite, no term of the map overflows.
+        if not all(map(math.isfinite, (s, clamp_lo - lo, clamp_hi - lo))):
+            return self
+        params = (lo, s, clamp_lo, clamp_hi, top + 2.0)
+        g = _buckets(u, params)  # nondecreasing, in 1 .. B + 1
+        table = np.zeros(top + 4, dtype=np.intp)
+        np.cumsum(np.bincount(g, minlength=top + 3), out=table[1:])
+        table *= 2
+        table[g] = -1
+        snap = copy.copy(self)
+        snap._index = (params, table)
+        return snap
+
+    def _lookup(self, q):
+        """``_search``'s rows from the bucket table; the queries whose
+        bucket holds a position (entry -1) are searched."""
+        params, table = self._index
+        idx = table.take(_buckets(q, params))
+        miss = np.flatnonzero(idx < 0)
+        if miss.size:
+            idx.ravel()[miss] = self._search(q.ravel().take(miss))
+        return idx
 
     def norms(self) -> tuple[float, float]:
         """Exact suprema (sup|F|, sup|F+-|) = (total/2, total)."""
@@ -380,6 +483,19 @@ class FieldSnapshot:
         return (isinstance(other, FieldSnapshot) and self.total == other.total
                 and np.array_equal(self._keys, other._keys)
                 and np.array_equal(self._values, other._values))
+
+
+def _buckets(y, params):
+    """The bucket g(y) of ``FieldSnapshot.indexed`` of each float in y."""
+    lo, s, clamp_lo, clamp_hi, top = params
+    t = np.fmin(y, clamp_hi)  # NaN goes to the top
+    np.fmax(t, clamp_lo, out=t)
+    t -= lo
+    t *= s
+    np.fmin(t, top, out=t)
+    np.fmax(t, -1.0, out=t)
+    t += 1.0
+    return t.astype(np.intp)
 
 
 def field_w1(a: FieldSnapshot, b: FieldSnapshot) -> float:

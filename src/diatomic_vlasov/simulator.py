@@ -31,7 +31,8 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import hooke as _hooke
-from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
+from .bounds import (BoundCertificate, build_certificate, certificate_parameters, certify,
+                     gronwall_constants)
 from .datum import BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError, ToleranceError
 from .field import (ConstantField, Ensemble, FieldSnapshot, ParticleState, build_field,
@@ -132,7 +133,11 @@ def _number(val, name: str, limit: float | None = None) -> float:
     and at most ``limit`` in magnitude."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name} must be a number, got {val!r}")
-    x = float(val)
+    try:
+        x = float(val)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer of {val.bit_length()} bits, too large "
+                          "for a float") from None
     if limit is not None and not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {val!r}")
     if limit is not None and abs(x) > limit:
@@ -476,18 +481,29 @@ def _checked_certificate(p, box, T: float, name: str, c_keys: str = _C_KEYS) -> 
     """``build_certificate``, with a level C that has no balance points,
     an overflow or a constant that is not finite reported as a
     ConfigError naming its keys: ``name`` is the key of T and ``c_keys``
-    the keys of C."""
+    the keys of C.  An overflow names T first only when the certificate
+    at T = 0 does not overflow; otherwise T plays no part, and the bond
+    law, C and its band constant C1 lead."""
     try:
         p.balance
     except ToleranceError as exc:
         raise ConfigError(f"C = {p.C!r}, from {c_keys}, has no balance points: the bond "
                           "force must reach +C left of the midpoint and -C right of it"
                           ) from exc
-    # Finite inputs can still overflow: x_bound grows as C*T**2.
+    # Finite inputs can still overflow: x_bound grows as C*T**2, and t0's
+    # bracket search takes exp(C1 t) from t = 1, whatever T.
     try:
         cert = build_certificate(p, box, T)
     except OverflowError as exc:
-        raise ConfigError(f"{name} = {T!r} overflows the certificate: {exc}") from exc
+        law = "table" if p.model.nodes is not None else p.model.kind.value
+        what = f"the certificate of the {law} bond law with C = {p.C!r}, from {c_keys}"
+        try:
+            build_certificate(p, box, 0.0)
+        except OverflowError:
+            raise ConfigError(f"{what}, overflows at any T (band constant C1 = "
+                              f"{gronwall_constants(p)[0]!r}; {name} = {T!r} plays no "
+                              f"part): {exc}") from exc
+        raise ConfigError(f"{name} = {T!r} overflows {what}: {exc}") from exc
     try:
         cert.to_json(allow_nan=False)
     except ValueError as exc:

@@ -30,7 +30,8 @@ dt = 0.005 to 0.0025 (``tests/test_trajectory.py``).  At coarser steps
 the substep counts change with dt, and the ratio reads 1.7-3.6.
 
 The field is frozen for a whole call: any object with ``pm`` and
-``norms``, such as a ``FieldSnapshot``.
+``norms``, such as a ``FieldSnapshot``, whose bucket table a batch
+builds for the call alone (``integrate_batch``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import hooke as _hooke
 from .errors import DomainError, StepUnderflowError
-from .field import ParticleState, write_table
+from .field import FieldSnapshot, ParticleState, write_table
 from .hooke import BalancePoints, HookeModel
 
 __all__ = [
@@ -315,8 +316,14 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
     so lockstep sampling is preserved.  The field pair is
     queried once per call: a step's closing pair, taken at the states it
     returns, is the next step's opening pair, and its closing bond force
-    is likewise the next step's opening force.  The state is held in an
-    (n, 4) Fortran-order array, so each of its columns is contiguous.
+    is likewise the next step's opening force.  A ``FieldSnapshot`` is
+    queried through ``field_provider.indexed(n, steps + 1)``: a copy
+    with a bucket table when that many array queries pay for its build,
+    which answers every query as the plain snapshot does, bit for bit.
+    The copy is dropped when the call returns, so neither the snapshot
+    passed in nor a history holding it keeps the table.  The state is
+    held in an (n, 4) Fortran-order array, so each of its columns is
+    contiguous.
     With ``record=True`` returns (final, t_samples, samples, f_minus)
     where samples has shape (n_samples, n, 4) and f_minus from the same
     pairs; a slice ``record=rows`` records copies of ``states[rows]``
@@ -336,13 +343,17 @@ def integrate_batch(states: np.ndarray, field_provider, model: HookeModel,
         raise DomainError(f"row {i}, [x, v, omega, eta] = {z[i].tolist()!r}: omega outside "
                           "the guarded bond domain or a non-finite coordinate")
     rows = np.arange(*record.indices(len(z))) if isinstance(record, slice) else slice(None)
-    pair, fh = field_provider.pm(z[:, 0], z[:, 2]), None
+    targets = _time_grid(t0, t1, control.dt) if t1 != t0 else []
+    field = field_provider
+    if isinstance(field, FieldSnapshot):
+        field = field.indexed(len(z), len(targets) + 1)
+    pair, fh = field.pm(z[:, 0], z[:, 2]), None
     ts = [t0]
     recs = [z[rows]] if record else None
     fmr = [pair[1][rows]] if record else None
-    for target in _time_grid(t0, t1, control.dt) if t1 != t0 else []:
+    for target in targets:
         try:
-            z, pair, fh = _advance_batch(z, field_provider, model, target - ts[-1], control,
+            z, pair, fh = _advance_batch(z, field, model, target - ts[-1], control,
                                          lo, hi, pair, fh)
         except StepUnderflowError as exc:
             exc.time = float(ts[-1])

@@ -206,6 +206,45 @@ class TestExitCodes:
         assert dispatch(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command):
+        # float() of such an int raised OverflowError out of dispatch; an
+        # int of more than 4300 digits fails in json.loads, whose limit
+        # raises a ValueError that is no JSONDecodeError.
+        cfg = write_config(tmp_path, T=10**400)
+        args = [command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert dispatch(args) == EXIT_CONFIG
+        assert "T is an integer of 1329 bits, too large for a float" in capsys.readouterr().err
+        assert dispatch(args + ["--set", "T=" + "9" * 5000]) == EXIT_CONFIG
+        assert "T must be a number" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text().replace("1" + "0" * 400, "1" + "0" * 5000))
+        assert dispatch(args) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_particle_file_without_rows(self, tmp_path, capsys):
+        # numpy only warns on a file with no rows, and the run went on to
+        # fail on the columns; under warnings as errors the warning escaped.
+        path = tmp_path / "ens.csv"
+        path.write_text("x,v,omega,eta,w\n")
+        cfg = write_config(tmp_path, datum={"kind": "particles", "path": str(path)})
+        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"{path}: no particle rows after the header" in capsys.readouterr().err
+
+    def test_certificate_overflow_at_any_T_names_the_bond_law(self, tmp_path, capsys):
+        # A tangent table with nodes at 1e-4 from the walls has a band
+        # constant C1 near 3,500, and exp(C1 t) overflows in t0's bracket
+        # search whatever T is: the message leads with the law and C, not T.
+        w = np.linspace(1e-4, 1 - 1e-4, 8)
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
+        hooke = {"kind": "table", "epsilon": 1.0, "table_path": str(tmp_path / "law.txt")}
+        cfg = write_config(tmp_path, hooke=hooke,
+                           bounds=dict(TestConfigSweep.BASE["bounds"]))
+        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the certificate of the table bond law with "
+                              "C = 3.0, from bounds.C, overflows at any T (band constant C1 = ")
+        assert "bounds.T = 0.02 plays no part" in err
+
     @pytest.mark.parametrize("command", ["trajectory", "simulate"])
     def test_bad_control_value(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, control={"eta_scale": "abc"},

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,85 @@ class TestFieldPm:
             got, want = snap.pm(*args), two_at(*args)
             for g, w in zip(got, want, strict=True):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestBucketIndex:
+    """An ``indexed`` snapshot answers array queries from its bucket table,
+    and its values are the plain search's, bit for bit, with no warning."""
+
+    ALWAYS = 10**9  # rows a call: enough for any U to build the table
+
+    @staticmethod
+    def positions(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "ties":  # integers, with -0.0 and 0.0 mixed
+            pos = rng.integers(-3, 4, n).astype(float)
+            pos[np.flatnonzero(pos == 0.0)[::2]] = -0.0
+            return pos
+        if kind == "inf":
+            return np.concatenate([[np.inf, -np.inf], rng.normal(0, 1, n)])[:n]
+        # A span of 2e300 leaves the clip bounds finite; one near 1.7e308
+        # (clip bound u_{U-1} + span past the float range) or over it does not.
+        scale = {"unit": 1.0, "wide": 1e300, "half": 1.7e308, "huge": 1.7e308,
+                 "fine": 1e-300}[kind]
+        low = 0.0 if kind == "half" else -1.0
+        pos = scale * np.concatenate([[low, 1.0], rng.uniform(low, 1, n)])[:n]
+        pos[2: n // 4] = pos[n // 4: 2 * (n // 4) - 2]  # ties
+        return pos
+
+    @staticmethod
+    def queries(snap, seed):
+        u = snap._keys[:-1]
+        edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+                 np.finfo(float).max]
+        with np.errstate(invalid="ignore"):  # midpoints of -inf and inf
+            mid = 0.5 * u[1:] + 0.5 * u[:-1]
+        q = [u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf), mid]
+        if snap._index is not None:
+            (lo, s, clamp_lo, clamp_hi, top), _ = snap._index
+            b = lo + np.arange(-2.0, top + 3.0) / s  # near every bucket edge
+            q += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+            edges += [clamp_lo, clamp_hi]
+        q = np.concatenate(q)
+        rng = np.random.default_rng(seed)
+        q = rng.choice(q, min(q.size, 6000), replace=False)  # a sample of each kind
+        return rng.permutation(np.concatenate([q, edges]))
+
+    @given(kind=st.sampled_from(["ties", "inf", "unit", "wide", "half", "huge", "fine"]),
+           n=st.sampled_from([0, 1, 2, 3, 40, 1500]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_queries_equal_the_search(self, kind, n, seed):
+        pos = self.positions(kind, n, seed)
+        snap = FieldSnapshot(pos, np.random.default_rng(seed).uniform(0, 1, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ind = snap.indexed(self.ALWAYS, 1)
+        U = snap._keys.size - 1
+        if U >= 2 and kind in ("ties", "unit", "wide", "fine"):
+            assert ind._index is not None and ind._index[1].size == 4 * U + 4
+        if U < 2 or kind in ("inf", "half", "huge"):
+            assert ind is snap
+        q = self.queries(ind, seed)
+        om = np.zeros(q.size)
+        om[::3] = 0.5  # a third of the queries move off the keys
+        for args in ((q, om), (q, 0.0), (q, 0.5), (0.25, om), (q[:, None], om[None, :8]),
+                     (q[: q.size // 8 * 8].reshape(8, -1), 0.0), (np.empty(0), 0.5)):
+            want = snap.pm(*args)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ind.pm(*args)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (kind, n, args)
+        assert snap._index is None
+
+    def test_tiny_batches_build_no_table(self):
+        # A lone row, jacobian_estimate's eight rows, and calls that read
+        # fewer rows in all than U/4 answer from the plain snapshot.
+        snap = FieldSnapshot(np.arange(20736.0), np.ones(20736))
+        assert snap.indexed(1, 10**6) is snap
+        assert snap.indexed(8, 10**6) is snap
+        assert snap.indexed(512, 10) is snap
+        assert snap.indexed(512, 11)._index is not None
 
 
 class TestNorms:
@@ -509,6 +589,14 @@ class TestCsv:
         p = tmp_path / "ens.csv"
         p.write_text("x,v,omega,eta,w\r\n0,0,0.5,0,0.5\r\n0.1,0,0.5,0,nan\r\n")
         with pytest.raises(DomainError):
+            Ensemble.load_csv(p)
+
+    @pytest.mark.parametrize("text", ["", "x,v,omega,eta,w\r\n", "x,v,omega,eta,w\n\n# none\n"],
+                             ids=["empty", "header", "blank-and-comment"])
+    def test_load_csv_rejects_a_file_without_rows(self, tmp_path, text):
+        p = tmp_path / "ens.csv"
+        p.write_text(text)
+        with pytest.raises(DomainError, match="no particle rows after the header"):
             Ensemble.load_csv(p)
 
     def test_load_csv_roundtrips_bits(self, tmp_path):

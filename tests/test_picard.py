@@ -162,6 +162,34 @@ class TestIterate:
         assert r2[0].support.Px >= r1[0].support.Px
         assert r2[0].support.Pomega_plus >= r1[0].support.Pomega_plus
 
+    def test_no_snapshot_keeps_a_bucket_table(self, monkeypatch):
+        # Forward pushes of 1,296 rows and backward pushes of 512 probes
+        # build a table for each integrate_batch call; the snapshots passed
+        # in, and every snapshot of every round's history, hold none after.
+        passed, hists, built = [], [], []
+        batch, push, indexed = simulator.integrate_batch, picard._push_collect, \
+            FieldSnapshot.indexed
+        for mod in (simulator, picard):
+            monkeypatch.setattr(mod, "integrate_batch",
+                                lambda z, field, *a, **k: passed.append(field)
+                                or batch(z, field, *a, **k))
+
+        def collect(*a):
+            out = push(*a)
+            hists.append(out[1])
+            return out
+
+        monkeypatch.setattr(picard, "_push_collect", collect)
+        monkeypatch.setattr(FieldSnapshot, "indexed",
+                            lambda s, rows, calls: built.append(indexed(s, rows, calls))
+                            or built[-1])
+        d = small_datum()
+        iterate(d, d.support(), (6, 6, 6, 6), tangent_model(1.0), T=0.02, n_max=3,
+                probe_grid=512, control=StepControl(dt=0.01), dt_macro=0.01)
+        assert len(hists) == 2 and passed  # round 2 reaches the fixed point
+        assert sum(s._index is not None for s in built) == len(passed)
+        assert all(s._index is None for s in passed + [s for h in hists for s in h])
+
     def test_field_norm_bounded_by_twice_mass(self):
         recs, _ = self.setup_run(n_max=2)
         d = small_datum()

@@ -565,6 +565,35 @@ class TestStepContract:
             assert path.f_minus[i] == snap.pm(path.x[i], path.omega[i])[1]
 
 
+class TestIndexedField:
+    """A batch answers its array queries from a bucket table built for the
+    call (``FieldSnapshot.indexed``), and its rows, samples and f_minus
+    come out as under the plain search, bit for bit."""
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_rows_equal_the_plain_search(self, tan1, monkeypatch, backward):
+        snap = TestStepContract.snapshot()  # 30,001 charges, one every 1e-4
+        rng = np.random.default_rng(7)
+        n = 600
+        z = np.column_stack([rng.uniform(-1.4, 1.4, n), rng.normal(0.0, 0.3, n),
+                             rng.uniform(0.3, 0.7, n), rng.normal(0.0, 0.5, n)])
+        z[:100, 0] = np.round(z[:100, 0], 4)  # bonds centred on a charge
+        z[:50, 2] = 0.5
+        t0, t1 = (0.3, 0.0) if backward else (0.0, 0.3)
+        built = []
+        indexed = FieldSnapshot.indexed
+        monkeypatch.setattr(FieldSnapshot, "indexed",
+                            lambda s, rows, calls: built.append(indexed(s, rows, calls))
+                            or built[-1])
+        got = integrate_batch(z, snap, tan1, t0, t1, StepControl(dt=0.01), record=True)
+        assert len(built) == 1 and built[0]._index is not None
+        monkeypatch.setattr(FieldSnapshot, "indexed", lambda s, rows, calls: s)
+        want = integrate_batch(z, snap, tan1, t0, t1, StepControl(dt=0.01), record=True)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert snap._index is None
+
+
 class TestBatchIndependence:
     """Batching changes no result: each row of a mixed batch comes out
     bit-for-bit as it does when advanced alone."""
