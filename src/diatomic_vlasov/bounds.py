@@ -131,10 +131,14 @@ def confinement_time(p: BoundParameters) -> float:
     in the eps0/2 band up to t0.
 
     The defining function is strictly increasing from 0, so a bracketing
-    bisection on it always succeeds.
+    bisection on it always succeeds; a probe where it overflows (exp(C1 s)
+    for C1 s above about 709) is past the target.
     """
     def f(s: float) -> float:
-        return displacement_bound(p, p.epsilon, p.R, s)
+        try:
+            return displacement_bound(p, p.epsilon, p.R, s)
+        except OverflowError:
+            return math.inf
 
     target = 0.25 * p.epsilon0 * (1.0 - 1e-12)
     hi = 1.0

@@ -28,7 +28,7 @@ from .errors import (
     NoConfinementError,
     StepUnderflowError,
 )
-from .field import write_table
+from .field import read_table, write_table
 from .hooke import validate_model
 from .picard import dump_iteration_log, iterate
 from .simulator import RunConfig, dump_diagnostics_csv, run
@@ -165,17 +165,6 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _load_columns(path: Path, ncols: int) -> np.ndarray:
-    """A dumped CSV's rows below its header, with at least ncols columns."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {str(path)!r}: {exc}") from exc
-    if data.shape[1] < ncols:
-        raise ConfigError(f"{str(path)!r} has {data.shape[1]} columns, expected {ncols}")
-    return data
-
-
 def _cmd_certify(args) -> int:
     if not (math.isfinite(args.slack) and args.slack >= 0.0):
         raise ConfigError(f"--slack must be finite and >= 0, got {args.slack!r}")
@@ -201,9 +190,9 @@ def _cmd_certify(args) -> int:
     reports = []
     any_fail = False
     for pth in seed_paths:
-        data = _load_columns(pth, 5)
+        data = read_table(pth, 5, "path")
         aux_file = pth.with_name(pth.name.replace("_path", "_aux"))
-        aux = _load_columns(aux_file, 2)
+        aux = read_table(aux_file, 2, "aux")
         if len(aux) != len(data):
             raise ConfigError(f"{str(aux_file)!r} has {len(aux)} rows, {pth.name} {len(data)}")
         path = TrajectoryPath(

@@ -90,6 +90,7 @@ def sample_datum(datum: BumpDatum, box, shape, epsilon: float) -> Ensemble:
 # dimensions 2-4 take the Joe & Kuo (SIAM J. Sci. Comput. 30, 2008)
 # primitive polynomials as (degree s, coefficient bits a, initial m).
 _SOBOL_BITS = 30
+MAX_SOBOL_POINTS = 2 ** _SOBOL_BITS  # sobol_box's largest n
 _JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "field_w1",
     "ConstantField",
     "zero_field",
+    "read_table",
     "write_table",
 ]
 
@@ -99,6 +100,28 @@ def write_table(path, header, columns, end: str = "\r\n") -> None:
         for j, c in enumerate(cols):
             block[:, j] = c
         fh.write(line * n % tuple(block.ravel().tolist()))
+
+
+def read_table(path, ncols: int, what: str, header: bool = True) -> np.ndarray:
+    """The rows of a text table as an (n, ncols) float array, n >= 1.
+
+    Two formats: with ``header``, ``write_table``'s (a header line, then
+    ``,``-separated rows, either line end); without it, ``np.savetxt``'s
+    default (whitespace-separated rows, no header).  ``#`` starts a
+    comment.  DomainError naming the file when no ``what`` row is left
+    (numpy would only warn), a row does not parse (text that is not UTF-8
+    included) or the rows are not ``ncols`` wide."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1 if header else 0:]
+        if not any(line.split("#", 1)[0].strip() for line in rows):
+            raise DomainError(f"{path}: no {what} rows" + (" after the header" if header else ""))
+        data = np.loadtxt(rows, delimiter="," if header else None, dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    if data.shape[1] != ncols:
+        raise DomainError(f"{path}: rows of {data.shape[1]} columns, expected {ncols}")
+    return data
 
 
 def _write_blocks(fh, cols, end: str) -> None:
@@ -300,18 +323,8 @@ class Ensemble:
     @classmethod
     def load_csv(cls, path) -> "Ensemble":
         """The particles of a CSV file: a header line, then rows x, v,
-        omega, eta, w.  DomainError naming the file unless it holds at
-        least one row (numpy would only warn) of five numbers."""
-        try:
-            with open(path) as fh:
-                rows = fh.read().splitlines()[1:]
-            if not any(line.split("#", 1)[0].strip() for line in rows):
-                raise DomainError(f"{path}: no particle rows after the header")
-            data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
-        except ValueError as exc:  # also a line that is not text
-            raise DomainError(f"{path}: {exc}") from exc
-        if data.shape[1] != 5:
-            raise DomainError(f"{path}: expected columns x,v,omega,eta,w")
+        omega, eta, w (``read_table``'s first format)."""
+        data = read_table(path, 5, "particle")
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
 
 

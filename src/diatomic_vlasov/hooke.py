@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RangeError, ToleranceError
+from .field import read_table
 
 __all__ = [
     "Branch",
@@ -187,14 +188,13 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
 
 
 def load_table_model(path, epsilon: float) -> HookeModel:
-    """Load a two-column plain-text table (omega, force) into a model."""
+    """A model of a plain-text table of (omega, force) rows, no header
+    (``read_table``'s second format); every DomainError names the file."""
+    data = read_table(path, 2, "table", header=False)
     try:
-        data = np.loadtxt(path, dtype=float)
-    except ValueError as exc:
+        return table_model(epsilon, data[:, 0], data[:, 1])
+    except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise DomainError(f"{path}: expected two columns (omega, force)")
-    return table_model(epsilon, data[:, 0], data[:, 1])
 
 
 def _check_domain(model: HookeModel, omega) -> np.ndarray:

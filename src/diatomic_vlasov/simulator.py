@@ -31,9 +31,8 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import hooke as _hooke
-from .bounds import (BoundCertificate, build_certificate, certificate_parameters, certify,
-                     gronwall_constants)
-from .datum import BumpDatum, sample_datum, sobol_box
+from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
+from .datum import MAX_SOBOL_POINTS, BumpDatum, sample_datum, sobol_box
 from .errors import ConfigError, ToleranceError
 from .field import (ConstantField, Ensemble, FieldSnapshot, ParticleState, build_field,
                     write_table, zero_field)
@@ -91,6 +90,8 @@ _FIELD_KEYS = {"kind", "f_plus", "f_minus"}
 
 
 _AXES = ("x", "v", "omega", "eta")
+# The size keys that count Sobol points (``datum.sobol_box``).
+_SOBOL_KEYS = ("tracked_interior", "probe_grid", "detj_seeds")
 
 # Most steps one horizon may take (T over its step), so that no config
 # asks for a time grid too long to build.
@@ -159,7 +160,7 @@ class RunConfig:
       kind                 "tangent" (default) or "table".
       epsilon              bond domain length, default 1; positive, finite.
       table_path           table laws: a non-empty string naming a file of
-                           (omega, force) rows.
+                           (omega, force) rows, at least one.
     datum                  the initial ensemble; simulate, picard, and
                            bounds without bounds.support_box.  simulate
                            and bounds need particles, all with omega
@@ -174,7 +175,8 @@ class RunConfig:
       grid                 bumps: four integers >= 1, cells per axis;
                            default [8, 8, 8, 8].
       path                 particles: a non-empty string naming a CSV
-                           with columns x, v, omega, eta, w.
+                           with columns x, v, omega, eta, w and at least
+                           one row below its header.
     T                      horizon, default 1; load: finite, > 0.  The
                            default of trajectory.T and bounds.T.
     dt_macro               field rebuild step, default 0.01; load: finite,
@@ -189,7 +191,8 @@ class RunConfig:
                            finite, >= 0.
     tracked_boundary,      seeds at the support box's corners (at most
     tracked_interior       16) and inside it, default 16 each; load:
-                           integers >= 0.  simulate.
+                           integers >= 0, tracked_interior at most
+                           2**30 (the Sobol points).  simulate.
     c_safety               C = c_safety * max(2 * mass, edge force),
                            default 1.5; load: finite, > 0.  simulate,
                            bounds.  C must have balance points.
@@ -199,14 +202,15 @@ class RunConfig:
     output_dir             output directory, default "."; --output-dir
                            replaces it; load: a string or null.  simulate,
                            picard, trajectory.
-    probe_grid, n_max,     Picard probe count (load: integer >= 1), round
-    picard_tol             cap (integer >= 0) and stop level (a number);
-                           defaults 4096, 8, 0.  picard.
+    probe_grid, n_max,     Picard probe count (load: integer >= 1, at
+    picard_tol             most 2**30), round cap (integer >= 0) and
+                           stop level (a number); defaults 4096, 8, 0.
+                           picard.
     continuation_margin    relative warn margin of the continuation check,
                            default 0.01; load: finite, >= 0.  simulate.
     detj_seeds, detj_every Jacobian probe seeds and interval in macro
                            steps, 0 (default) for none; load: integers
-                           >= 0.  simulate.
+                           >= 0, detj_seeds at most 2**30.  simulate.
     trajectory             the trajectory command only.
       seed                 object with omega and any of x, v, eta
                            (default 0); each at most MAX_MAGNITUDE.
@@ -266,6 +270,8 @@ class RunConfig:
             least = 1 if f.name == "probe_grid" else 0
             if f.type == "int" and (type(val) is not int or val < least):
                 raise ConfigError(f"{f.name} must be an integer >= {least}, got {val!r}")
+            if f.name in _SOBOL_KEYS and val > MAX_SOBOL_POINTS:
+                raise ConfigError(f"{f.name} is {val!r}, over the cap of 2**30 Sobol points")
         if not isinstance(cfg.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {cfg.output_dir!r}")
         dt = cfg.control.get("dt", cfg.dt_macro)
@@ -483,15 +489,15 @@ def _checked_certificate(p, box, T: float, name: str, c_keys: str = _C_KEYS) -> 
     ConfigError naming its keys: ``name`` is the key of T and ``c_keys``
     the keys of C.  An overflow names T first only when the certificate
     at T = 0 does not overflow; otherwise T plays no part, and the bond
-    law, C and its band constant C1 lead."""
+    law and C lead."""
     try:
         p.balance
     except ToleranceError as exc:
         raise ConfigError(f"C = {p.C!r}, from {c_keys}, has no balance points: the bond "
                           "force must reach +C left of the midpoint and -C right of it"
                           ) from exc
-    # Finite inputs can still overflow: x_bound grows as C*T**2, and t0's
-    # bracket search takes exp(C1 t) from t = 1, whatever T.
+    # Finite inputs can still overflow: x_bound grows as C*T**2, and the
+    # excursion envelope squares the eta edge, whatever T.
     try:
         cert = build_certificate(p, box, T)
     except OverflowError as exc:
@@ -500,8 +506,7 @@ def _checked_certificate(p, box, T: float, name: str, c_keys: str = _C_KEYS) -> 
         try:
             build_certificate(p, box, 0.0)
         except OverflowError:
-            raise ConfigError(f"{what}, overflows at any T (band constant C1 = "
-                              f"{gronwall_constants(p)[0]!r}; {name} = {T!r} plays no "
+            raise ConfigError(f"{what}, overflows at any T ({name} = {T!r} plays no "
                               f"part): {exc}") from exc
         raise ConfigError(f"{name} = {T!r} overflows {what}: {exc}") from exc
     try:

@@ -1,5 +1,5 @@
-"""Export lists name only what their modules define, and every error
-class is raised."""
+"""Export lists name only what their modules define, every error class
+is raised, and one function parses text tables."""
 
 import ast
 import importlib
@@ -56,3 +56,18 @@ def test_every_error_class_is_raised():
             live.update(bases[name])
     unraised = sorted(set(bases) - live)
     assert not unraised, f"errors.py classes never raised: {unraised}"
+
+
+def test_one_table_reader():
+    # Every text table goes through field.read_table, so one rule covers
+    # empty and malformed files: it holds the package's only np.loadtxt.
+    def sites(tree):
+        return [n for n in ast.walk(tree) if "loadtxt" in (
+            getattr(n, "attr", None), getattr(n, "id", None), getattr(n, "name", None))]
+
+    src = Path(diatomic_vlasov.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    reader = next(n for n in ast.walk(trees["field"])
+                  if isinstance(n, ast.FunctionDef) and n.name == "read_table")
+    found = {name: len(sites(tree)) for name, tree in trees.items() if sites(tree)}
+    assert len(sites(reader)) == 1 and found == {"field": 1}, f"loadtxt sites per module: {found}"

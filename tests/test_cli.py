@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from diatomic_vlasov import (
     ParticleState,
     StepControl,
     balance_points,
+    certificate_parameters,
+    confinement_time,
+    displacement_bound,
     integrate,
     tangent_model,
     zero_field,
@@ -231,19 +235,49 @@ class TestExitCodes:
         assert f"{path}: no particle rows after the header" in capsys.readouterr().err
 
     def test_certificate_overflow_at_any_T_names_the_bond_law(self, tmp_path, capsys):
-        # A tangent table with nodes at 1e-4 from the walls has a band
-        # constant C1 near 3,500, and exp(C1 t) overflows in t0's bracket
-        # search whatever T is: the message leads with the law and C, not T.
+        # With eta edges at 1e200 the excursion envelope squares 1e200,
+        # which overflows whatever T is: the message leads with the law
+        # and C, not T.
         w = np.linspace(1e-4, 1 - 1e-4, 8)
         np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
         hooke = {"kind": "table", "epsilon": 1.0, "table_path": str(tmp_path / "law.txt")}
-        cfg = write_config(tmp_path, hooke=hooke,
-                           bounds=dict(TestConfigSweep.BASE["bounds"]))
+        bounds = dict(TestConfigSweep.BASE["bounds"])
+        bounds["support_box"] = bounds["support_box"][:6] + [-1e200, 1e200]
+        cfg = write_config(tmp_path, hooke=hooke, bounds=bounds)
         assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: the certificate of the table bond law with "
-                              "C = 3.0, from bounds.C, overflows at any T (band constant C1 = ")
-        assert "bounds.T = 0.02 plays no part" in err
+        assert capsys.readouterr().err.startswith(
+            "config error: the certificate of the table bond law with C = 3.0, from "
+            "bounds.C, overflows at any T (bounds.T = 0.02 plays no part): ")
+
+    @pytest.mark.parametrize("law, edge, c1, t0, rel", [
+        ("tangent", 0.001, 1274.513, 1.0587e-4, 1e-4),
+        ("table", None, 3520.425, 7.427e-4, 1e-4),
+        ("tangent", 0.01, 128.5995, 0.0010570188106360234, 0.0),
+    ], ids=["tangent-0.001", "table-1e-4", "tangent-0.01"])
+    def test_certificate_for_bonds_near_the_walls(self, tmp_path, capsys, law, edge, c1, t0,
+                                                  rel):
+        # Band constants C1 above about 710 once overflowed exp(C1 t) at
+        # t0's first probe, t = 1, and gave no certificate; C1 = 128.6
+        # never did, and keeps t0's bits.
+        if law == "tangent":
+            hooke = {"kind": "tangent", "epsilon": 1.0}
+            bounds = {"T": 0.02, "C": 400.0, "C_minus": 1.0,
+                      "support_box": [-1, 1, -1, 1, edge, 1 - edge, -1, 1]}
+        else:
+            w = np.linspace(1e-4, 1 - 1e-4, 8)
+            np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
+            hooke = {"kind": "table", "epsilon": 1.0, "table_path": str(tmp_path / "law.txt")}
+            bounds = dict(TestConfigSweep.BASE["bounds"])
+        cfg = write_config(tmp_path, hooke=hooke, bounds=bounds)
+        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_OK
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["C1"] == pytest.approx(c1, rel=1e-6)
+        assert cert["t0"] == pytest.approx(t0, rel=rel, abs=0.0)
+        given = {k: v for k, v in bounds.items() if k not in ("T", "support_box")}
+        p = certificate_parameters(RunConfig.from_dict(json.loads(cfg.read_text())).build_model(),
+                                   tuple(bounds["support_box"]), **given)
+        assert 0.0 < confinement_time(p) == cert["t0"]
+        assert displacement_bound(p, p.epsilon, p.R, cert["t0"]) < p.epsilon0 / 4
 
     @pytest.mark.parametrize("command", ["trajectory", "simulate"])
     def test_bad_control_value(self, tmp_path, capsys, command):
@@ -384,21 +418,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, name, text", [
         ("datum", "bad.csv", "x,v,omega,eta,w\n0,0,zz,0,1\n"),
         ("hooke", "law.txt", "0.1 two\n"),
+        pytest.param("hooke", "law.txt", "", id="law-empty"),
+        pytest.param("hooke", "law.txt", "# omega force\n\n# no rows\n", id="law-comments"),
+        pytest.param("hooke", "law.txt",
+                     "".join(f"{w} {0.5 - w} 0\n" for w in (0.1, 0.3, 0.5, 0.7, 0.9)),
+                     id="law-3-columns"),
+        pytest.param("hooke", "law.txt", "0.5 0\n", id="law-one-row"),  # too short for a law
     ])
     def test_unparseable_input_file(self, tmp_path, capsys, section, name, text):
+        # numpy only warns on a file with no rows: that warning must not
+        # be the report.
         path = tmp_path / name
         path.write_text(text)
         spec = ({"kind": "particles", "path": str(path)} if section == "datum"
                 else {"kind": "table", "epsilon": 1.0, "table_path": str(path)})
         cfg = write_config(tmp_path, **{section: spec})
-        assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not caught
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, text", [
         ("seed_001_path.csv", "t,x,v,omega,eta\r\n0,1,two,0.5,0\r\n"),
         ("seed_001_aux.csv", "t,f_minus\n0,0\n"),  # fewer rows than the path
         ("max_field_norm.json", None),  # deleted: no norm to replay the paths with
-    ], ids=["unparseable-path", "short-aux", "no-field-norm"])
+        ("seed_001_path.csv", "t,x,v,omega,eta\r\n"),
+        ("seed_001_aux.csv", "t,f_minus\n"),
+        ("seed_001_path.csv", "t,x,v,omega,eta\r\n0,0,0,0.5\r\n"),
+    ], ids=["unparseable-path", "short-aux", "no-field-norm", "header-only-path",
+            "header-only-aux", "narrow-path"])
     def test_certify_bad_seed_file(self, tmp_path, capsys, name, text):
         datum = json.loads(write_config(tmp_path).read_text())["datum"]
         datum["grid"] = [3, 3, 3, 3]
@@ -411,7 +460,10 @@ class TestExitCodes:
         else:
             (out / name).write_text(text)
         capsys.readouterr()
-        assert dispatch(["certify", "--path", str(out)]) == EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(["certify", "--path", str(out)]) == EXIT_CONFIG
+        assert not caught
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, over, key", [
@@ -434,6 +486,20 @@ class TestExitCodes:
         assert dispatch([command, "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"config error: {key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("val", [2**30 + 1, 10**30])
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "tracked_interior"), ("picard", "probe_grid"), ("simulate", "detj_seeds"),
+    ])
+    def test_sobol_sizes_capped(self, tmp_path, capsys, val, command, key):
+        # Past 2**30 points sobol_box raised a ValueError out of dispatch;
+        # the load check rejects them before anything is allocated (at the
+        # cap itself, sobol_box would allocate 16 GiB).
+        cfg = write_config(tmp_path, **{key: val, "detj_every": 1})
+        assert dispatch([command, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"config error: {key} is {val}, over the cap of 2**30 Sobol points" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds, key", [
         ({"T": math.inf}, "bounds.T"),
