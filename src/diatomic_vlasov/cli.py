@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands: validate-hooke, trajectory, bounds, picard, simulate,
-certify.  Configuration is a single JSON document, whose keys, rules and
-readers ``simulator.RunConfig`` documents; ``--set key=value`` overrides
-top-level scalars.  Exit codes: 0 success, 2 config error,
-3 numerical failure (step underflow / no confinement), 4 certificate or
-hypothesis violation.  All floating output uses 17 significant digits so
-values round-trip exactly.
+certify.  ``COMMANDS`` maps each but certify, which reads a run
+directory, to its handler of a config.  Configuration is a single JSON
+document, whose keys, rules and readers ``simulator.RunConfig``
+documents; ``--set key=value`` overrides top-level scalars.  Exit codes:
+0 success, 2 config error, 3 numerical failure (step underflow / no
+confinement), 4 certificate or hypothesis violation.  All floating output
+uses 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -153,12 +154,12 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     result = run(cfg)
     out = _out_dir(cfg, args.output_dir)
     _write_run_outputs(result, out, seed_report=args.seed_report)
-    n_fail = sum(1 for d in result.series
-                 if d.status.value == "fail")
+    fails = [d for d in result.series if d.status.value == "fail"]
+    first = f" (first at t={fails[0].time:.17g}, {fails[0].violated})" if fails else ""
     print(f"simulated T={cfg.T:.17g} with {len(result.final)} particles; "
           f"{len(result.series)} diagnostic rows; "
           f"{sum(len(p.events) for p in result.tracked_paths)} events; "
-          f"continuation failures: {n_fail}")
+          f"continuation failures: {len(fails)}{first}")
     if result.cert_reports and not all(r.passed for r in result.cert_reports):
         print("certificate violations among tracked seeds", file=sys.stderr)
         return EXIT_VIOLATION
@@ -190,9 +191,9 @@ def _cmd_certify(args) -> int:
     reports = []
     any_fail = False
     for pth in seed_paths:
-        data = read_table(pth, 5, "path")
+        data = read_table(pth, ["t", "x", "v", "omega", "eta"], "path")
         aux_file = pth.with_name(pth.name.replace("_path", "_aux"))
-        aux = read_table(aux_file, 2, "aux")
+        aux = read_table(aux_file, ["t", "f_minus"], "aux")
         if len(aux) != len(data):
             raise ConfigError(f"{str(aux_file)!r} has {len(aux)} rows, {pth.name} {len(data)}")
         path = TrajectoryPath(
@@ -205,6 +206,10 @@ def _cmd_certify(args) -> int:
         any_fail = any_fail or not rep.passed
     print(json.dumps(reports, indent=2))
     return EXIT_VIOLATION if any_fail else EXIT_OK
+
+
+COMMANDS = {"validate-hooke": _cmd_validate_hooke, "trajectory": _cmd_trajectory,
+            "bounds": _cmd_bounds, "picard": _cmd_picard, "simulate": _cmd_simulate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,18 +254,7 @@ def dispatch(argv=None) -> int:
     try:
         if args.command == "certify":
             return _cmd_certify(args)
-        cfg = _load_config(args.config, args.overrides)
-        if args.command == "validate-hooke":
-            return _cmd_validate_hooke(cfg, args)
-        if args.command == "trajectory":
-            return _cmd_trajectory(cfg, args)
-        if args.command == "bounds":
-            return _cmd_bounds(cfg, args)
-        if args.command == "picard":
-            return _cmd_picard(cfg, args)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](_load_config(args.config, args.overrides), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

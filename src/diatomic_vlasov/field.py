@@ -102,25 +102,30 @@ def write_table(path, header, columns, end: str = "\r\n") -> None:
         fh.write(line * n % tuple(block.ravel().tolist()))
 
 
-def read_table(path, ncols: int, what: str, header: bool = True) -> np.ndarray:
-    """The rows of a text table as an (n, ncols) float array, n >= 1.
+def read_table(path, columns, what: str, header: bool = True) -> np.ndarray:
+    """The rows of a text table as an (n, len(columns)) float array, n >= 1.
 
-    Two formats: with ``header``, ``write_table``'s (a header line, then
-    ``,``-separated rows, either line end); without it, ``np.savetxt``'s
-    default (whitespace-separated rows, no header).  ``#`` starts a
-    comment.  DomainError naming the file when no ``what`` row is left
-    (numpy would only warn), a row does not parse (text that is not UTF-8
-    included) or the rows are not ``ncols`` wide."""
+    Two formats: with ``header``, ``write_table``'s (the header line of
+    the ``columns`` names, then ``,``-separated rows, either line end);
+    without it, ``np.savetxt``'s default (whitespace-separated rows, no
+    header), where only the count of ``columns`` is used.  ``#`` starts a
+    comment.  DomainError naming the file when a header is not the
+    ``columns`` names (spaces around a name aside), no ``what`` row is
+    left (numpy would only warn), a row does not parse (text that is not
+    UTF-8 included) or the rows are not ``len(columns)`` wide."""
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = fh.read().splitlines()[1 if header else 0:]
+            lines = fh.read().splitlines()
+        if header and lines and [c.strip() for c in lines[0].split(",")] != list(columns):
+            raise DomainError(f"{path}: header {lines[0]!r}, expected {','.join(columns)!r}")
+        rows = lines[1 if header else 0:]
         if not any(line.split("#", 1)[0].strip() for line in rows):
             raise DomainError(f"{path}: no {what} rows" + (" after the header" if header else ""))
         data = np.loadtxt(rows, delimiter="," if header else None, dtype=float, ndmin=2)
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-    if data.shape[1] != ncols:
-        raise DomainError(f"{path}: rows of {data.shape[1]} columns, expected {ncols}")
+    if data.shape[1] != len(columns):
+        raise DomainError(f"{path}: rows of {data.shape[1]} columns, expected {len(columns)}")
     return data
 
 
@@ -322,9 +327,9 @@ class Ensemble:
 
     @classmethod
     def load_csv(cls, path) -> "Ensemble":
-        """The particles of a CSV file: a header line, then rows x, v,
-        omega, eta, w (``read_table``'s first format)."""
-        data = read_table(path, 5, "particle")
+        """The particles of a CSV file: the header x,v,omega,eta,w, then
+        its rows (``read_table``'s first format)."""
+        data = read_table(path, ["x", "v", "omega", "eta", "w"], "particle")
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
 
 

@@ -34,7 +34,6 @@ from .field import read_table
 
 __all__ = [
     "Branch",
-    "HookeKind",
     "HookeModel",
     "BalancePoints",
     "ValidationReport",
@@ -56,11 +55,6 @@ GUARD_FRACTION = 1e-9
 ROOT_TOL_FRACTION = 1e-12
 
 
-class HookeKind(enum.Enum):
-    TANGENT = "tangent"
-    CUSTOM = "custom"
-
-
 class Branch(enum.Enum):
     """Which side of the midpoint an inverse-potential lookup targets."""
 
@@ -73,14 +67,15 @@ class HookeModel:
     """A bonding-force law on (0, epsilon).
 
     ``force_fn`` and ``antiderivative`` (any antiderivative of the force)
-    are set only for custom models, and both must accept numpy arrays;
-    the tangent law is closed-form.  ``nodes`` holds a table model's
-    (omega, force) columns, the law as given: their omega range is the
-    ``domain``, and ``validate_model`` tests H4 on them.
+    are given together, for custom models only, and both must accept
+    numpy arrays; a model without them is the closed-form tangent law.
+    ``nodes`` holds a table model's (omega, force) columns, the law as
+    given: their omega range is the ``domain``, and ``validate_model``
+    tests H4 on them.  ``force`` and the potentials raise DomainError
+    outside ``domain``; a table's interpolant itself gives NaN there.
     """
 
     epsilon: float
-    kind: HookeKind
     force_fn: Callable | None = None
     nodes: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     antiderivative: Callable | None = None
@@ -88,8 +83,7 @@ class HookeModel:
     def __post_init__(self):
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.kind is HookeKind.CUSTOM and (self.force_fn is None
-                                              or self.antiderivative is None):
+        if (self.force_fn is None) is not (self.antiderivative is None):
             raise DomainError("custom models need a force callable and its antiderivative")
 
     @property
@@ -143,14 +137,13 @@ class ValidationReport:
 
 def tangent_model(epsilon: float = 1.0) -> HookeModel:
     """The built-in tangent bonding law on (0, epsilon)."""
-    return HookeModel(epsilon=float(epsilon), kind=HookeKind.TANGENT)
+    return HookeModel(epsilon=float(epsilon))
 
 
 def custom_model(epsilon: float, force_fn: Callable, antiderivative: Callable) -> HookeModel:
     """Wrap a user force law and an antiderivative of it, which gives the
     potentials."""
-    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM, force_fn=force_fn,
-                      antiderivative=antiderivative)
+    return HookeModel(epsilon=float(epsilon), force_fn=force_fn, antiderivative=antiderivative)
 
 
 def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeModel:
@@ -158,9 +151,11 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
 
     Monotone cubic (PCHIP) interpolation preserves the sign structure of
     decreasing data.  The tabulated hull is the model's ``domain``:
-    evaluations outside it raise DomainError rather than extrapolate.  The
-    hull must contain the midpoint epsilon/2, where potentials are
-    anchored; they come from the interpolant's exact antiderivative.
+    ``force`` and the potentials raise DomainError outside it, and the
+    interpolant, the model's ``force_fn``, gives NaN there rather than
+    extrapolate.  The hull must contain the midpoint epsilon/2, where
+    potentials are anchored; they come from the interpolant's exact
+    antiderivative.
     """
     omega = np.asarray(omega, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -175,14 +170,7 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
         raise DomainError(f"table omega range [{lo!r}, {hi!r}] must contain epsilon/2")
     from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(omega, values, extrapolate=False)
-
-    def _f(w):
-        w = np.asarray(w, dtype=float)
-        if np.any(w < lo) or np.any(w > hi):
-            raise DomainError("evaluation outside the tabulated range")
-        return interp(w)
-
-    return HookeModel(epsilon=float(epsilon), kind=HookeKind.CUSTOM, force_fn=_f,
+    return HookeModel(epsilon=float(epsilon), force_fn=interp,
                       nodes=(tuple(omega.tolist()), tuple(values.tolist())),
                       antiderivative=interp.antiderivative())
 
@@ -190,7 +178,7 @@ def table_model(epsilon: float, omega: np.ndarray, values: np.ndarray) -> HookeM
 def load_table_model(path, epsilon: float) -> HookeModel:
     """A model of a plain-text table of (omega, force) rows, no header
     (``read_table``'s second format); every DomainError names the file."""
-    data = read_table(path, 2, "table", header=False)
+    data = read_table(path, ["omega", "force"], "table", header=False)
     try:
         return table_model(epsilon, data[:, 0], data[:, 1])
     except DomainError as exc:
@@ -208,7 +196,7 @@ def _check_domain(model: HookeModel, omega) -> np.ndarray:
 def force(model: HookeModel, omega):
     """Bond force at separation omega; scalar in, scalar out (arrays ok)."""
     w = _check_domain(model, omega)
-    if model.kind is HookeKind.TANGENT:
+    if model.force_fn is None:
         out = -np.tan(np.pi / model.epsilon * (w - 0.5 * model.epsilon))
     else:
         out = np.asarray(model.force_fn(w), dtype=float)
@@ -242,7 +230,7 @@ def potential_to_midpoint(model: HookeModel, x):
     A(x) from its antiderivative A (for a table, the interpolant's).
     """
     w = _check_domain(model, x)
-    if model.kind is HookeKind.TANGENT:
+    if model.force_fn is None:
         out = _tangent_potential(model, w)
     else:
         out = model.antiderivative(model.midpoint) - model.antiderivative(w)
@@ -280,7 +268,7 @@ def _potential_unguarded(model: HookeModel, x: float) -> float:
     # Potential evaluation used only inside inverse lookups.  A tangent
     # probe may come arbitrarily close to a wall, past the guard band; a
     # custom probe stays between the midpoint and an end of ``domain``.
-    if model.kind is HookeKind.TANGENT:
+    if model.force_fn is None:
         return float(_tangent_potential(model, x))
     return potential_to_midpoint(model, x)
 
@@ -300,7 +288,7 @@ def inverse_potential(model: HookeModel, value: float, branch: Branch) -> float:
     if value == 0.0:
         return mid
 
-    if model.kind is HookeKind.TANGENT:
+    if model.force_fn is None:
         outer = eps if branch is Branch.RIGHT else 0.0
     else:
         outer = model.domain[1] if branch is Branch.RIGHT else model.domain[0]

@@ -175,8 +175,8 @@ class RunConfig:
       grid                 bumps: four integers >= 1, cells per axis;
                            default [8, 8, 8, 8].
       path                 particles: a non-empty string naming a CSV
-                           with columns x, v, omega, eta, w and at least
-                           one row below its header.
+                           whose first line is the header x,v,omega,eta,w,
+                           with at least one row below it.
     T                      horizon, default 1; load: finite, > 0.  The
                            default of trajectory.T and bounds.T.
     dt_macro               field rebuild step, default 0.01; load: finite,
@@ -189,10 +189,11 @@ class RunConfig:
       eta_scale            sub-cycling impulse bound, default 0.25; > 0.
       event_eta_tol        turning-event threshold, default 1e-7; load:
                            finite, >= 0.
-    tracked_boundary,      seeds at the support box's corners (at most
-    tracked_interior       16) and inside it, default 16 each; load:
-                           integers >= 0, tracked_interior at most
-                           2**30 (the Sobol points).  simulate.
+    tracked_boundary,      seeds at the support box's corners and inside
+    tracked_interior       it, default 16 each; load: integers >= 0,
+                           tracked_boundary at most 16 (the corners) and
+                           tracked_interior at most 2**30 (the Sobol
+                           points).  simulate.
     c_safety               C = c_safety * max(2 * mass, edge force),
                            default 1.5; load: finite, > 0.  simulate,
                            bounds.  C must have balance points.
@@ -272,6 +273,9 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be an integer >= {least}, got {val!r}")
             if f.name in _SOBOL_KEYS and val > MAX_SOBOL_POINTS:
                 raise ConfigError(f"{f.name} is {val!r}, over the cap of 2**30 Sobol points")
+        if cfg.tracked_boundary > 16:
+            raise ConfigError(f"tracked_boundary is {cfg.tracked_boundary!r}, over the 16 "
+                              "corners of the support box")
         if not isinstance(cfg.output_dir, (str, type(None))):
             raise ConfigError(f"output_dir must be a string or null, got {cfg.output_dir!r}")
         dt = cfg.control.get("dt", cfg.dt_macro)
@@ -501,7 +505,8 @@ def _checked_certificate(p, box, T: float, name: str, c_keys: str = _C_KEYS) -> 
     try:
         cert = build_certificate(p, box, T)
     except OverflowError as exc:
-        law = "table" if p.model.nodes is not None else p.model.kind.value
+        law = ("table" if p.model.nodes is not None
+               else "tangent" if p.model.force_fn is None else "custom")
         what = f"the certificate of the {law} bond law with C = {p.C!r}, from {c_keys}"
         try:
             build_certificate(p, box, 0.0)

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import hooke as _hooke
 from .errors import DomainError, StepUnderflowError
 from .field import FieldSnapshot, ParticleState, write_table
 from .hooke import BalancePoints, HookeModel
@@ -151,7 +150,7 @@ class TrajectoryPath:
 
 
 def _force_scalar(model: HookeModel, om: float, tan) -> float:
-    if model.kind is _hooke.HookeKind.TANGENT:
+    if model.force_fn is None:
         return -float(tan(math.pi / model.epsilon * (om - 0.5 * model.epsilon)))
     return float(model.force_fn(om))
 
@@ -167,7 +166,7 @@ def _substeps_scalar(model: HookeModel, om: float, e1: float, fh: float, dt: flo
     one-row array.  A NaN or infinite count raises ValueError or
     OverflowError."""
     m = max(1, math.ceil(abs(fh) * abs(dt) / control.eta_scale))
-    if model.kind is not _hooke.HookeKind.TANGENT:
+    if model.force_fn is not None:
         return int(m)
     eps = model.epsilon
     screen = _one_substep_threshold(eps, dt)
@@ -193,7 +192,7 @@ def _substep_loop(om, e, d, k0, m, tan, model: HookeModel, lo, hi, eta_scale):
     fallback, ``np.tan`` in ``_advance_batch``, where it gives the bits
     of its array substep 0.  A custom law is called on the float.
     """
-    tangent = model.kind is _hooke.HookeKind.TANGENT
+    tangent = model.force_fn is None
     # The forces of _force_scalar and _force_array, constants hoisted.
     c, mid = math.pi / model.epsilon, 0.5 * model.epsilon
     ad, last = abs(d), m - 1
@@ -437,7 +436,7 @@ def _advance_batch(z, snap, model: HookeModel, dt, control: StepControl, lo, hi,
     d = dt / m
     hd = 0.5 * d
     mid = 0.5 * model.epsilon
-    custom = model.kind is not _hooke.HookeKind.TANGENT
+    custom = model.force_fn is not None
 
     # Substep 0 runs and is tested in place on every row; rows that fail
     # it, like rows past MAX_SUBSTEPS, are redone below.
@@ -497,7 +496,7 @@ def _substeps_batch(model: HookeModel, om: np.ndarray, e1: np.ndarray, fh: np.nd
     m /= control.eta_scale
     np.ceil(m, out=m)
     np.maximum(m, 1, out=m)
-    if model.kind is not _hooke.HookeKind.TANGENT:
+    if model.force_fn is not None:
         return m
     eps = model.epsilon
     screen = _one_substep_threshold(eps, dt)
@@ -597,7 +596,7 @@ def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.
 def _force_array(model: HookeModel, om: np.ndarray, out=None) -> np.ndarray:
     """The bond force at om; the tangent law writes it to ``out`` when
     given."""
-    if model.kind is _hooke.HookeKind.TANGENT:
+    if model.force_fn is None:
         f = np.subtract(om, 0.5 * model.epsilon, out=out)
         f *= np.pi / model.epsilon
         np.tan(f, out=f)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -424,6 +425,10 @@ class TestExitCodes:
                      "".join(f"{w} {0.5 - w} 0\n" for w in (0.1, 0.3, 0.5, 0.7, 0.9)),
                      id="law-3-columns"),
         pytest.param("hooke", "law.txt", "0.5 0\n", id="law-one-row"),  # too short for a law
+        # A headed table must start with its header: without one, the first
+        # particle would be taken for it.
+        pytest.param("datum", "ens.csv", "0,0,0.5,0,1\n0.1,0,0.5,0,1\n", id="particles-headerless"),
+        pytest.param("datum", "ens.csv", "a,b,c,d,e\n0,0,0.5,0,1\n", id="particles-misnamed"),
     ])
     def test_unparseable_input_file(self, tmp_path, capsys, section, name, text):
         # numpy only warns on a file with no rows: that warning must not
@@ -446,8 +451,10 @@ class TestExitCodes:
         ("seed_001_path.csv", "t,x,v,omega,eta\r\n"),
         ("seed_001_aux.csv", "t,f_minus\n"),
         ("seed_001_path.csv", "t,x,v,omega,eta\r\n0,0,0,0.5\r\n"),
+        # The run's own rows under a header that names another column.
+        ("seed_001_path.csv", lambda old: old.replace(b"t,x,v,omega,eta", b"t,x,v,omega,w", 1)),
     ], ids=["unparseable-path", "short-aux", "no-field-norm", "header-only-path",
-            "header-only-aux", "narrow-path"])
+            "header-only-aux", "narrow-path", "misnamed-path"])
     def test_certify_bad_seed_file(self, tmp_path, capsys, name, text):
         datum = json.loads(write_config(tmp_path).read_text())["datum"]
         datum["grid"] = [3, 3, 3, 3]
@@ -457,6 +464,8 @@ class TestExitCodes:
                          "--output-dir", str(out)]) == EXIT_OK
         if text is None:
             (out / name).unlink()
+        elif callable(text):
+            (out / name).write_bytes(text((out / name).read_bytes()))
         else:
             (out / name).write_text(text)
         capsys.readouterr()
@@ -499,6 +508,16 @@ class TestExitCodes:
         assert dispatch([command, "--config", str(cfg),
                          "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"config error: {key} is {val}, over the cap of 2**30 Sobol points" in \
+            capsys.readouterr().err
+
+    def test_tracked_boundary_at_most_the_corners(self, tmp_path, capsys):
+        # The support box has 16 corners: a larger value would be cut to 16
+        # without a word.
+        for val, code in ((17, EXIT_CONFIG), (16, EXIT_OK)):
+            cfg = write_config(tmp_path, T=0.02, tracked_boundary=val, tracked_interior=0)
+            assert dispatch(["simulate", "--config", str(cfg),
+                             "--output-dir", str(tmp_path / "out")]) == code
+        assert "config error: tracked_boundary is 17, over the 16 corners" in \
             capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds, key", [
@@ -784,6 +803,30 @@ class TestSubcommands:
         ref.dump_events_csv(tmp_path / "events.csv")
         for name in ("path.csv", "events.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_config_commands_have_handlers(self):
+        # Every subcommand but certify reads a config and runs its handler
+        # in cli.COMMANDS; argparse rejects any other command.
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) - {"certify"} == set(cli.COMMANDS)
+
+    def test_simulate_names_the_first_continuation_failure(self, tmp_path, capsys, monkeypatch):
+        # A valid certificate lets no real run fail, so the check is made
+        # to fail from the second macro step on.
+        cfg = str(write_config(tmp_path, T=0.03, tracked_interior=0))
+        assert dispatch(["simulate", "--config", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; continuation failures: 0\n")
+        real = simulator.check_continuation
+
+        def failing(diag, cert, margin):
+            return (simulator.ContinuationStatus.FAIL, "x_upper") if diag.time > 0.005 \
+                else real(diag, cert, margin)
+
+        monkeypatch.setattr(simulator, "check_continuation", failing)
+        assert dispatch(["simulate", "--config", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            "; continuation failures: 3 (first at t=0.01, x_upper)\n")
 
     def test_bounds_writes_certificate(self, tmp_path, capsys):
         out = tmp_path / "bounds"

@@ -599,6 +599,18 @@ class TestCsv:
         with pytest.raises(DomainError, match="no particle rows after the header"):
             Ensemble.load_csv(p)
 
+    @pytest.mark.parametrize("text, header", [
+        ("a,b,c,d,e\n0,0,0.5,0,1\n", "a,b,c,d,e"),
+        ("0,0,0.5,0,1\n0.1,0,0.5,0,1\n", "0,0,0.5,0,1"),  # no header: not a particle lost
+    ], ids=["misnamed", "headerless"])
+    def test_load_csv_needs_its_header(self, tmp_path, text, header):
+        p = tmp_path / "ens.csv"
+        p.write_text(text)
+        with pytest.raises(DomainError, match=f"header '{header}', expected 'x,v,omega,eta,w'"):
+            Ensemble.load_csv(p)
+        p.write_text(" x , v,omega,eta,w\r\n0,0,0.5,0,1\r\n")  # spaces around names aside
+        assert len(Ensemble.load_csv(p)) == 1
+
     def test_load_csv_roundtrips_bits(self, tmp_path):
         # Every NaN spells nan, so only the plain NaN reads back bit for bit.
         n = _BLOCK_ROWS + 1

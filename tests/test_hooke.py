@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from diatomic_vlasov import (
     Branch,
     DomainError,
-    HookeKind,
     HookeModel,
     RangeError,
     balance_points,
@@ -119,7 +118,7 @@ class TestPotential:
     @pytest.mark.parametrize("given", ["force_fn", "antiderivative"])
     def test_custom_model_needs_both_callables(self, given):
         with pytest.raises(DomainError, match="force callable and its antiderivative"):
-            HookeModel(1.0, HookeKind.CUSTOM, **{given: lambda w: 0.5 - w})
+            HookeModel(1.0, **{given: lambda w: 0.5 - w})
 
 
 class TestInversePotential:
