@@ -11,9 +11,9 @@ envelope on each excursion, and, through the potential inverse, a global
 envelope plus a confinement interval for the bond length over any
 horizon.
 
-Both families share the naming C1/C2 in their usual statements; on the
-certificate the long-time pair is ``C1_exc`` / ``C2_exc`` to keep them
-apart.
+The certificate states t0 alone of the short-time family, as the horizon
+of local existence; its excursion pair keeps the names ``C1_exc`` and
+``C2_exc`` of ``global_envelope``.
 
 ``certify`` replays a sampled trajectory against a certificate.  The
 certificate never consumes path data for its constants (no circularity):
@@ -141,10 +141,8 @@ def confinement_time(p: BoundParameters) -> float:
             return math.inf
 
     target = 0.25 * p.epsilon0 * (1.0 - 1e-12)
-    hi = 1.0
-    while f(hi) < target:
-        hi *= 2.0
-    lo = 0.0
+    # [0, 1] brackets t0: C1 >= 1 gives f(1) >= e * eps > eps0 / 4.
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * max(1.0, hi):
@@ -216,22 +214,19 @@ def omega_confinement(p: BoundParameters, omega0: float, eta_M: float,
 class BoundCertificate:
     """All analytic constants for a given initial support box and horizon.
 
-    The band pair (C1, C2) and t0 come from the short-time analysis; the
-    excursion pair (C1_exc, C2_exc), the speed envelope and the bond
-    confinement interval from the long-time analysis.  x_bound/v_bound are
-    the elementary horizon bounds on |x| and |v|.
+    t0, the stated horizon of local existence, comes from the short-time
+    analysis; the excursion pair (C1_exc, C2_exc), the speed envelope and
+    the bond confinement interval from the long-time analysis.
+    x_bound/v_bound are the elementary horizon bounds on |x| and |v|.
     """
 
     epsilon: float
     T: float
     C: float
     C_minus: float
-    C1: float
-    C2: float
     t0: float
     balance: BalancePoints
     I_M: float
-    I_m: float
     C1_exc: float
     C2_exc: float
     eta_M: float
@@ -249,9 +244,11 @@ class BoundCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundCertificate":
-        return cls(**{**d, "balance": BalancePoints(**d["balance"]),
-                      "omega_confinement": tuple(d["omega_confinement"]),
-                      "support_box": tuple(d.get("support_box", ()))})
+        d = {**d, "balance": BalancePoints(**d["balance"]),
+             "omega_confinement": tuple(d["omega_confinement"]),
+             "support_box": tuple(d.get("support_box", ()))}
+        # An older run's manifest also holds C1, C2 and I_m: no check read them.
+        return cls(**{k: v for k, v in d.items() if k not in ("C1", "C2", "I_m")})
 
 
 def certificate_parameters(model: HookeModel, box, mass: float | None = None,
@@ -292,7 +289,6 @@ def build_certificate(p: BoundParameters, support_box, T: float) -> BoundCertifi
         raise InvalidCError(
             "omega support must lie strictly between the balance points; "
             f"got [{om_lo!r}, {om_hi!r}] vs ({balance.omega_m!r}, {balance.omega_M!r})")
-    c1, c2 = gronwall_constants(p)
     t0 = confinement_time(p)
     eta_M = max(abs(et_lo), abs(et_hi))
     c1e, c2e, env = global_envelope(p, eta_M, T)
@@ -303,10 +299,8 @@ def build_certificate(p: BoundParameters, support_box, T: float) -> BoundCertifi
     x_m = max(abs(x_lo), abs(x_hi))
     v_m = max(abs(v_lo), abs(v_hi))
     return BoundCertificate(
-        epsilon=p.epsilon, T=T, C=p.C, C_minus=p.C_minus, C1=c1, C2=c2, t0=t0,
-        balance=balance, I_M=p.I_M,
-        I_m=_hooke.potential_to_midpoint(p.model, balance.omega_m),
-        C1_exc=c1e, C2_exc=c2e, eta_M=eta_M, H_envelope=env,
+        epsilon=p.epsilon, T=T, C=p.C, C_minus=p.C_minus, t0=t0, balance=balance,
+        I_M=p.I_M, C1_exc=c1e, C2_exc=c2e, eta_M=eta_M, H_envelope=env,
         omega_confinement=omega_confinement(p, omega0, eta_M, T),
         x_bound=x_m + v_m * T + 0.5 * p.C * T * T,
         v_bound=v_m + p.C * T,

@@ -70,7 +70,7 @@ def _out_dir(cfg: RunConfig, arg: str | None) -> Path:
 
 def _cmd_validate_hooke(cfg: RunConfig, args) -> int:
     model = cfg.build_model()
-    report = validate_model(model, grid_size=args.grid)
+    report = validate_model(model, grid_size=args.grid_size)
     print(json.dumps({"passed": report.passed,
                       "failures": list(report.failures),
                       "worst": report.worst,
@@ -196,6 +196,12 @@ def _cmd_certify(args) -> int:
         aux = read_table(aux_file, ["t", "f_minus"], "aux")
         if len(aux) != len(data):
             raise ConfigError(f"{str(aux_file)!r} has {len(aux)} rows, {pth.name} {len(data)}")
+        # The run wrote both t columns from the same strings.
+        moved = np.flatnonzero(aux[:, 0] != data[:, 0])
+        if moved.size:
+            i = int(moved[0])
+            raise ConfigError(f"{str(aux_file)!r} row {i + 1} has t = {float(aux[i, 0])!r}, "
+                              f"{pth.name} t = {float(data[i, 0])!r}")
         path = TrajectoryPath(
             t=data[:, 0], x=data[:, 1], v=data[:, 2], omega=data[:, 3],
             eta=data[:, 4], f_minus=aux[:, 1],
@@ -227,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-hooke", help="check the force hypotheses")
     add_common(p)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", dest="grid_size", type=int, default=1024,
+                   help="validate_model's grid_size, in [8, 2**20]")
 
     p = sub.add_parser("trajectory", help="integrate one characteristic")
     add_common(p)

@@ -53,6 +53,9 @@ __all__ = [
 GUARD_FRACTION = 1e-9
 # Absolute bisection tolerance, as a fraction of epsilon.
 ROOT_TOL_FRACTION = 1e-12
+# Largest validate_model grid: it holds about 20 float arrays of this
+# length, some 170 MB.
+MAX_GRID = 2**20
 
 
 class Branch(enum.Enum):
@@ -193,16 +196,22 @@ def _check_domain(model: HookeModel, omega) -> np.ndarray:
     return w
 
 
+def _force_array(model: HookeModel, om: np.ndarray, out=None) -> np.ndarray:
+    """The bond force at the array om, unchecked; the tangent law writes
+    it to ``out`` when given."""
+    if model.force_fn is None:
+        f = np.subtract(om, 0.5 * model.epsilon, out=out)
+        f *= np.pi / model.epsilon
+        np.tan(f, out=f)
+        return np.negative(f, out=f)
+    return np.asarray(model.force_fn(om), dtype=float)
+
+
 def force(model: HookeModel, omega):
     """Bond force at separation omega; scalar in, scalar out (arrays ok)."""
     w = _check_domain(model, omega)
-    if model.force_fn is None:
-        out = -np.tan(np.pi / model.epsilon * (w - 0.5 * model.epsilon))
-    else:
-        out = np.asarray(model.force_fn(w), dtype=float)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
+    out = _force_array(model, np.atleast_1d(w))
+    return float(out[0]) if w.ndim == 0 else out
 
 
 def _tangent_potential(model: HookeModel, x):
@@ -327,8 +336,9 @@ def balance_points(model: HookeModel, level: float) -> BalancePoints:
 
 
 def validate_model(model: HookeModel, grid_size: int = 1024) -> ValidationReport:
-    """Sample the force on an interior grid and report violations of the
-    four structural hypotheses.  Passes iff no violations.
+    """Sample the force on an interior grid of about grid_size points, in
+    [8, MAX_GRID], and report violations of the four structural
+    hypotheses.  Passes iff no violations.
 
     H1 monotone decreasing, H2 midpoint zero, H3 odd symmetry about the
     midpoint, H4 convex left of the midpoint / concave right of it.  A
@@ -339,8 +349,8 @@ def validate_model(model: HookeModel, grid_size: int = 1024) -> ValidationReport
     Simpson's rule on two panels by more than the one-panel rule is, plus
     1e-4 of the integral of |F| and the rounding tolerance.
     """
-    if grid_size < 8:
-        raise DomainError("grid_size must be at least 8")
+    if not 8 <= grid_size <= MAX_GRID:
+        raise DomainError(f"grid_size is {grid_size!r}, outside [8, 2**20]")
     eps = model.epsilon
     # Uniform interior grid, symmetric about and including the midpoint.
     half = max(4, grid_size // 2)

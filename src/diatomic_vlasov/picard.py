@@ -130,8 +130,8 @@ def _push_collect(start, prev: list, model: HookeModel, T: float, dt_macro: floa
 
 
 def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
-            n_max: int, probe_grid: int = 4096, control: StepControl | None = None,
-            dt_macro: float | None = None, tol: float = 0.0) -> list[IterationRecord]:
+            n_max: int, probe_grid: int, control: StepControl, dt_macro: float,
+            tol: float = 0.0) -> list[IterationRecord]:
     """Run the fixed-point rounds and log one record per iterate.
 
     f_0 is the datum held constant in time, so its field history is a
@@ -140,6 +140,8 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
     inside f_n's support box, evaluating both iterates by backward
     characteristics under their respective histories.  Stops after
     ``n_max`` rounds or once the estimate drops below ``tol``.
+    ``probe_grid``, ``control`` and ``dt_macro`` have no defaults here;
+    ``RunConfig`` states them.
 
     Three rules skip work whose result is already known bit for bit;
     every round is deterministic, so all three are exact:
@@ -167,9 +169,6 @@ def iterate(datum: BumpDatum, box, shape, model: HookeModel, T: float,
       sign of a zero coordinate, and no step of the backward push or of
       the datum turns that sign into a nonzero difference.)
     """
-    control = control or StepControl(dt=min(T / 8.0, 1e-2))
-    dt_macro = dt_macro or control.dt
-
     ens0 = sample_datum(datum, box, shape, model.epsilon)
     hist_prev = [build_field(ens0)]  # fields of f_0 (time-frozen datum)
     hist_prev2 = None

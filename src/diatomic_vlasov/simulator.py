@@ -33,7 +33,7 @@ import numpy as np
 from . import hooke as _hooke
 from .bounds import BoundCertificate, build_certificate, certificate_parameters, certify
 from .datum import MAX_SOBOL_POINTS, BumpDatum, sample_datum, sobol_box
-from .errors import ConfigError, ToleranceError
+from .errors import ConfigError, InvalidCError, ToleranceError
 from .field import (ConstantField, Ensemble, FieldSnapshot, ParticleState, build_field,
                     write_table, zero_field)
 from .hooke import HookeModel, balance_points, tangent_model, load_table_model
@@ -100,6 +100,9 @@ MAX_STEPS = 10**7
 # a prescribed field value: squares and pairwise products of such values,
 # as in the step's energy 0.5 * eta**2, stay finite.
 MAX_MAGNITUDE = 1e150
+# Most cells a bump datum's grid may have, 200x the bulk benchmark's
+# 20,736: sampling holds a few float arrays of one entry per cell.
+MAX_CELLS = 2**22
 
 
 def _datum_axes(datum: dict, key: str) -> list:
@@ -170,13 +173,14 @@ class RunConfig:
       centers, widths      bumps: objects with keys x, v, omega, eta;
                            widths > 0.
       amplitude            bumps: default 1; >= 0, at most MAX_MAGNITUDE.
-      box                  bumps: object of [lo, hi] pairs per axis, the
-                           sampling box; default the bumps' support.
-      grid                 bumps: four integers >= 1, cells per axis;
-                           default [8, 8, 8, 8].
+      box                  bumps: object of [lo, hi] pairs per axis, lo <
+                           hi, the sampling box; default the bumps' support.
+      grid                 bumps: four integers >= 1, cells per axis, at
+                           most MAX_CELLS in all; default [8, 8, 8, 8].
       path                 particles: a non-empty string naming a CSV
                            whose first line is the header x,v,omega,eta,w,
-                           with at least one row below it.
+                           with at least one row below it, every value
+                           finite and at most MAX_MAGNITUDE.
     T                      horizon, default 1; load: finite, > 0.  The
                            default of trajectory.T and bounds.T.
     dt_macro               field rebuild step, default 0.01; load: finite,
@@ -318,8 +322,15 @@ class RunConfig:
         """(BumpDatum, box, grid) for bump data, or a particle Ensemble."""
         kind = self.datum.get("kind", "bumps")
         if kind == "particles":
-            return Ensemble.load_csv(_path(self.datum.get("path"),
-                                           "particle data need datum.path"))
+            path = _path(self.datum.get("path"), "particle data need datum.path")
+            ens = Ensemble.load_csv(path)
+            rows = np.column_stack([ens.x, ens.v, ens.omega, ens.eta, ens.w])
+            bad = np.argwhere(~(np.abs(rows) <= MAX_MAGNITUDE))
+            if bad.size:  # _number raises, naming the value's row and column
+                i, j = bad[0].tolist()
+                _number(float(rows[i, j]), f"datum.path {path!r}: row {i + 1}, column "
+                        f"{(*_AXES, 'w')[j]}", MAX_MAGNITUDE)
+            return ens
         if kind != "bumps":
             raise ConfigError(f"unknown datum kind {kind!r}")
         centers = tuple(_number(c, name) for name, c in _datum_axes(self.datum, "centers"))
@@ -333,14 +344,19 @@ class RunConfig:
             for name, pair in _datum_axes(self.datum, "box"):
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
-                box.append(tuple(_number(c, name) for c in pair))
+                lo, hi = (_number(c, name) for c in pair)
+                if not lo < hi:
+                    raise ConfigError(f"{name} must have lo < hi, got {pair!r}")
+                box.append((lo, hi))
             box = tuple(box)
         grid = self.datum.get("grid", (8, 8, 8, 8))
         if not isinstance(grid, (list, tuple)) or len(grid) != len(_AXES) or \
                 any(type(n) is not int or n < 1 for n in grid):
             raise ConfigError(f"datum.grid must hold integers >= 1, one per axis, got {grid!r}")
-        grid = tuple(grid)
-        return datum, box, grid
+        if math.prod(grid) > MAX_CELLS:
+            raise ConfigError(f"datum.grid is {grid!r}, {math.prod(grid)} cells, over the cap "
+                              "of 2**22")
+        return datum, box, tuple(grid)
 
     def build_ensemble(self, model: HookeModel) -> Ensemble:
         """The initial ensemble of either datum kind: bump data sampled
@@ -488,25 +504,29 @@ _C_KEYS = "c_safety and the datum's mass"
 
 
 def _checked_certificate(p, box, T: float, name: str, c_keys: str = _C_KEYS) -> BoundCertificate:
-    """``build_certificate``, with a level C that has no balance points,
-    an overflow or a constant that is not finite reported as a
-    ConfigError naming its keys: ``name`` is the key of T and ``c_keys``
-    the keys of C.  An overflow names T first only when the certificate
-    at T = 0 does not overflow; otherwise T plays no part, and the bond
-    law and C lead."""
+    """``build_certificate``, with a level C that has no balance points
+    or no certificate (InvalidCError), an overflow or a constant that is
+    not finite reported as a ConfigError naming its keys: ``name`` is the
+    key of T and ``c_keys`` the keys of C.  An overflow names T first only
+    when the certificate at T = 0 does not overflow; otherwise T plays no
+    part, and the bond law and C lead."""
     try:
         p.balance
     except ToleranceError as exc:
         raise ConfigError(f"C = {p.C!r}, from {c_keys}, has no balance points: the bond "
                           "force must reach +C left of the midpoint and -C right of it"
                           ) from exc
+    law = ("table" if p.model.nodes is not None
+           else "tangent" if p.model.force_fn is None else "custom")
     # Finite inputs can still overflow: x_bound grows as C*T**2, and the
     # excursion envelope squares the eta edge, whatever T.
     try:
         cert = build_certificate(p, box, T)
+    except InvalidCError as exc:
+        hull = f" on omega {list(p.model.domain)!r}" if p.model.nodes is not None else ""
+        raise ConfigError(f"C = {p.C!r}, from {c_keys}, has no certificate under the {law} "
+                          f"bond law{hull}: {exc}") from exc
     except OverflowError as exc:
-        law = ("table" if p.model.nodes is not None
-               else "tangent" if p.model.force_fn is None else "custom")
         what = f"the certificate of the {law} bond law with C = {p.C!r}, from {c_keys}"
         try:
             build_certificate(p, box, 0.0)

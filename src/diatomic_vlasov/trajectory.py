@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, StepUnderflowError
 from .field import FieldSnapshot, ParticleState, write_table
-from .hooke import BalancePoints, HookeModel
+from .hooke import BalancePoints, HookeModel, _force_array
 
 __all__ = [
     "StepControl",
@@ -74,14 +74,15 @@ EVENT_TIME_TOL_FACTOR = 1e-3
 class StepControl:
     """Integrator knobs.
 
-    dt            base step; also the path sampling interval.
+    dt            base step, also the path sampling interval; no default
+                  (``RunConfig``'s is dt_macro).
     eta_scale     bound on |Fh|*substep, the impulse one inner substep may
                   impart to eta; controls sub-cycling near the walls.
     event_eta_tol tangency threshold: |eta| below this at a balance-point
                   touch is classified as a turning event.
     """
 
-    dt: float = 1e-3
+    dt: float
     eta_scale: float = 0.25
     event_eta_tol: float = 1e-7
 
@@ -591,17 +592,6 @@ def _wall_substeps(model: HookeModel, om: np.ndarray, e1: np.ndarray, dt) -> np.
     f_max = 1.0 / np.tan(np.pi * u_min / eps)
     freq = np.sqrt((np.pi / eps) * (1.0 + f_max * f_max))
     return np.ceil(abs(dt) * freq / WALL_RESOLUTION)
-
-
-def _force_array(model: HookeModel, om: np.ndarray, out=None) -> np.ndarray:
-    """The bond force at om; the tangent law writes it to ``out`` when
-    given."""
-    if model.force_fn is None:
-        f = np.subtract(om, 0.5 * model.epsilon, out=out)
-        f *= np.pi / model.epsilon
-        np.tan(f, out=f)
-        return np.negative(f, out=f)
-    return np.asarray(model.force_fn(om), dtype=float)
 
 
 def _interp_state(path: TrajectoryPath, i: int, tq: float) -> ParticleState:

@@ -220,17 +220,20 @@ class TestCertificate:
         assert back == cert
         # The manifest's key order, which run directories are diffed by.
         assert list(cert.to_dict()) == [
-            "epsilon", "T", "C", "C_minus", "C1", "C2", "t0", "balance", "I_M", "I_m",
+            "epsilon", "T", "C", "C_minus", "t0", "balance", "I_M",
             "C1_exc", "C2_exc", "eta_M", "H_envelope", "omega_confinement",
             "x_bound", "v_bound", "support_box"]
         assert list(cert.to_dict()["balance"]) == ["omega_m", "omega_M", "level"]
+        # An older manifest's band pair and I_m, which no check read, are dropped.
+        old = {**json.loads(cert.to_json()), "C1": 4.0, "C2": 3.0, "I_m": 0.1}
+        assert BoundCertificate.from_dict(old) == cert
 
     def test_confinement_contains_initial_support(self):
         p = params(eps0=0.42, R=0.5, c_minus=0.4, c=0.9)
         cert = build_certificate(p, self.box(), T=1.0)
         lo, hi = cert.omega_confinement
         assert lo <= 0.42 and hi >= 0.58
-        assert cert.C1 >= 1.0
+        assert gronwall_constants(p)[0] >= 1.0
         assert cert.t0 > 0.0
 
     def test_support_outside_balance_rejected(self):

@@ -22,6 +22,7 @@ from diatomic_vlasov import (
     certificate_parameters,
     confinement_time,
     displacement_bound,
+    gronwall_constants,
     integrate,
     tangent_model,
     zero_field,
@@ -52,6 +53,15 @@ def write_config(tmp_path, **over):
     return path
 
 
+def roll_aux_times(old: bytes, by: int = 7) -> bytes:
+    """An aux file's bytes with its t column moved down ``by`` rows and its
+    f_minus column left in place."""
+    head, *rows = old.split(b"\n")[:-1]
+    t, fm = zip(*(row.split(b",") for row in rows))
+    t = t[-by:] + t[:-by]
+    return b"\n".join([head, *(a + b"," + b for a, b in zip(t, fm))]) + b"\n"
+
+
 class TestSimulateCertify:
     def test_replay_equals_in_run_reports(self, tmp_path, capsys):
         # The replay must rebuild the run's control (dt and event
@@ -71,6 +81,24 @@ class TestSimulateCertify:
         assert (out / "seed_000_path.csv").read_bytes().startswith(b"t,x,v,omega,eta\r\n")
         aux = (out / "seed_000_aux.csv").read_bytes()
         assert aux.startswith(b"t,f_minus\n") and b"\r" not in aux
+
+    def test_older_manifest_certifies(self, tmp_path, capsys):
+        # Runs before the certificate dropped C1, C2 and I_m wrote them
+        # into the manifest; such a run replays to the same reports.
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["grid"] = [3, 3, 3, 3]
+        out = tmp_path / "run"
+        assert dispatch(["simulate", "--config", str(write_config(tmp_path, datum=datum, T=0.02)),
+                         "--seed-report", "--output-dir", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert dispatch(["certify", "--path", str(out)]) == EXIT_OK
+        replay = capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not {"C1", "C2", "I_m"} & set(manifest["certificate"])
+        manifest["certificate"].update(C1=4.0, C2=3.0, I_m=0.25)
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        assert dispatch(["certify", "--path", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == replay
 
 
 class TestExitCodes:
@@ -172,6 +200,18 @@ class TestExitCodes:
         ("simulate", ("datum", "amplitude"), 1e150,
          "from c_safety and the datum's mass, has no balance points"),
         ("bounds", ("bounds", "C"), 1e100, "C = 1e+100, from bounds.C, has no balance points"),
+        ("bounds", ("datum", "box"),
+         {"x": [-1, 1], "v": [1, -1], "omega": [0.4, 0.6], "eta": [-1, 1]},
+         "datum.box.v must have lo < hi, got [1, -1]"),
+        # Past MAX_CELLS the 4d sampling grid is refused before it is built;
+        # unchecked, numpy could not broadcast it.
+        ("bounds", ("datum", "grid"), [100000] * 4,
+         "datum.grid is [100000, 100000, 100000, 100000], 100000000000000000000 cells, "
+         "over the cap of 2**22"),
+        ("simulate", ("datum", "grid"), [100000] * 4, "datum.grid is [100000, 100000"),
+        ("picard", ("datum", "grid"), [100000] * 4, "datum.grid is [100000, 100000"),
+        ("bounds", ("datum", "grid"), [2**22 + 1, 1, 1, 1],
+         "datum.grid is [4194305, 1, 1, 1], 4194305 cells, over the cap of 2**22"),
     ]
 
     @pytest.mark.parametrize("command, keys, val, needle", BAD_NUMBERS, ids=[
@@ -272,11 +312,11 @@ class TestExitCodes:
         cfg = write_config(tmp_path, hooke=hooke, bounds=bounds)
         assert dispatch(["bounds", "--config", str(cfg)]) == EXIT_OK
         cert = json.loads(capsys.readouterr().out)
-        assert cert["C1"] == pytest.approx(c1, rel=1e-6)
         assert cert["t0"] == pytest.approx(t0, rel=rel, abs=0.0)
         given = {k: v for k, v in bounds.items() if k not in ("T", "support_box")}
         p = certificate_parameters(RunConfig.from_dict(json.loads(cfg.read_text())).build_model(),
                                    tuple(bounds["support_box"]), **given)
+        assert gronwall_constants(p)[0] == pytest.approx(c1, rel=1e-6)
         assert 0.0 < confinement_time(p) == cert["t0"]
         assert displacement_bound(p, p.epsilon, p.R, cert["t0"]) < p.epsilon0 / 4
 
@@ -399,10 +439,72 @@ class TestExitCodes:
         assert report["passed"] is (flip is None)
         assert ("H4" in report["failures"]) is (flip is not None)
 
+    @pytest.mark.parametrize("grid", [7, 2**20 + 1, 10**13])
+    def test_validate_hooke_grid_capped(self, tmp_path, capsys, grid):
+        # Refused before any array is allocated; unchecked, 10**13
+        # ended in numpy's "Unable to allocate 72.8 TiB".
+        args = ["validate-hooke", "--config", str(write_config(tmp_path)), "--grid", str(grid)]
+        assert dispatch(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: grid_size is {grid}, outside [8, 2**20]\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1e200,0.5,0,1", "row 2, column v is 1e+200, over the cap of 1e+150 in magnitude"),
+        ("inf,0,0.5,0,1", "row 2, column x must be finite, got inf"),
+    ], ids=["huge", "inf"])
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_particle_values_capped(self, tmp_path, capsys, command, row, message):
+        # Unchecked, the huge speed overflowed E_kin with a warning (exit
+        # 0), and the infinite x was blamed on T.
+        path = tmp_path / "ens.csv"
+        path.write_text(f"x,v,omega,eta,w\n0,0,0.5,0,1\n{row}\n")
+        cfg = write_config(tmp_path, datum={"kind": "particles", "path": str(path)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch([command, "--config", str(cfg),
+                             "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not caught
+        assert capsys.readouterr().err == f"config error: datum.path {str(path)!r}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_excursion_level_names_its_keys(self, tmp_path, capsys, command):
+        # The level eps*C + I_M that C asks for lies past the potential
+        # this table reaches at its last node.
+        w = np.linspace(0.01, 0.99, 99)
+        np.savetxt(tmp_path / "law.txt", np.column_stack([w, -np.tan(np.pi * (w - 0.5))]))
+        datum = json.loads(write_config(tmp_path).read_text())["datum"]
+        datum["widths"]["eta"] = 1.0
+        datum.update(amplitude=32.0, grid=[8, 8, 8, 8])
+        cfg = write_config(tmp_path, datum=datum, hooke={
+            "kind": "table", "epsilon": 1.0, "table_path": str(tmp_path / "law.txt")})
+        assert dispatch([command, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: C = ")
+        assert (", from c_safety and the datum's mass, has no certificate under the table "
+                "bond law on omega [0.01, 0.99]: potential never reaches the excursion "
+                "level: level ") in err
+
+    @pytest.mark.parametrize("over, extra, command, needle", [
+        ({}, ["--set", "T"], "bounds", "--set expects key=value, got 'T'"),
+        ({"hooke": None}, [], "bounds", "config needs a 'hooke' section"),
+        ({"datum": {"kind": "particles", "path": "ens.csv"}}, [], "picard",
+         "picard runs need a bump datum"),
+    ], ids=["set-without-equals", "no-hooke", "picard-particles"])
+    def test_invocation_faults(self, tmp_path, monkeypatch, capsys, over, extra, command,
+                               needle):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ens.csv").write_text("x,v,omega,eta,w\n0,0,0.5,0,1\n")
+        raw = json.loads(write_config(tmp_path, **over).read_text())
+        raw = {k: v for k, v in raw.items() if v is not None}
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert dispatch([command, "--config", "config.json"] + extra) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {needle}\n"
+
     @pytest.mark.parametrize("text, needle", [
         ("{not json", "cannot read run manifest"),
         ('{"certificate": {"a": 1}}', "balance"),
-    ], ids=["not-json", "no-balance"])
+        ('{"config": {"hooke": {}}, "certificate": null}', "has no certificate"),
+    ], ids=["not-json", "no-balance", "no-certificate"])
     def test_certify_unreadable_manifest(self, tmp_path, capsys, text, needle):
         (tmp_path / "manifest.json").write_text(text)
         assert dispatch(["certify", "--path", str(tmp_path)]) == EXIT_CONFIG
@@ -425,6 +527,9 @@ class TestExitCodes:
                      "".join(f"{w} {0.5 - w} 0\n" for w in (0.1, 0.3, 0.5, 0.7, 0.9)),
                      id="law-3-columns"),
         pytest.param("hooke", "law.txt", "0.5 0\n", id="law-one-row"),  # too short for a law
+        pytest.param("hooke", "law.txt",
+                     "".join(f"{w} {0.5 - w}\n" for w in (0.0, 0.3, 0.5, 0.7, 0.9)),
+                     id="law-outside-domain"),  # omega = 0 is a wall
         # A headed table must start with its header: without one, the first
         # particle would be taken for it.
         pytest.param("datum", "ens.csv", "0,0,0.5,0,1\n0.1,0,0.5,0,1\n", id="particles-headerless"),
@@ -453,8 +558,12 @@ class TestExitCodes:
         ("seed_001_path.csv", "t,x,v,omega,eta\r\n0,0,0,0.5\r\n"),
         # The run's own rows under a header that names another column.
         ("seed_001_path.csv", lambda old: old.replace(b"t,x,v,omega,eta", b"t,x,v,omega,w", 1)),
+        ("max_field_norm.json", '{"max_field_norm": "large"}'),
+        # As many rows as the path, but each f_minus paired with another time.
+        ("seed_001_aux.csv", roll_aux_times),
     ], ids=["unparseable-path", "short-aux", "no-field-norm", "header-only-path",
-            "header-only-aux", "narrow-path", "misnamed-path"])
+            "header-only-aux", "narrow-path", "misnamed-path", "malformed-field-norm",
+            "shifted-aux-times"])
     def test_certify_bad_seed_file(self, tmp_path, capsys, name, text):
         datum = json.loads(write_config(tmp_path).read_text())["datum"]
         datum["grid"] = [3, 3, 3, 3]

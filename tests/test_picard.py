@@ -147,7 +147,8 @@ class TestIterate:
     def test_n_max_zero_single_record(self):
         d = small_datum()
         recs = iterate(d, BOX, (6, 6, 6, 6), tangent_model(1.0), T=0.01,
-                       n_max=0, probe_grid=64)
+                       n_max=0, probe_grid=64, control=StepControl(dt=0.002),
+                       dt_macro=0.002)
         assert len(recs) == 1
         assert recs[0].n == 0 and recs[0].sup_delta == 0.0
         assert recs[0].sup_F > 0
